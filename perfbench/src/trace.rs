@@ -1,15 +1,19 @@
-//! In-memory span recording for the traced run, the two evaluators
-//! that emit per-layer spans from outside the library, and the
-//! attribution that reconciles span self times with wall time.
+//! In-memory span recording for the traced run, and the two evaluators
+//! that emit per-layer spans from outside the library.
 //!
 //! Spans are timed around calls into each layer's public functions:
-//! the library itself reads no clock. [`TracingEvaluator`] re-derives
-//! the engine's world evaluation from `world_rng`, `generate_world_with`,
-//! the resolved counting strategy and `fold_counts`, so the service's
-//! `flush` becomes the parent of generate/count/fold spans;
-//! [`TimedCoordinator`] wraps the distributed coordinator's
-//! `eval_span` and remembers every span it was asked for, so the
-//! remote count and the wire codec can be replayed locally afterwards.
+//! the library itself reads no clock. Each span records its wall time
+//! and the CPU time its thread spent inside it, read from the kernel's
+//! per-thread clock, so layers that run on several threads at once
+//! can be added up and checked against the process's CPU clock.
+//!
+//! [`TracingEvaluator`] re-derives the engine's world evaluation from
+//! `world_rng`, `generate_world_with`, the resolved counting strategy
+//! and `fold_counts`, so the service's `flush` becomes the parent of
+//! generate/count/fold spans. [`TimedCoordinator`] wraps the
+//! distributed coordinator's `eval_span` and remembers every span it
+//! was asked for, so the remote count and the wire codec can be
+//! replayed locally afterwards.
 
 use sfcluster::DistributedEvaluator;
 use sfindex::BitLabels;
@@ -34,7 +38,11 @@ pub struct Span {
     pub thread: u64,
     pub start: u64,
     pub end: u64,
-    /// Units of work the span did (worlds, scores, bytes); 0 if none.
+    /// CPU time of the span's thread inside the span, ns. While the
+    /// span is open it holds the thread's CPU clock at the start.
+    pub cpu: u64,
+    /// Units of work the span did (worlds, label reads, scores,
+    /// bytes); 0 if none.
     pub work: u64,
 }
 
@@ -44,10 +52,77 @@ impl Span {
     }
 }
 
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+fn cpu_clock(clock: i32) -> u64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec for the call.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "the kernel provides CPU-time clocks");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// CPU time consumed so far by the calling thread, ns.
+pub fn thread_cpu_ns() -> u64 {
+    cpu_clock(CLOCK_THREAD_CPUTIME_ID)
+}
+
+/// CPU time consumed so far by every thread of this process, ns.
+pub fn process_cpu_ns() -> u64 {
+    cpu_clock(CLOCK_PROCESS_CPUTIME_ID)
+}
+
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+/// CPU time worker threads spent after their last evaluation, up to
+/// their exit, ns: executor work no span can cover.
+static WORKER_TAIL_CPU: AtomicU64 = AtomicU64::new(0);
+
+/// Lives in a worker thread's thread-local storage; its destructor
+/// runs as the thread exits and adds the thread's tail to
+/// [`WORKER_TAIL_CPU`].
+struct WorkerTail {
+    /// The thread's CPU clock when its last evaluation ended.
+    last_eval_end: std::cell::Cell<u64>,
+    worker: std::cell::Cell<bool>,
+}
+
+impl Drop for WorkerTail {
+    fn drop(&mut self) {
+        if self.worker.get() {
+            let tail = thread_cpu_ns().saturating_sub(self.last_eval_end.get());
+            WORKER_TAIL_CPU.fetch_add(tail, Ordering::Relaxed);
+        }
+    }
+}
 
 thread_local! {
     static THREAD_TAG: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+    static TAIL: WorkerTail = const {
+        WorkerTail {
+            last_eval_end: std::cell::Cell::new(0),
+            worker: std::cell::Cell::new(false),
+        }
+    };
+}
+
+/// Worker-thread CPU after the last evaluation, summed over every
+/// worker that has exited so far, ns.
+pub fn worker_tail_cpu_ns() -> u64 {
+    WORKER_TAIL_CPU.load(Ordering::Relaxed)
 }
 
 /// A small per-thread tag (thread ids are not numbers on stable Rust).
@@ -61,10 +136,12 @@ pub struct Tracer {
     epoch: Instant,
     next_id: AtomicU64,
     spans: Mutex<Vec<Span>>,
-    /// Parent and request id for spans opened by evaluator threads:
-    /// the in-process client sets them around each `flush`.
+    /// Parent and request id for spans opened by evaluator threads,
+    /// and the thread that set them: the in-process client sets them
+    /// around each `flush`.
     parent: AtomicU64,
     request: AtomicU64,
+    client: AtomicU64,
 }
 
 impl Tracer {
@@ -75,6 +152,7 @@ impl Tracer {
             spans: Mutex::new(Vec::new()),
             parent: AtomicU64::new(0),
             request: AtomicU64::new(0),
+            client: AtomicU64::new(0),
         })
     }
 
@@ -89,6 +167,7 @@ impl Tracer {
     pub fn set_context(&self, parent: u64, request: u64) {
         self.parent.store(parent, Ordering::SeqCst);
         self.request.store(request, Ordering::SeqCst);
+        self.client.store(thread_tag(), Ordering::SeqCst);
     }
 
     pub fn context(&self) -> (u64, u64) {
@@ -108,12 +187,14 @@ impl Tracer {
             thread: thread_tag(),
             start: self.now(),
             end: 0,
+            cpu: thread_cpu_ns(),
             work: 0,
         }
     }
 
     pub fn close(&self, mut span: Span, work: u64) {
         span.end = self.now();
+        span.cpu = thread_cpu_ns() - span.cpu;
         span.work = work;
         self.push(&[span]);
     }
@@ -141,8 +222,8 @@ impl Tracer {
         for s in spans.iter() {
             writeln!(
                 out,
-                "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"request\":{},\"thread\":{},\"start_ns\":{},\"end_ns\":{},\"work\":{}}}",
-                s.name, s.id, s.parent, s.request, s.thread, s.start, s.end, s.work
+                "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"request\":{},\"thread\":{},\"start_ns\":{},\"end_ns\":{},\"cpu_ns\":{},\"work\":{}}}",
+                s.name, s.id, s.parent, s.request, s.thread, s.start, s.end, s.cpu, s.work
             )?;
         }
         out.flush()
@@ -158,20 +239,28 @@ pub struct TracingEvaluator {
     prepared: Arc<PreparedAudit>,
     tracer: Arc<Tracer>,
     nonempty_regions: u64,
+    /// Label reads the resolved strategy makes per world: one bit per
+    /// member id for membership counting, one word per touched mask
+    /// word for blocked counting.
+    reads_per_world: u64,
 }
 
 impl TracingEvaluator {
     pub fn new(prepared: Arc<PreparedAudit>, tracer: Arc<Tracer>) -> Self {
-        let nonempty_regions = prepared
-            .engine()
-            .region_n()
-            .iter()
-            .filter(|&&n| n > 0)
-            .count() as u64;
+        let engine = prepared.engine();
+        let nonempty_regions = engine.region_n().iter().filter(|&&n| n > 0).count() as u64;
+        let reads_per_world = match (engine.blocked(), engine.membership()) {
+            (Some(blocked), _) => blocked.touched_words(),
+            (None, Some(membership)) => membership.total_ids() as u64,
+            (None, None) => {
+                panic!("the traced evaluator covers the membership and blocked strategies")
+            }
+        };
         TracingEvaluator {
             prepared,
             tracer,
             nonempty_regions,
+            reads_per_world,
         }
     }
 }
@@ -190,14 +279,14 @@ impl WorldEvaluator for TracingEvaluator {
         let t = &self.tracer;
         let (parent, request) = t.context();
         let eval_id = t.next_id();
-        let t0 = t.now();
+        let (t0, c0) = (t.now(), thread_cpu_ns());
         let worlds: Vec<BitLabels> = (first..first + width)
             .map(|w| {
                 let mut rng = world_rng(class.seed, w as u64);
                 engine.generate_world_with(class.null_model, class.worldgen, &mut rng)
             })
             .collect();
-        let t1 = t.now();
+        let (t1, c1) = (t.now(), thread_cpu_ns());
         // Region-major count matrix, `counts[r * width + w]`, exactly
         // what the engine's fused fold consumes.
         let mut counts = Vec::new();
@@ -214,15 +303,22 @@ impl WorldEvaluator for TracingEvaluator {
                     counts[r * width + w] = p;
                 }
             }
-        } else {
-            panic!("the traced evaluator covers the membership and blocked strategies");
         }
-        let t2 = t.now();
+        let (t2, c2) = (t.now(), thread_cpu_ns());
         let p_worlds: Vec<u64> = worlds.iter().map(BitLabels::count_ones).collect();
         engine.fold_counts(class.statistic, &p_worlds, &counts, eval_dirs, out);
-        let t3 = t.now();
+        let (t3, c3) = (t.now(), thread_cpu_ns());
         let thread = thread_tag();
-        let span = |name, id, parent, start, end, work| Span {
+        // A worker thread's CPU before this evaluation and since its
+        // previous one (or its start) is the executor's own work on
+        // it. The client thread's is inside its flush span already.
+        let worker = thread != t.client.load(Ordering::SeqCst);
+        let before = TAIL.with(|tail| {
+            tail.worker.set(worker);
+            tail.last_eval_end.replace(c3)
+        });
+        let worker_cpu = if worker { c0 - before } else { 0 };
+        let span = |name, id, parent, (start, end), cpu, work| Span {
             name,
             id,
             parent,
@@ -230,15 +326,31 @@ impl WorldEvaluator for TracingEvaluator {
             thread,
             start,
             end,
+            cpu,
             work,
         };
         let w = width as u64;
         let scores = self.nonempty_regions * eval_dirs.len() as u64 * w;
         t.push(&[
-            span("eval", eval_id, parent, t0, t3, w),
-            span("generate", t.next_id(), eval_id, t0, t1, w),
-            span("count", t.next_id(), eval_id, t1, t2, w),
-            span("fold", t.next_id(), eval_id, t2, t3, scores),
+            span(
+                "execute.worker",
+                t.next_id(),
+                parent,
+                (t0, t0),
+                worker_cpu,
+                0,
+            ),
+            span("eval", eval_id, parent, (t0, t3), c3 - c0, w),
+            span("generate", t.next_id(), eval_id, (t0, t1), c1 - c0, w),
+            span(
+                "count",
+                t.next_id(),
+                eval_id,
+                (t1, t2),
+                c2 - c1,
+                self.reads_per_world * w,
+            ),
+            span("fold", t.next_id(), eval_id, (t2, t3), c3 - c2, scores),
         ]);
     }
 }
@@ -295,66 +407,26 @@ impl WorldEvaluator for TimedCoordinator {
     }
 }
 
-/// Per-layer time from a set of spans.
+/// Per-layer totals over a set of spans.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LayerTime {
-    /// Σ span durations (thread time), ns.
-    pub total: u64,
-    /// Wall time attributed to the layer's own work, ns (see
-    /// [`attribute`]).
-    pub attributed: f64,
+    /// Σ span wall durations, ns.
+    pub wall: u64,
+    /// Σ CPU time of the spans' threads inside the spans, ns.
+    pub cpu: u64,
     pub spans: u64,
     pub work: u64,
 }
 
-/// Attributes wall time to layers. At every instant, the spans that
-/// are open and have no open child (on any thread) are the ones doing
-/// work; the instant's time is split evenly among them. The
-/// attributed times therefore sum to the time covered by any span, and
-/// a parent whose children run on other threads is charged only for
-/// the moments when none of them is running.
-pub fn attribute(spans: &[Span]) -> BTreeMap<&'static str, LayerTime> {
+/// Sums wall time, CPU time, span count and work per span name.
+pub fn layers(spans: &[Span]) -> BTreeMap<&'static str, LayerTime> {
     let mut layers: BTreeMap<&'static str, LayerTime> = BTreeMap::new();
     for s in spans {
         let l = layers.entry(s.name).or_default();
-        l.total += s.dur();
+        l.wall += s.dur();
+        l.cpu += s.cpu;
         l.spans += 1;
         l.work += s.work;
-    }
-    // Boundary sweep: +1 at start, -1 at end.
-    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(spans.len() * 2);
-    for (i, s) in spans.iter().enumerate() {
-        if s.end > s.start {
-            events.push((s.start, true, i));
-            events.push((s.end, false, i));
-        }
-    }
-    // Ends before starts at equal times, so touching spans do not overlap.
-    events.sort_by_key(|&(t, is_start, i)| (t, is_start, i));
-    let mut open: Vec<usize> = Vec::new();
-    let mut last = 0u64;
-    for (t, is_start, i) in events {
-        if t > last && !open.is_empty() {
-            let busy_parents: Vec<u64> = open.iter().map(|&j| spans[j].parent).collect();
-            let leaves: Vec<usize> = open
-                .iter()
-                .copied()
-                .filter(|&j| !busy_parents.contains(&spans[j].id))
-                .collect();
-            let share = (t - last) as f64 / leaves.len() as f64;
-            for j in leaves {
-                layers
-                    .get_mut(spans[j].name)
-                    .expect("layer seen")
-                    .attributed += share;
-            }
-        }
-        last = t;
-        if is_start {
-            open.push(i);
-        } else if let Some(pos) = open.iter().position(|&j| j == i) {
-            open.swap_remove(pos);
-        }
     }
     layers
 }
