@@ -45,7 +45,7 @@
 use crate::common::Options;
 use sfcluster::{CoordinatorConfig, DistributedEvaluator, FaultPlan, ShardWorker, SpanCounter};
 use sfdata::synth::SynthConfig;
-use sfnet::{AuditTcpServer, ExecutorConfig, NetExecutor, SystemClock};
+use sfnet::{write_line, AuditTcpServer, ExecutorConfig, NetExecutor, SystemClock};
 use sfscan::outcomes::SpatialOutcomes;
 use sfscan::prepared::{PreparedAudit, WorldEvaluator};
 use sfscan::{AuditConfig, CountingStrategy, RegionSet};
@@ -203,7 +203,7 @@ fn run_inprocess(opts: &Options) {
                 ResponseEnvelope::rejected(error)
             }
             LineOutcome::Stats => {
-                ResponseEnvelope::stats_snapshot(*service.stats(), service.cache_stats_total())
+                ResponseEnvelope::stats_snapshot(service.stats(), service.cache_stats_total())
             }
         };
         writeln!(out, "{}", envelope.to_json()).expect("stdout is writable");
@@ -393,8 +393,12 @@ fn run_client(opts: &Options, addr: &str) {
     stream
         .set_read_timeout(Some(io_timeout))
         .expect("socket accepts a read timeout");
-    for line in &lines {
-        writeln!(stream, "{line}")
+    stream
+        .set_nodelay(true)
+        .expect("socket accepts TCP_NODELAY");
+    let sent = lines.len();
+    for line in lines {
+        write_line(&mut stream, line)
             .unwrap_or_else(|e| panic!("cannot send request line to {addr}: {e}"));
     }
     stream
@@ -417,11 +421,7 @@ fn run_client(opts: &Options, addr: &str) {
         served += 1;
     }
     out.flush().expect("stdout is writable");
-    eprintln!(
-        "[serve] {} lines sent, {} responses received",
-        lines.len(),
-        served
-    );
+    eprintln!("[serve] {} lines sent, {} responses received", sent, served);
 }
 
 /// Hosts a count-partial shard worker: the same synthetic dataset,

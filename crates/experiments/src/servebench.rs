@@ -94,7 +94,7 @@ use crate::common::{banner, report_row, Options};
 use serde::Serialize;
 use sfdata::synth::SynthConfig;
 use sfindex::{CountingKernel, MAX_FUSED_WORLDS};
-use sfnet::{AuditTcpServer, ExecutorConfig, NetExecutor, SystemClock};
+use sfnet::{write_line, AuditTcpServer, ExecutorConfig, NetExecutor, SystemClock};
 use sfscan::engine::ScanEngine;
 use sfscan::prepared::{AuditRequest, PreparedAudit};
 use sfscan::{
@@ -104,7 +104,7 @@ use sfscan::{
 use sfserve::{
     AuditService, DatasetHandle, DrainPolicy, RequestEnvelope, ResponseEnvelope, WireStatus,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -414,11 +414,15 @@ fn request_mix(base: &AuditConfig, count: usize) -> Vec<AuditRequest> {
 
 /// One socket client: connect, send every line, half-close the write
 /// side (the server's EOF/flush signal), read the full response
-/// transcript.
+/// transcript. `TCP_NODELAY` and one write per line, like the server,
+/// so the timings are the server's rather than this client's.
 fn socket_replay(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("live server accepts");
+    stream
+        .set_nodelay(true)
+        .expect("socket accepts TCP_NODELAY");
     for line in lines {
-        writeln!(stream, "{line}").expect("socket is writable");
+        write_line(&mut stream, line.clone()).expect("socket is writable");
     }
     stream
         .shutdown(Shutdown::Write)
@@ -519,7 +523,7 @@ pub fn run(opts: &Options) {
     let responses = service.take_ready();
     let batched_serve_ms = t.elapsed().as_secs_f64() * 1e3;
     let batched_ms = register_ms + batched_serve_ms;
-    let stats = *service.stats();
+    let stats = service.stats();
 
     // Path B': the SAME requests against the warmed session — every
     // world class replays its cached τ-stream; nothing is simulated.
@@ -530,7 +534,7 @@ pub fn run(opts: &Options) {
     service.flush();
     let warm_responses = service.take_ready();
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
-    let warm_stats = *service.stats();
+    let warm_stats = service.stats();
     let warm_unique_worlds = warm_stats.unique_worlds - stats.unique_worlds;
     let warm_worlds_replayed = warm_stats.worlds_replayed - stats.worlds_replayed;
     let warm_cache_hits = warm_stats.cache_hits - stats.cache_hits;

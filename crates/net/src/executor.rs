@@ -30,7 +30,7 @@ use sfscan::prepared::{AuditRequest, PreparedAudit};
 use sfscan::worldcache::{CacheStats, WorldCache};
 use sfscan::{AuditConfig, RegionSet, ScanError, SpatialOutcomes};
 use sfserve::{
-    percentile, AuditResponse, DatasetHandle, DrainPolicy, RequestEnvelope, ResponseEnvelope,
+    AuditResponse, DatasetHandle, DrainPolicy, LatencyHistogram, RequestEnvelope, ResponseEnvelope,
     ServerStats, SubmitError, Ticket,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -109,8 +109,8 @@ struct State {
     /// Next session index a worker's claim scan starts from.
     rr_cursor: usize,
     stats: ServerStats,
-    /// Ascending-sorted submission→drain latency samples.
-    latencies: Vec<u64>,
+    /// Submission→drain latencies; folded into `stats` when read.
+    drain_latency: LatencyHistogram,
     /// Monotonic clock high-water mark (deadlines compare against it).
     clock_now: u64,
     shutdown: bool,
@@ -202,7 +202,7 @@ impl NetExecutor {
                 sessions: Vec::new(),
                 rr_cursor: 0,
                 stats: ServerStats::default(),
-                latencies: Vec::new(),
+                drain_latency: LatencyHistogram::new(),
                 clock_now: clock.now(),
                 shutdown: false,
             }),
@@ -408,7 +408,8 @@ impl NetExecutor {
 
     /// A snapshot of the cumulative serving statistics.
     pub fn stats(&self) -> ServerStats {
-        self.inner.state.lock().unwrap().stats
+        let state = self.inner.state.lock().unwrap();
+        state.stats.with_drain_latency(&state.drain_latency)
     }
 
     /// World-cache accounting summed across every session — the
@@ -533,13 +534,11 @@ fn execute_batch(inner: &Arc<Inner>, idx: usize, batch: Vec<Job>) {
     state.clock_now = state.clock_now.max(drained_at);
     let now = state.clock_now;
     state.stats.absorb(&batch_stats);
-    state
-        .latencies
-        .extend(batch.iter().map(|j| now.saturating_sub(j.submitted_at)));
-    state.latencies.sort_unstable();
-    state.stats.drain_p50 = percentile(&state.latencies, 0.50);
-    state.stats.drain_p99 = percentile(&state.latencies, 0.99);
-    state.stats.drain_samples = state.latencies.len() as u64;
+    for job in &batch {
+        state
+            .drain_latency
+            .record(now.saturating_sub(job.submitted_at));
+    }
     state.sessions[idx].executing -= batch.len();
     state.stats.queue_depth = state.queue_depth();
     inner.idle_cv.notify_all();

@@ -17,7 +17,9 @@
 //!   reader/writer thread pair per connection, newline-delimited
 //!   [`RequestEnvelope`](sfserve::RequestEnvelope) /
 //!   [`ResponseEnvelope`](sfserve::ResponseEnvelope) framing over the
-//!   existing `sfserve` wire module, and a timer thread so
+//!   existing `sfserve` wire module — one write per line
+//!   ([`write_line`]) on `TCP_NODELAY` sockets, so no response waits
+//!   on a delayed ACK — and a timer thread so
 //!   [`DrainPolicy::Deadline`](sfserve::DrainPolicy::Deadline) fires
 //!   on wall time;
 //! * [`ConnDriver`] / [`ResponseSink`] — the per-connection protocol:
@@ -60,7 +62,7 @@ mod server;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use executor::{ConnDriver, ExecutorConfig, NetExecutor, ResponseSink};
-pub use server::{AuditTcpServer, MAX_LINE_BYTES};
+pub use server::{write_line, AuditTcpServer, MAX_LINE_BYTES};
 
 #[cfg(test)]
 mod tests {

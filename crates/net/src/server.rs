@@ -10,6 +10,16 @@
 //! global drain the stdin path runs at EOF, then receives every
 //! response it is owed before the server closes the connection.
 //!
+//! Every response line leaves in **one write**, its `\n` included
+//! ([`write_line`]), and every accepted socket sets **`TCP_NODELAY`**.
+//! Without both, a closed-loop client stalls ≈40 ms per request: a
+//! line written as payload plus a separate 1-byte `\n` — or any
+//! write whose tail is shorter than a segment — leaves a small
+//! segment that Nagle's algorithm holds until the peer ACKs the data
+//! before it, and the peer delays that ACK (≈40 ms on Linux) because
+//! it is still waiting for the newline that ends the line. Clients
+//! should frame their request lines the same way.
+//!
 //! Threading model (std::net only — no async runtime, no new deps):
 //!
 //! ```text
@@ -164,28 +174,38 @@ impl Drop for AuditTcpServer {
     }
 }
 
+/// Writes `line` and its terminating `\n` in a single `write_all`.
+/// The newline is appended to the owned line, so a multi-KB response
+/// is not copied into a second buffer first. With
+/// `TCP_NODELAY` on the socket this leaves no small trailing segment
+/// for Nagle's algorithm to hold back; see the module docs.
+pub fn write_line(out: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
 /// One connection, two threads: this (reader) thread feeds request
 /// lines to the executor; the spawned writer thread emits response
 /// lines in input order as they complete.
 fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &Arc<AtomicBool>) {
     let mut driver = ConnDriver::new();
     let sink = driver.sink();
+    // Best effort: without it responses still arrive, only late.
+    let _ = stream.set_nodelay(true);
 
     let writer_handle = {
-        let stream = match stream.try_clone() {
+        let mut out = match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => return,
         };
         std::thread::spawn(move || {
-            let mut out = std::io::BufWriter::new(stream);
             let mut seq = 0u64;
             while let Some(line) = sink.pop_next(seq) {
                 seq += 1;
-                if writeln!(out, "{line}").and_then(|_| out.flush()).is_err() {
-                    // Peer gone: keep draining the sink so completed
-                    // jobs never block on a dead connection.
-                    continue;
-                }
+                // A failed write means the peer is gone: keep draining
+                // the sink so completed jobs never block on a dead
+                // connection.
+                let _ = write_line(&mut out, line);
             }
         })
     };

@@ -1,12 +1,14 @@
 //! End-to-end tests over real sockets: byte-identity with the
 //! in-process JSONL path, backpressure under overload, deadline drains
-//! under the real timer thread, and no-lost-ticket graceful shutdown.
+//! under the real timer thread, no-lost-ticket graceful shutdown, and
+//! closed-loop round trips free of the Nagle/delayed-ACK stall.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sfgeo::{Point, Rect};
 use sfnet::{
-    AuditTcpServer, Clock, ExecutorConfig, ManualClock, NetExecutor, SystemClock, MAX_LINE_BYTES,
+    write_line, AuditTcpServer, Clock, ExecutorConfig, ManualClock, NetExecutor, SystemClock,
+    MAX_LINE_BYTES,
 };
 use sfscan::{AuditConfig, AuditRequest, Direction, RegionSet, SpatialOutcomes, WorldGen};
 use sfserve::{
@@ -16,7 +18,7 @@ use sfserve::{
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn outcomes(n: usize, seed: u64) -> SpatialOutcomes {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -74,9 +76,13 @@ fn mixed_stream() -> Vec<String> {
 /// in-process reference path, reimplemented exactly (submit each line,
 /// flush at EOF, one envelope per non-blank line in input order).
 fn inprocess_transcript(lines: &[String]) -> Vec<String> {
+    inprocess_transcript_over(&grid(), lines)
+}
+
+fn inprocess_transcript_over(regions: &RegionSet, lines: &[String]) -> Vec<String> {
     let mut service = AuditService::new();
     let handle = service
-        .register(&outcomes(500, 3), &grid(), base())
+        .register(&outcomes(500, 3), regions, base())
         .unwrap();
     assert_eq!(handle, DatasetHandle(0));
     let mut fates = Vec::new();
@@ -106,12 +112,58 @@ fn inprocess_transcript(lines: &[String]) -> Vec<String> {
 }
 
 fn live_server(config: ExecutorConfig) -> AuditTcpServer {
+    live_server_over(&grid(), config)
+}
+
+fn live_server_over(regions: &RegionSet, config: ExecutorConfig) -> AuditTcpServer {
     let executor = Arc::new(NetExecutor::new(config, Arc::new(SystemClock::new())));
     executor
-        .register(&outcomes(500, 3), &grid(), base())
+        .register(&outcomes(500, 3), regions, base())
         .unwrap();
     AuditTcpServer::bind("127.0.0.1:0", executor, Duration::from_millis(5)).unwrap()
 }
+
+/// A server that drains every request as it arrives, as a
+/// closed-loop client needs.
+fn immediate_server(regions: &RegionSet) -> AuditTcpServer {
+    live_server_over(
+        regions,
+        ExecutorConfig {
+            workers: 1,
+            queue_capacity: None,
+            policy: DrainPolicy::MaxPending(1),
+        },
+    )
+}
+
+/// A closed-loop client on one connection: `TCP_NODELAY`, one write
+/// per request line, the next line sent only after the previous
+/// response has arrived in full.
+struct ClosedLoop {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl ClosedLoop {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        ClosedLoop { stream, reader }
+    }
+
+    fn roundtrip(&mut self, line: &str) -> String {
+        write_line(&mut self.stream, line.to_string()).unwrap();
+        let mut response = String::new();
+        self.reader.read_line(&mut response).unwrap();
+        assert!(response.ends_with('\n'), "a whole line arrived");
+        response.pop();
+        response
+    }
+}
+
+/// One delayed ACK holds a stalled response back ≈40 ms.
+const DELAYED_ACK: Duration = Duration::from_millis(40);
 
 /// Sends `lines`, half-closes the write side, reads every response.
 fn roundtrip(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
@@ -395,4 +447,61 @@ fn graceful_shutdown_answers_every_accepted_ticket() {
     assert_eq!(stats.requests_served, 5);
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.drain_samples, 5);
+}
+
+/// Runs `1 + trips` round trips of `line` on one closed-loop
+/// connection, each checked against the in-process transcript, and
+/// returns the time the `trips` after the first (cache-priming) one
+/// took.
+fn timed_warm_round_trips(regions: &RegionSet, line: &str, trips: u32) -> Duration {
+    let expected = inprocess_transcript_over(regions, &vec![line.to_string(); 1 + trips as usize]);
+    let server = immediate_server(regions);
+    let mut client = ClosedLoop::connect(server.local_addr());
+    assert_eq!(client.roundtrip(line), expected[0]);
+    let start = Instant::now();
+    for expected in &expected[1..] {
+        assert_eq!(&client.roundtrip(line), expected, "intact and in order");
+    }
+    let elapsed = start.elapsed();
+    drop(client);
+    assert_eq!(server.shutdown().requests_served, 1 + u64::from(trips));
+    elapsed
+}
+
+#[test]
+fn warm_round_trips_have_no_delayed_ack_stall() {
+    // 999 worlds render a response well past one 8 KiB write buffer,
+    // the size at which a response split from its newline stalls.
+    let line = line_for(0, request(1).with_worlds(999));
+    let bytes = inprocess_transcript(std::slice::from_ref(&line))[0].len();
+    assert!(bytes > 8 * 1024, "{bytes} bytes");
+
+    // With the stall every round trip costs a delayed ACK, ≈1 s for
+    // 25 of them; without it each is a cache replay.
+    let trips = 25;
+    let elapsed = timed_warm_round_trips(&grid(), &line, trips);
+    assert!(
+        elapsed < DELAYED_ACK * trips / 4,
+        "{trips} warm round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn large_response_lines_have_no_delayed_ack_stall() {
+    // A 32x32 grid with GeoJSON findings and 3,999 simulated τ
+    // values: one response line larger than a loopback segment, so it
+    // leaves in several segments.
+    let regions = RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 32, 32);
+    let line = RequestEnvelope::new(DatasetHandle(0), request(1).with_worlds(3_999))
+        .with_geojson()
+        .to_json();
+    let bytes = inprocess_transcript_over(&regions, std::slice::from_ref(&line))[0].len();
+    assert!(bytes > 64 * 1024, "{bytes} bytes");
+
+    let trips = 5;
+    let elapsed = timed_warm_round_trips(&regions, &line, trips);
+    assert!(
+        elapsed < DELAYED_ACK * trips,
+        "{trips} warm {bytes}-byte round trips took {elapsed:?}"
+    );
 }

@@ -146,7 +146,7 @@ impl AuditServer {
     }
 
     /// Cumulative serving statistics.
-    pub fn stats(&self) -> &ServerStats {
+    pub fn stats(&self) -> ServerStats {
         self.service.stats()
     }
 

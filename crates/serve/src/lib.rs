@@ -72,12 +72,14 @@
 
 mod compat;
 mod geojson;
+mod histogram;
 mod service;
 mod wire;
 
 #[allow(deprecated)]
 pub use compat::{AuditServer, RequestId};
 pub use geojson::{findings_feature_collection, CIRCLE_SEGMENTS};
+pub use histogram::LatencyHistogram;
 pub use service::{
     percentile, AuditResponse, AuditService, DatasetHandle, DrainPolicy, ServerStats, Status,
     SubmitError, Ticket,
@@ -271,7 +273,7 @@ mod tests {
         let t_cold = service.submit(handle, request).unwrap();
         service.flush();
         let cold = service.take(t_cold).unwrap();
-        let after_cold = *service.stats();
+        let after_cold = service.stats();
         assert_eq!(after_cold.unique_worlds, 99);
         assert_eq!(after_cold.cache_hits, 0);
 
@@ -279,7 +281,7 @@ mod tests {
         service.flush();
         let warm = service.take(t_warm).unwrap();
         assert_eq!(warm.report, cold.report, "bit-identical to the cold run");
-        let stats = *service.stats();
+        let stats = service.stats();
         assert_eq!(stats.unique_worlds, 99, "ZERO new simulated worlds");
         assert_eq!(stats.worlds_replayed, 99);
         assert_eq!(stats.cache_hits, 1);
@@ -702,7 +704,7 @@ mod tests {
         assert!(service.poll(t).is_ready());
 
         let envelope =
-            ResponseEnvelope::stats_snapshot(*service.stats(), service.cache_stats_total());
+            ResponseEnvelope::stats_snapshot(service.stats(), service.cache_stats_total());
         assert_eq!(envelope.status, WireStatus::Stats);
         assert_eq!(envelope.ticket, None);
         assert_eq!(envelope.code, None);

@@ -1,6 +1,7 @@
 //! The v2 serving surface: a multi-dataset [`AuditService`] with
 //! ticketed submission, drain policies, and cross-batch world caching.
 
+use crate::histogram::{nearest_rank, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 use sfscan::prepared::{AuditRequest, BatchStats, ExecutionPlan, PreparedAudit, WorldEvaluator};
 use sfscan::worldcache::{CacheStats, WorldCache};
@@ -234,10 +235,15 @@ pub struct ServerStats {
     /// Median submission→drain latency across served requests. Units
     /// are whatever clock drives the service: deterministic
     /// [`AuditService::tick`] ticks in-process, microseconds under the
-    /// `sfnet` executor's wall clock.
+    /// `sfnet` executor's wall clock. Read from a fixed-size
+    /// [`LatencyHistogram`] when the stats are read, so memory stays
+    /// bounded however many requests are served: exact below
+    /// [`LatencyHistogram::EXACT_BELOW`] (1,024), within
+    /// [`LatencyHistogram::RELATIVE_ERROR`] (1/128) of the exact
+    /// nearest-rank value above it.
     pub drain_p50: u64,
-    /// 99th-percentile submission→drain latency (same units as
-    /// [`ServerStats::drain_p50`]).
+    /// 99th-percentile submission→drain latency (same units and
+    /// precision as [`ServerStats::drain_p50`]).
     pub drain_p99: u64,
     /// Latency samples behind the percentiles (== requests served
     /// through the latency-tracked path).
@@ -271,6 +277,15 @@ impl ServerStats {
         self.lane_worlds += batch.lane_worlds;
         self.budget_total += batch.budget_total;
     }
+
+    /// These counters with the drain-latency fields read from
+    /// `latency`.
+    pub fn with_drain_latency(mut self, latency: &LatencyHistogram) -> Self {
+        self.drain_p50 = latency.percentile(0.50);
+        self.drain_p99 = latency.percentile(0.99);
+        self.drain_samples = latency.samples();
+        self
+    }
 }
 
 impl std::fmt::Display for ServerStats {
@@ -296,14 +311,13 @@ impl std::fmt::Display for ServerStats {
 }
 
 /// Nearest-rank percentile over an ascending-sorted sample set (`q` in
-/// `[0, 1]`); 0 on an empty set. Shared by the in-process service
-/// (tick units) and the `sfnet` executor (microseconds).
+/// `[0, 1]`); 0 on an empty set. The exact reference
+/// [`LatencyHistogram::percentile`] is tested against.
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len() as u64, q) as usize - 1]
 }
 
 /// One registered dataset: its prepared engine, its pending queue, and
@@ -355,9 +369,8 @@ pub struct AuditService {
     /// Per-session pending-queue cap (`None` = unbounded; submissions
     /// beyond it are rejected with [`SubmitError::Busy`]).
     queue_capacity: Option<usize>,
-    /// Submission→drain latency samples in service-clock ticks,
-    /// ascending-sorted lazily when the percentiles are recomputed.
-    drain_latencies: Vec<u64>,
+    /// Submission→drain latencies in service-clock ticks.
+    drain_latency: LatencyHistogram,
     /// Tickets whose wire request asked for GeoJSON findings on the
     /// response ([`RequestEnvelope::geojson`](crate::RequestEnvelope)).
     /// Presentation state only — execution and reports are unaffected.
@@ -688,8 +701,8 @@ impl AuditService {
     }
 
     /// Cumulative serving statistics.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
+    pub fn stats(&self) -> ServerStats {
+        self.stats.with_drain_latency(&self.drain_latency)
     }
 
     fn session(&self, handle: DatasetHandle) -> Option<&Session> {
@@ -722,12 +735,9 @@ impl AuditService {
         );
         self.stats.absorb(&batch);
         let clock = self.clock;
-        self.drain_latencies
-            .extend(queued.iter().map(|(_, _, at)| clock.saturating_sub(*at)));
-        self.drain_latencies.sort_unstable();
-        self.stats.drain_p50 = percentile(&self.drain_latencies, 0.50);
-        self.stats.drain_p99 = percentile(&self.drain_latencies, 0.99);
-        self.stats.drain_samples = self.drain_latencies.len() as u64;
+        for (_, _, at) in &queued {
+            self.drain_latency.record(clock.saturating_sub(*at));
+        }
         let served = queued.len();
         for ((ticket, _, _), report) in queued.into_iter().zip(reports) {
             self.completed

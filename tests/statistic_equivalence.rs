@@ -106,14 +106,14 @@ fn statistics_are_distinct_world_classes_and_never_cross_replay() {
     let handle = service.register(&o, &regions, base).unwrap();
     let llr = service.submit(handle, request).unwrap();
     service.flush();
-    let after_llr = *service.stats();
+    let after_llr = service.stats();
     service.take(llr).unwrap();
 
     let eo = service
         .submit(handle, request.with_statistic(Statistic::EqualOppTpr))
         .unwrap();
     service.flush();
-    let after_eo = *service.stats();
+    let after_eo = service.stats();
     service.take(eo).unwrap();
     assert!(
         after_eo.unique_worlds > after_llr.unique_worlds,
@@ -126,7 +126,7 @@ fn statistics_are_distinct_world_classes_and_never_cross_replay() {
         .submit(handle, request.with_statistic(Statistic::EqualOppTpr))
         .unwrap();
     service.flush();
-    let after_repeat = *service.stats();
+    let after_repeat = service.stats();
     service.take(repeat).unwrap();
     assert_eq!(after_repeat.unique_worlds, after_eo.unique_worlds);
     assert!(after_repeat.cache_hits > after_eo.cache_hits);
@@ -217,10 +217,10 @@ fn new_statistics_run_end_to_end_with_early_stop_cache_and_shards() {
         assert_eq!(stopped_report.verdict(), cold_report.verdict());
         // A repeat is answered warm from the statistic's own cache
         // class: zero new worlds, bit-identical report.
-        let before = *service.stats();
+        let before = service.stats();
         let warm = service.submit(handle, request).unwrap();
         service.flush();
-        let after = *service.stats();
+        let after = service.stats();
         assert_eq!(service.take(warm).unwrap().report, cold_report);
         assert_eq!(after.unique_worlds, before.unique_worlds);
         assert!(after.cache_hits > before.cache_hits);
