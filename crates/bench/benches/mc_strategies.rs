@@ -12,11 +12,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
-use sfbench::small_lar;
+use sfbench::{small_lar, two_sided_tau};
 use sfgeo::Point;
 use sfscan::engine::ScanEngine;
 use sfscan::outcomes::SpatialOutcomes;
-use sfscan::{AuditConfig, Auditor, CountingStrategy, Direction, McStrategy, NullModel, RegionSet};
+use sfscan::{AuditConfig, Auditor, CountingStrategy, McStrategy, NullModel, RegionSet};
 use sfstats::rng::world_rng;
 
 fn bench(c: &mut Criterion) {
@@ -50,10 +50,10 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("world_eval_800_regions_10k_points");
     g.bench_function("membership_replay", |b| {
-        b.iter(|| black_box(mem_engine.eval_world(black_box(&labels), Direction::TwoSided)))
+        b.iter(|| black_box(two_sided_tau(&mem_engine, black_box(&labels))))
     });
     g.bench_function("requery", |b| {
-        b.iter(|| black_box(req_engine.eval_world(black_box(&labels), Direction::TwoSided)))
+        b.iter(|| black_box(two_sided_tau(&req_engine, black_box(&labels))))
     });
     g.finish();
 

@@ -22,6 +22,7 @@
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sfbench::two_sided_tau;
 use sfdata::synth::SynthConfig;
 use sfscan::engine::ScanEngine;
 use sfscan::{CountingStrategy, NullModel, RegionSet, WorldGen};
@@ -49,8 +50,8 @@ fn bench(c: &mut Criterion) {
             let b = morton.generate_world_with(null_model, WorldGen::Word, &mut rng);
             assert_eq!(a.count_ones(), b.count_ones());
             assert_eq!(
-                identity.eval_world(&a, sfscan::Direction::TwoSided),
-                morton.eval_world(&b, sfscan::Direction::TwoSided),
+                two_sided_tau(&identity, &a),
+                two_sided_tau(&morton, &b),
                 "{null_model:?} world {w}"
             );
         }

@@ -9,7 +9,9 @@ use sfdata::lar::{LarConfig, LarDataset};
 use sfdata::synth::SynthConfig;
 use sfgeo::Point;
 use sfindex::BitLabels;
+use sfscan::engine::ScanEngine;
 use sfscan::outcomes::SpatialOutcomes;
+use sfscan::Direction;
 use sfstats::rng::seeded_rng;
 
 use rand::Rng;
@@ -22,6 +24,19 @@ pub fn small_lar() -> LarDataset {
 /// Deterministic reduced-scale Synth (1k observations).
 pub fn small_synth() -> SpatialOutcomes {
     SynthConfig::small().generate(7)
+}
+
+/// One world's two-sided `τ` under the engine's default statistic.
+pub fn two_sided_tau(engine: &ScanEngine, labels: &BitLabels) -> f64 {
+    let mut tau = [0.0];
+    engine.eval(
+        engine.statistic(),
+        &[labels],
+        &[Direction::TwoSided],
+        &mut tau,
+        false,
+    );
+    tau[0]
 }
 
 /// Uniform random points with Bernoulli labels, for index benches.

@@ -29,7 +29,7 @@
 //! degrades gracefully: it recomputes the window locally with its own
 //! [`SpanCounter`], so an audit always completes.
 //!
-//! [`fold_counts`]: sfscan::prepared::PreparedAudit
+//! [`fold_counts`]: sfscan::engine::ScanEngine::fold_counts
 //! [`shard_word_bounds`]: sfindex::shard_word_bounds
 
 use crate::compute::{SpanCounter, SpanError, SpanSpec};

@@ -39,10 +39,10 @@
 //!
 //! The sharded engine (PR 6) gets three sections of its own:
 //!
-//! * **sharded eval isolation** — the per-world τ fold alone, plain
-//!   [`ScanEngine::eval_world_into`] vs the shard-partial
-//!   `eval_world_into_sharded` reduce over the same word worlds, τ
-//!   equality asserted per world;
+//! * **sharded eval isolation** — the per-world τ fold alone,
+//!   [`ScanEngine::eval`] with `fine` false (the plain full-CSR sweep)
+//!   vs `fine` true (the shard-partial reduce) over the same word
+//!   worlds, τ equality asserted per world;
 //! * **single cold audit** — one request served by a sequential
 //!   unsharded engine vs the parallel sharded engine, bit-identity
 //!   asserted and the speedup asserted `>= 2.5x` at full scale on
@@ -52,11 +52,10 @@
 //!
 //! The pluggable-statistic layer (this PR) gets a **statistic
 //! isolation** section: every [`Statistic`] scores the same word
-//! worlds through `eval_world_into_with`, so the timing difference is
-//! the per-region score fold alone (counting is shared). BernoulliLlr
-//! through the kernel plumbing is asserted bit-identical to the engine
-//! default fold, EqualOppTpr is asserted bit-identical to BernoulliLlr
-//! over the same binary stream (it is the same LLR on a conditioned
+//! worlds through [`ScanEngine::eval`], so the timing difference is
+//! the per-region score fold alone (counting is shared). EqualOppTpr
+//! is asserted bit-identical to BernoulliLlr over the same binary
+//! stream (it is the same LLR on a conditioned
 //! population), and MeanResidual — a genuinely different score — is
 //! asserted finite and different.
 //!
@@ -176,7 +175,7 @@ struct StatisticRow {
     /// Statistic token (`bernoulli-llr`, `equal-opp-tpr`,
     /// `mean-residual`).
     statistic: String,
-    /// `eval_world_into_with(statistic, …)` over the timed worlds, ms.
+    /// `eval(statistic, …)` over the timed worlds, one at a time, ms.
     eval_ms: f64,
     /// BernoulliLlr eval time / this statistic's — the fold-swap cost
     /// (≈ 1.0 when the kernel abstraction is free).
@@ -332,9 +331,10 @@ struct ServeBenchRecord {
     /// Sharded eval isolation: worlds timed in the plain-vs-sharded
     /// τ-fold pass.
     shard_eval_worlds: usize,
-    /// Plain `eval_world_into` over those worlds, ms.
+    /// `eval` with `fine` false (plain full-CSR sweep) over those
+    /// worlds, ms.
     shard_eval_plain_ms: f64,
-    /// Shard-partial `eval_world_into_sharded` reduce over the same
+    /// `eval` with `fine` true (shard-partial reduce) over the same
     /// worlds, ms.
     shard_eval_sharded_ms: f64,
     /// `shard_eval_plain_ms / shard_eval_sharded_ms`.
@@ -357,9 +357,9 @@ struct ServeBenchRecord {
     statistic_worlds: usize,
     /// Per-statistic isolated world-evaluation timings.
     statistics: Vec<StatisticRow>,
-    /// BernoulliLlr-through-the-kernel τ identical to the engine
-    /// default fold on every timed world, and EqualOppTpr identical to
-    /// BernoulliLlr over the same binary stream (asserted).
+    /// Every statistic's τ finite on every timed world, and
+    /// EqualOppTpr identical to BernoulliLlr over the same binary
+    /// stream (asserted).
     statistic_bit_identical: bool,
     /// The serial-vs-sharded single audit swept over dataset sizes.
     scaling: Vec<ScalingRow>,
@@ -899,6 +899,7 @@ pub fn run(opts: &Options) {
             .expect("auditable")
             .with_shards(sfscan::Shards::Fixed(shards));
     let dirs = [Direction::TwoSided, Direction::High, Direction::Low];
+    let statistic = sharded_engine.statistic();
     let shard_eval_worlds = worlds;
     let mut shard_eval_plain_ms = 0.0f64;
     let mut shard_eval_sharded_ms = 0.0f64;
@@ -911,11 +912,11 @@ pub fn run(opts: &Options) {
             sharded_engine.generate_world_with(NullModel::Bernoulli, WorldGen::Word, &mut rng);
 
         let t = Instant::now();
-        sharded_engine.eval_world_into(&world, &dirs, &mut plain_taus);
+        sharded_engine.eval(statistic, &[&world], &dirs, &mut plain_taus, false);
         shard_eval_plain_ms += t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        sharded_engine.eval_world_into_sharded(&world, &dirs, &mut sharded_taus);
+        sharded_engine.eval(statistic, &[&world], &dirs, &mut sharded_taus, true);
         shard_eval_sharded_ms += t.elapsed().as_secs_f64() * 1e3;
 
         shard_eval_bit_identical &= plain_taus == sharded_taus;
@@ -929,12 +930,10 @@ pub fn run(opts: &Options) {
     // Statistic isolation: the per-world τ fold swept over every
     // pluggable test statistic, on identical word worlds over the same
     // blocked engine — so the timing difference is the score fold
-    // alone (counting is shared by construction). Two identities are
-    // pinned: BernoulliLlr through the kernel plumbing reproduces the
-    // engine's default fold bit for bit, and EqualOppTpr — the same
-    // Bernoulli LLR over a conditioned population — scores a given
-    // binary stream identically to BernoulliLlr. MeanResidual is a
-    // genuinely different statistic; its τ must be finite and is
+    // alone (counting is shared by construction). EqualOppTpr — the
+    // same Bernoulli LLR over a conditioned population — must score a
+    // given binary stream identically to BernoulliLlr. MeanResidual is
+    // a genuinely different statistic; its τ must be finite and is
     // reported, not compared.
     let statistic_worlds = worlds;
     let mut statistic_bit_identical = true;
@@ -949,27 +948,13 @@ pub fn run(opts: &Options) {
             let mut rng = sfstats::rng::world_rng(base.seed, w as u64);
             let world =
                 blocked_engine.generate_world_with(NullModel::Bernoulli, WorldGen::Word, &mut rng);
-            blocked_engine.eval_world_into_with(statistic, &world, &dirs, &mut taus);
+            blocked_engine.eval(statistic, &[&world], &dirs, &mut taus, false);
             all_taus.extend_from_slice(&taus);
         }
         let eval_ms = t.elapsed().as_secs_f64() * 1e3;
         statistic_bit_identical &= all_taus.iter().all(|t| t.is_finite());
         if statistic == Statistic::BernoulliLlr {
             llr_eval_ms = eval_ms;
-            // The kernel-parameterised fold must reproduce the engine
-            // default path exactly (untimed check on a world sample).
-            for w in (0..statistic_worlds).step_by(16.max(statistic_worlds / 8)) {
-                let mut rng = sfstats::rng::world_rng(base.seed, w as u64);
-                let world = blocked_engine.generate_world_with(
-                    NullModel::Bernoulli,
-                    WorldGen::Word,
-                    &mut rng,
-                );
-                let mut default_taus = vec![0.0f64; dirs.len()];
-                blocked_engine.eval_world_into(&world, &dirs, &mut default_taus);
-                statistic_bit_identical &=
-                    default_taus == all_taus[w * dirs.len()..(w + 1) * dirs.len()];
-            }
         }
         statistic_rows.push(StatisticRow {
             statistic: statistic.name().to_string(),
@@ -984,7 +969,7 @@ pub fn run(opts: &Options) {
     statistic_bit_identical &= taus_by_statistic[0] == taus_by_statistic[1];
     assert!(
         statistic_bit_identical,
-        "the statistic kernel plumbing must reproduce the default fold bit for bit"
+        "τ must be finite and EqualOppTpr must reproduce the BernoulliLlr fold bit for bit"
     );
     assert_ne!(
         taus_by_statistic[0], taus_by_statistic[2],

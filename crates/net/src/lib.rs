@@ -159,6 +159,31 @@ mod tests {
     }
 
     #[test]
+    fn hostile_lines_are_answered_with_rejections() {
+        let (executor, _) = stepped(DrainPolicy::Manual, None);
+        let mut conn = ConnDriver::new();
+        let deep = "[".repeat(800_000);
+        let huge = line_for(0, request(7)).replace("\"worlds\":99", "\"worlds\":1000000000000");
+        assert!(huge.contains("1000000000000"), "{huge}");
+        assert!(conn.handle_line(&executor, &deep));
+        assert!(conn.handle_line(&executor, &huge));
+        assert_eq!(conn.finish(), 2);
+        assert_eq!(executor.pending_total(), 0);
+        let sink = conn.sink();
+        let codes: Vec<Option<ErrorCode>> = (0..2)
+            .map(|seq| {
+                let env = ResponseEnvelope::from_json(&sink.pop_next(seq).unwrap()).unwrap();
+                assert_eq!(env.status, WireStatus::Rejected);
+                env.code
+            })
+            .collect();
+        assert_eq!(
+            codes,
+            [Some(ErrorCode::Malformed), Some(ErrorCode::InvalidRequest)]
+        );
+    }
+
+    #[test]
     fn bounded_queue_rejects_busy_and_recovers() {
         let (executor, _) = stepped(DrainPolicy::Manual, Some(2));
         let mut conn = ConnDriver::new();

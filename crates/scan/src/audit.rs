@@ -14,7 +14,7 @@
 //! prepare/plan/execute path in [`crate::prepared`]: one audit is a
 //! [`PreparedAudit`] serving a single-request batch. Callers running
 //! many audits over one dataset should hold the [`PreparedAudit`]
-//! (or an `sfserve::AuditServer`) instead of looping over
+//! (or an `sfserve::AuditService` session) instead of looping over
 //! [`Auditor::audit`], which rebuilds the engine every call.
 
 use crate::config::AuditConfig;

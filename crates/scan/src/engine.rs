@@ -65,10 +65,9 @@
 //!
 //! [`ScanEngine::with_shards`] partitions a blocked engine's
 //! label-word axis into contiguous shards, each owning a clipped view
-//! of the membership CSR;
-//! [`ScanEngine::eval_world_into_sharded`] fans the per-world recount
-//! across the shards and sums exact integer partials, and the chunked
-//! `Word` generator fills label chunks in parallel
+//! of the membership CSR; [`ScanEngine::eval`] with `fine` set fans a
+//! batch's recount across the shards and sums exact integer partials,
+//! and the chunked `Word` generator fills label chunks in parallel
 //! ([`ScanEngine::generate_world_par`]). Every `τ` is bit-identical to
 //! the unsharded engine's for every shard count.
 //!
@@ -194,11 +193,11 @@ pub struct ScanEngine<I: CountingSubstrate = Substrate> {
     /// this is a pure performance knob; non-blocked strategies ignore
     /// it (they have no dense word ranges to popcount).
     kernel: CountingKernel,
-    /// The engine's *default* per-region test statistic, used by the
-    /// statistic-less evaluation methods. Every evaluation path also
-    /// has a `*_with` variant taking an explicit [`Statistic`], which
-    /// the batched executor uses to serve mixed-statistic batches off
-    /// one engine.
+    /// The engine's *default* per-region test statistic, used by
+    /// [`ScanEngine::scan_real`]. [`ScanEngine::eval`] and
+    /// [`ScanEngine::scan_real_with`] take an explicit [`Statistic`],
+    /// which the batched executor uses to serve mixed-statistic
+    /// batches off one engine.
     statistic: Statistic,
 }
 
@@ -405,12 +404,12 @@ impl<I: CountingSubstrate> ScanEngine<I> {
 
     /// Partitions this engine's blocked counting structures into
     /// contiguous label-word shards (see [`Shards`]): each shard owns
-    /// a clipped view of the membership CSR, and
-    /// [`ScanEngine::eval_world_into_sharded`] sums per-shard popcnt
-    /// partials in parallel. Only blocked-resolved engines have a word
-    /// axis to shard; for other strategies — or when the count
-    /// resolves to 1 — this is a no-op and the engine keeps the
-    /// unsharded sweep. Results are bit-identical for every value.
+    /// a clipped view of the membership CSR, and [`ScanEngine::eval`]
+    /// with `fine` set sums per-shard popcnt partials in parallel.
+    /// Only blocked-resolved engines have a word axis to shard; for
+    /// other strategies — or when the count resolves to 1 — this is a
+    /// no-op and the engine keeps the unsharded sweep. Results are
+    /// bit-identical for every value.
     pub fn with_shards(mut self, shards: Shards) -> Self {
         self.shard_views.clear();
         self.shard_bounds.clear();
@@ -448,10 +447,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self.kernel
     }
 
-    /// Sets the engine's default per-region test statistic (what the
-    /// statistic-less evaluation methods compute; the `*_with`
-    /// variants override it per call). Unlike `with_shards`/
-    /// `with_kernel` this knob *changes results* — see [`Statistic`].
+    /// Sets the engine's default per-region test statistic (what
+    /// [`ScanEngine::scan_real`] computes; [`ScanEngine::eval`] and
+    /// [`ScanEngine::scan_real_with`] take one per call). Unlike
+    /// `with_shards`/`with_kernel` this knob *changes results* — see
+    /// [`Statistic`].
     pub fn with_statistic(mut self, statistic: Statistic) -> Self {
         self.statistic = statistic;
         self
@@ -881,34 +881,43 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         labels
     }
 
-    /// Evaluates one world: recounts positives per region and returns
-    /// that world's `τ` (computed against the world's own totals, as
-    /// the statistic is a function of the observed data).
+    /// Evaluates a batch of worlds: recounts `p(R)` per region under
+    /// every world, then writes world `w`'s `τ` for `directions[d]`
+    /// into `out[w * directions.len() + d]` (world-major — the layout
+    /// the batched executor's span buffer already uses). Each `τ` is
+    /// computed against its world's own totals, as the statistic is a
+    /// function of the observed data.
     ///
-    /// `labels` must come from **this engine's**
-    /// [`ScanEngine::generate_world`] (see the layout contract on
-    /// [`ScanEngine::eval_world_into`]).
-    pub fn eval_world(&self, labels: &BitLabels, direction: Direction) -> f64 {
-        let mut tau = [0.0f64];
-        self.eval_world_into(labels, &[direction], &mut tau);
-        tau[0]
-    }
-
-    /// Evaluates one world for *several* directions at once, writing
-    /// each direction's `τ` into `out`.
+    /// Counting fills the region-major matrix `counts[r * W + w]` and
+    /// [`ScanEngine::fold_counts`] scores it, so every evaluation path
+    /// shares one fold. Recounting is the expensive,
+    /// direction-independent part of a world; the per-direction score
+    /// is cheap arithmetic on the same `(n, p)` pair, so one counting
+    /// pass serves every direction. How the matrix is filled depends
+    /// on the counting strategy:
     ///
-    /// Recounting `p(R)` per region is the expensive,
-    /// direction-independent part of a world; the per-direction LLR is
-    /// cheap arithmetic on the same `(n, p)` pair. Batched multi-audit
-    /// serving exploits this: one counting pass serves every request
-    /// direction sharing the world. Each `out[d]` is bit-identical to
-    /// `eval_world(labels, directions[d])` — the single-direction path
-    /// IS this one with a one-element slice.
+    /// * blocked engines count all `W` worlds per CSR pass
+    ///   ([`BlockedMembership::count_all_many_into`]): each run's
+    ///   `(block, mask)` pair is loaded once and ANDed against every
+    ///   world's block. With `fine` set on an engine with more than one
+    ///   shard, one rayon task per shard runs that sweep over its
+    ///   clipped CSR view and the exact integer partials are summed in
+    ///   shard order;
+    /// * membership and requery engines count world by world.
     ///
-    /// **Layout contract:** `labels` must be in this engine's world
+    /// `fine` is the work-splitter's axis flag (see
+    /// [`WorldEvaluator::eval_span`](crate::prepared::WorldEvaluator)):
+    /// set when the caller walks batches sequentially and the
+    /// evaluation should fan its shards out instead. It moves only
+    /// scheduling. Every `τ` is bit-identical whatever the strategy,
+    /// batch width, shard count or `fine`: counts are exact integers,
+    /// and each world's scores are compared in region order through
+    /// the same [`TauKernel`].
+    ///
+    /// **Layout contract:** every world must be in this engine's world
     /// layout — i.e. produced by this engine's
-    /// [`ScanEngine::generate_world`] (or by an engine with the same
-    /// resolved strategy and dataset). Blocked-resolved engines
+    /// [`ScanEngine::generate_world_with`] (or by an engine with the
+    /// same resolved strategy and dataset). Blocked-resolved engines
     /// (including [`CountingStrategy::Auto`] upgrades) store worlds in
     /// Morton id order; handing them an identity-layout bitset
     /// type-checks but counts the wrong bits. `BitLabels` carries no
@@ -916,232 +925,17 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// and evaluation on the same engine.
     ///
     /// # Panics
-    /// Panics if `out.len() != directions.len()`, or if `labels` is
-    /// not one bit per indexed point (a wrong-length world would
-    /// silently undercount in release builds otherwise).
-    pub fn eval_world_into(&self, labels: &BitLabels, directions: &[Direction], out: &mut [f64]) {
-        self.eval_world_into_with(self.statistic, labels, directions, out)
-    }
-
-    /// [`ScanEngine::eval_world_into`] with an explicit statistic (the
-    /// per-region score fold is the only statistic-dependent step; the
-    /// counting is shared).
-    pub fn eval_world_into_with(
-        &self,
-        statistic: Statistic,
-        labels: &BitLabels,
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        assert_eq!(directions.len(), out.len(), "one output slot per direction");
-        assert_eq!(
-            labels.len(),
-            self.n_total as usize,
-            "world label set must be one bit per indexed point"
-        );
-        let p_world = labels.count_ones();
-        let kernel = TauKernel::new(statistic, self.n_total, p_world);
-        out.fill(0.0);
-        let mut fold = |n_r: u64, p_r: u64| {
-            for (tau, &direction) in out.iter_mut().zip(directions) {
-                let llr = kernel.score(n_r, p_r, direction);
-                if llr > *tau {
-                    *tau = llr;
-                }
-            }
-        };
-        match &self.counting {
-            Counting::Membership(m) => {
-                for (r, &n_r) in self.region_n.iter().enumerate() {
-                    if n_r == 0 {
-                        continue;
-                    }
-                    let p_r = labels.count_at(m.members(r));
-                    fold(n_r, p_r);
-                }
-            }
-            Counting::Blocked(b) => {
-                for (r, &n_r) in self.region_n.iter().enumerate() {
-                    if n_r == 0 {
-                        continue;
-                    }
-                    let p_r = b.count_with(r, labels, self.kernel);
-                    fold(n_r, p_r);
-                }
-            }
-            Counting::Requery => {
-                for (region, &n_r) in self.regions.iter().zip(&self.region_n) {
-                    if n_r == 0 {
-                        continue;
-                    }
-                    let c = self.index.count_with(region, labels);
-                    // Unreachable after the build-time integrity check
-                    // (count_with's n is label-independent); kept as a
-                    // debug-build tripwire only.
-                    debug_assert_eq!(c.n, n_r, "region n must be world-invariant");
-                    fold(c.n, c.p);
-                }
-            }
-        }
-    }
-
-    /// Evaluates one world like [`ScanEngine::eval_world_into`], with
-    /// the region recount fanned out across this engine's shards: one
-    /// rayon task per shard computes every region's partial popcnt
-    /// over its word window, then a sequential integer reduce sums the
-    /// partials in shard order and the LLR fold visits regions exactly
-    /// as the unsharded sweep does. Falls back to
-    /// [`ScanEngine::eval_world_into`] when the engine has no shard
-    /// views (non-blocked counting, or a shard count that resolved
-    /// to 1).
-    ///
-    /// Each `τ` is **bit-identical** to the unsharded path: per-region
-    /// partials are exact integers (summing them reassociates nothing
-    /// but integer addition), and the fold replays the same
-    /// region-order comparisons on the same `(n_r, p_r, N, P_world)`
-    /// quadruples.
-    pub fn eval_world_into_sharded(
-        &self,
-        labels: &BitLabels,
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        self.eval_world_into_sharded_with(self.statistic, labels, directions, out)
-    }
-
-    /// [`ScanEngine::eval_world_into_sharded`] with an explicit
-    /// statistic.
-    pub fn eval_world_into_sharded_with(
-        &self,
-        statistic: Statistic,
-        labels: &BitLabels,
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        if self.shard_views.len() <= 1 {
-            return self.eval_world_into_with(statistic, labels, directions, out);
-        }
-        assert_eq!(directions.len(), out.len(), "one output slot per direction");
-        assert_eq!(
-            labels.len(),
-            self.n_total as usize,
-            "world label set must be one bit per indexed point"
-        );
-        let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
-            .into_par_iter()
-            .map(|s| {
-                let mut counts = Vec::new();
-                self.shard_views[s].count_all_into_with(labels, self.kernel, &mut counts);
-                counts
-            })
-            .collect();
-        let p_world = labels.count_ones();
-        let kernel = TauKernel::new(statistic, self.n_total, p_world);
-        out.fill(0.0);
-        for (r, &n_r) in self.region_n.iter().enumerate() {
-            if n_r == 0 {
-                continue;
-            }
-            let p_r: u64 = partials.iter().map(|counts| counts[r]).sum();
-            for (tau, &direction) in out.iter_mut().zip(directions) {
-                let llr = kernel.score(n_r, p_r, direction);
-                if llr > *tau {
-                    *tau = llr;
-                }
-            }
-        }
-    }
-
-    /// Evaluates a *batch* of worlds in one fused counting sweep,
-    /// writing world `w`'s `τ` for `directions[d]` into
-    /// `out[w * directions.len() + d]` (world-major — the layout the
-    /// batched executor's span buffer already uses).
-    ///
-    /// Blocked engines count all `W` worlds per CSR pass
-    /// ([`BlockedMembership::count_all_many_into`]): each run's
-    /// `(block, mask)` pair is loaded **once** and ANDed against every
-    /// world's block, so the CSR stream — the dominant memory traffic
-    /// of a world recount — is read once per batch instead of once per
-    /// world. Other strategies evaluate the worlds one at a time.
-    ///
-    /// Each `τ` is **bit-identical** to
-    /// [`ScanEngine::eval_world_into`] on the same world: per-world
-    /// counts are independent exact integers (fusion reorders no
-    /// arithmetic within a world), and the LLR fold replays the same
-    /// region-order comparisons per world.
-    ///
-    /// # Panics
     /// Panics if `out.len() != worlds.len() * directions.len()`, or if
-    /// any world is not one bit per indexed point.
-    pub fn eval_worlds_into(
-        &self,
-        worlds: &[&BitLabels],
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        self.eval_worlds_into_with(self.statistic, worlds, directions, out)
-    }
-
-    /// [`ScanEngine::eval_worlds_into`] with an explicit statistic.
-    pub fn eval_worlds_into_with(
+    /// any world is not one bit per indexed point (a wrong-length world
+    /// would silently undercount in release builds otherwise).
+    pub fn eval(
         &self,
         statistic: Statistic,
         worlds: &[&BitLabels],
         directions: &[Direction],
         out: &mut [f64],
+        fine: bool,
     ) {
-        assert_eq!(
-            out.len(),
-            worlds.len() * directions.len(),
-            "one output slot per (world, direction)"
-        );
-        let stride = directions.len();
-        if let Counting::Blocked(b) = &self.counting {
-            for labels in worlds {
-                assert_eq!(
-                    labels.len(),
-                    self.n_total as usize,
-                    "world label set must be one bit per indexed point"
-                );
-            }
-            let mut counts = Vec::new();
-            b.count_all_many_into(worlds, self.kernel, &mut counts);
-            self.fold_fused(statistic, worlds, &counts, directions, out);
-        } else {
-            for (labels, tau) in worlds.iter().zip(out.chunks_mut(stride)) {
-                self.eval_world_into_with(statistic, labels, directions, tau);
-            }
-        }
-    }
-
-    /// Evaluates a batch of worlds like [`ScanEngine::eval_worlds_into`],
-    /// with the fused recount fanned out across this engine's shards:
-    /// one rayon task per shard runs the multi-world sweep over its
-    /// clipped CSR view, then the exact integer partials are summed in
-    /// shard order — combining the fused CSR amortisation with the
-    /// sharded parallelism, bit-identical to both unfused paths. Falls
-    /// back to [`ScanEngine::eval_worlds_into`] when unsharded.
-    pub fn eval_worlds_into_sharded(
-        &self,
-        worlds: &[&BitLabels],
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        self.eval_worlds_into_sharded_with(self.statistic, worlds, directions, out)
-    }
-
-    /// [`ScanEngine::eval_worlds_into_sharded`] with an explicit
-    /// statistic.
-    pub fn eval_worlds_into_sharded_with(
-        &self,
-        statistic: Statistic,
-        worlds: &[&BitLabels],
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
-        if self.shard_views.len() <= 1 {
-            return self.eval_worlds_into_with(statistic, worlds, directions, out);
-        }
         assert_eq!(
             out.len(),
             worlds.len() * directions.len(),
@@ -1154,51 +948,62 @@ impl<I: CountingSubstrate> ScanEngine<I> {
                 "world label set must be one bit per indexed point"
             );
         }
-        let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
-            .into_par_iter()
-            .map(|s| {
-                let mut counts = Vec::new();
-                self.shard_views[s].count_all_many_into(worlds, self.kernel, &mut counts);
-                counts
-            })
-            .collect();
         let width = worlds.len();
-        let mut counts = vec![0u64; self.regions.len() * width];
-        for shard in &partials {
-            for (acc, &c) in counts.iter_mut().zip(shard) {
-                *acc += c;
+        let mut counts = vec![0u64; self.region_n.len() * width];
+        match &self.counting {
+            Counting::Blocked(_) if fine && self.shard_views.len() > 1 => {
+                let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
+                    .into_par_iter()
+                    .map(|s| {
+                        let mut counts = Vec::new();
+                        self.shard_views[s].count_all_many_into(worlds, self.kernel, &mut counts);
+                        counts
+                    })
+                    .collect();
+                for shard in &partials {
+                    for (acc, &c) in counts.iter_mut().zip(shard) {
+                        *acc += c;
+                    }
+                }
+            }
+            Counting::Blocked(b) => b.count_all_many_into(worlds, self.kernel, &mut counts),
+            Counting::Membership(m) => {
+                for (w, labels) in worlds.iter().enumerate() {
+                    for r in 0..self.region_n.len() {
+                        counts[r * width + w] = labels.count_at(m.members(r));
+                    }
+                }
+            }
+            Counting::Requery => {
+                for (w, labels) in worlds.iter().enumerate() {
+                    for (r, (region, &n_r)) in self.regions.iter().zip(&self.region_n).enumerate() {
+                        if n_r == 0 {
+                            continue;
+                        }
+                        let c = self.index.count_with(region, labels);
+                        // Unreachable after the build-time integrity
+                        // check (count_with's n is label-independent);
+                        // kept as a debug-build tripwire only.
+                        debug_assert_eq!(c.n, n_r, "region n must be world-invariant");
+                        counts[r * width + w] = c.p;
+                    }
+                }
             }
         }
-        self.fold_fused(statistic, worlds, &counts, directions, out);
-    }
-
-    /// The shared score fold over a fused count matrix
-    /// (`counts[r * W + w]`): per world, replays exactly the
-    /// region-order comparisons of [`ScanEngine::eval_world_into`]'s
-    /// fold on the same `(n_r, p_r, N, P_world)` quadruples, through
-    /// the same [`TauKernel`].
-    fn fold_fused(
-        &self,
-        statistic: Statistic,
-        worlds: &[&BitLabels],
-        counts: &[u64],
-        directions: &[Direction],
-        out: &mut [f64],
-    ) {
         let p_worlds: Vec<u64> = worlds.iter().map(|labels| labels.count_ones()).collect();
-        self.fold_counts(statistic, &p_worlds, counts, directions, out);
+        self.fold_counts(statistic, &p_worlds, &counts, directions, out);
     }
 
-    /// The score fold over an already-reduced fused count matrix:
-    /// `counts[r * W + w]` is `p(R_r)` under world `w`, `p_worlds[w]`
-    /// that world's total positives. Per world, replays exactly the
-    /// region-order comparisons of [`ScanEngine::eval_world_into`]'s
-    /// fold on the same `(n_r, p_r, N, P_world)` quadruples, through
-    /// the same [`TauKernel`] — so a caller that reduces exact integer
+    /// The world fold — the only place a simulated world's `τ` is
+    /// scored: `counts[r * W + w]` is `p(R_r)` under world `w`,
+    /// `p_worlds[w]` that world's total positives. Per world, every
+    /// non-empty region's `(n_r, p_r, N, P_world)` quadruple is scored
+    /// through the same [`TauKernel`] in region order and the maximum
+    /// kept per direction — so a caller that reduces exact integer
     /// count partials from *anywhere* (engine shards, shard-worker
     /// processes, a degraded local recount) and feeds them here gets
-    /// `τ` values bit-identical to the in-process evaluation paths.
-    /// This is the distributed coordinator's folding half.
+    /// `τ` values bit-identical to [`ScanEngine::eval`]. This is the
+    /// distributed coordinator's folding half.
     ///
     /// # Panics
     /// Panics when the matrix dimensions disagree with
@@ -1367,6 +1172,24 @@ mod tests {
         RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 2, 1)
     }
 
+    /// One world's `τ` per direction through [`ScanEngine::eval`], with
+    /// the engine's default statistic.
+    fn eval_one<I: CountingSubstrate>(
+        e: &ScanEngine<I>,
+        labels: &BitLabels,
+        dirs: &[Direction],
+        fine: bool,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; dirs.len()];
+        e.eval(e.statistic(), &[labels], dirs, &mut out, fine);
+        out
+    }
+
+    /// One world's `τ` for a single direction.
+    fn tau<I: CountingSubstrate>(e: &ScanEngine<I>, labels: &BitLabels, d: Direction) -> f64 {
+        eval_one(e, labels, &[d], false)[0]
+    }
+
     #[test]
     fn real_scan_counts_are_exact() {
         let o = outcomes();
@@ -1393,8 +1216,8 @@ mod tests {
         // And for simulated worlds:
         let mut rng = sfstats::rng::world_rng(5, 0);
         let labels = mem.generate_world(NullModel::Bernoulli, &mut rng);
-        let ta = mem.eval_world(&labels, Direction::TwoSided);
-        let tb = req.eval_world(&labels, Direction::TwoSided);
+        let ta = tau(&mem, &labels, Direction::TwoSided);
+        let tb = tau(&req, &labels, Direction::TwoSided);
         assert_eq!(ta, tb);
     }
 
@@ -1424,8 +1247,8 @@ mod tests {
                         assert_eq!(labels, ref_labels, "worlds must not depend on backend");
                     }
                     assert_eq!(
-                        e.eval_world(&labels, Direction::TwoSided),
-                        reference.eval_world(&ref_labels, Direction::TwoSided),
+                        tau(&e, &labels, Direction::TwoSided),
+                        tau(&reference, &ref_labels, Direction::TwoSided),
                         "{backend} {strategy:?}"
                     );
                 }
@@ -1485,8 +1308,8 @@ mod tests {
                 let blk_world = blk.generate_world(null_model, &mut rng);
                 assert_eq!(mem_world.count_ones(), blk_world.count_ones());
                 assert_eq!(
-                    mem.eval_world(&mem_world, Direction::TwoSided),
-                    blk.eval_world(&blk_world, Direction::TwoSided),
+                    tau(&mem, &mem_world, Direction::TwoSided),
+                    tau(&blk, &blk_world, Direction::TwoSided),
                     "{null_model:?} world {w}"
                 );
             }
@@ -1501,7 +1324,7 @@ mod tests {
         for w in 0..10 {
             let mut rng = sfstats::rng::world_rng(47, w);
             let world = reference.generate_world(NullModel::Bernoulli, &mut rng);
-            expected.push(reference.eval_world(&world, Direction::TwoSided));
+            expected.push(tau(&reference, &world, Direction::TwoSided));
         }
         for select in KernelSelect::ALL {
             let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Blocked)
@@ -1515,7 +1338,7 @@ mod tests {
                 let mut rng = sfstats::rng::world_rng(47, w as u64);
                 let world = e.generate_world(NullModel::Bernoulli, &mut rng);
                 assert_eq!(
-                    e.eval_world(&world, Direction::TwoSided),
+                    tau(&e, &world, Direction::TwoSided),
                     want,
                     "{select} world {w}"
                 );
@@ -1532,7 +1355,10 @@ mod tests {
                 let e = ScanEngine::build(&o, &region_set(), strategy)
                     .unwrap()
                     .with_shards(shards);
-                for batch in [1usize, 3, 8, 11] {
+                for (batch, fine) in [1usize, 3, 8, 11]
+                    .into_iter()
+                    .flat_map(|batch| [(batch, false), (batch, true)])
+                {
                     let worlds: Vec<BitLabels> = (0..batch)
                         .map(|w| {
                             let mut rng = sfstats::rng::world_rng(53, w as u64);
@@ -1541,14 +1367,13 @@ mod tests {
                         .collect();
                     let refs: Vec<&BitLabels> = worlds.iter().collect();
                     let mut fused = vec![0.0f64; batch * directions.len()];
-                    e.eval_worlds_into_sharded(&refs, &directions, &mut fused);
+                    e.eval(e.statistic(), &refs, &directions, &mut fused, fine);
                     for (w, labels) in worlds.iter().enumerate() {
-                        let mut single = vec![0.0f64; directions.len()];
-                        e.eval_world_into_sharded(labels, &directions, &mut single);
+                        let single = eval_one(&e, labels, &directions, fine);
                         assert_eq!(
                             &fused[w * directions.len()..(w + 1) * directions.len()],
                             &single[..],
-                            "{strategy:?} {shards:?} batch {batch} world {w}"
+                            "{strategy:?} {shards:?} batch {batch} fine {fine} world {w}"
                         );
                     }
                 }
@@ -1733,8 +1558,8 @@ mod tests {
                                 assert_eq!(labels, ref_labels, "{backend} {strategy:?}");
                             }
                             assert_eq!(
-                                e.eval_world(&labels, Direction::TwoSided),
-                                reference.eval_world(&ref_labels, Direction::TwoSided),
+                                tau(&e, &labels, Direction::TwoSided),
+                                tau(&reference, &ref_labels, Direction::TwoSided),
                                 "{backend} {strategy:?} {null_model:?} world {w}"
                             );
                         }
@@ -1818,10 +1643,8 @@ mod tests {
                         for w in 0..5 {
                             let mut rng = sfstats::rng::world_rng(23, w);
                             let labels = base.generate_world_with(null_model, worldgen, &mut rng);
-                            let mut expected = [0.0; 3];
-                            base.eval_world_into(&labels, &dirs, &mut expected);
-                            let mut got = [0.0; 3];
-                            sharded.eval_world_into_sharded(&labels, &dirs, &mut got);
+                            let expected = eval_one(&base, &labels, &dirs, false);
+                            let got = eval_one(&sharded, &labels, &dirs, true);
                             assert_eq!(
                                 got, expected,
                                 "shards={k} {null_model:?} {worldgen:?} world {w}"
@@ -1959,14 +1782,65 @@ mod tests {
             for w in 0..10 {
                 let mut rng = sfstats::rng::world_rng(6, w);
                 let labels = e.generate_world(NullModel::Bernoulli, &mut rng);
-                let mut out = [0.0; 3];
-                e.eval_world_into(&labels, &dirs, &mut out);
-                for (tau, &d) in out.iter().zip(&dirs) {
-                    assert_eq!(
-                        *tau,
-                        e.eval_world(&labels, d),
-                        "world {w}, {d}, {strategy:?}"
-                    );
+                let out = eval_one(&e, &labels, &dirs, false);
+                for (t, &d) in out.iter().zip(&dirs) {
+                    assert_eq!(*t, tau(&e, &labels, d), "world {w}, {d}, {strategy:?}");
+                }
+            }
+        }
+    }
+
+    /// 900 points on a 30x30 grid (15 label words, so three shards
+    /// really split) with scattered labels, scanned by a 4x4 grid.
+    fn scattered_outcomes() -> SpatialOutcomes {
+        let mut points = Vec::new();
+        let mut labels = Vec::new();
+        for iy in 0..30 {
+            for ix in 0..30 {
+                points.push(Point::new(ix as f64 / 3.0 + 0.1, iy as f64 / 3.0 + 0.1));
+                labels.push((ix * 7 + iy * 13) % 11 < 4 + ix / 10);
+            }
+        }
+        SpatialOutcomes::new(points, labels).unwrap()
+    }
+
+    #[test]
+    fn fold_matches_scan_real_on_the_real_labels() {
+        // Every evaluation path scores through `fold_counts`, while
+        // `scan_real_with` keeps its own score loop — so evaluating the
+        // real labels as a world is the independent check on the fold.
+        let grid = RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4, 4);
+        for (o, regions) in [
+            (outcomes(), region_set()),
+            (dense_outcomes(), region_set()),
+            (scattered_outcomes(), grid),
+        ] {
+            for strategy in [
+                CountingStrategy::Membership,
+                CountingStrategy::Requery,
+                CountingStrategy::Blocked,
+            ] {
+                for shards in [1, 3] {
+                    let e = ScanEngine::build(&o, &regions, strategy)
+                        .unwrap()
+                        .with_shards(Shards::Fixed(shards));
+                    let real = match e.blocked() {
+                        Some(b) => b.layout_labels(o.labels()),
+                        None => BitLabels::from_bools(o.labels()),
+                    };
+                    for fine in [false, true] {
+                        for statistic in Statistic::ALL {
+                            let mut out = [0.0; Direction::ALL.len()];
+                            e.eval(statistic, &[&real], &Direction::ALL, &mut out, fine);
+                            for (tau, &d) in out.iter().zip(&Direction::ALL) {
+                                assert_eq!(
+                                    tau.to_bits(),
+                                    e.scan_real_with(statistic, d).tau.to_bits(),
+                                    "{strategy:?} shards {shards} fine {fine} {statistic} {d}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1979,12 +1853,18 @@ mod tests {
         let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Membership).unwrap();
         let labels = BitLabels::from_bools(o.labels());
         let mut out = [0.0; 1];
-        e.eval_world_into(&labels, &[Direction::High, Direction::Low], &mut out);
+        e.eval(
+            e.statistic(),
+            &[&labels],
+            &[Direction::High, Direction::Low],
+            &mut out,
+            false,
+        );
     }
 
     #[test]
     #[should_panic(expected = "one bit per indexed point")]
-    fn eval_world_rejects_wrong_length_labels() {
+    fn eval_rejects_wrong_length_labels() {
         // A 70-bit world over a 100-point engine occupies the same
         // number of blocks, so without the explicit length check the
         // tail ids would silently read zero — this must fail fast in
@@ -1992,7 +1872,7 @@ mod tests {
         let o = outcomes();
         let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Membership).unwrap();
         let short = BitLabels::from_fn(70, |i| i % 2 == 0);
-        let _ = e.eval_world(&short, Direction::TwoSided);
+        let _ = tau(&e, &short, Direction::TwoSided);
     }
 
     #[test]
@@ -2005,7 +1885,7 @@ mod tests {
         for w in 0..30 {
             let mut rng = sfstats::rng::world_rng(3, w);
             let labels = e.generate_world(NullModel::Bernoulli, &mut rng);
-            let tau_w = e.eval_world(&labels, Direction::TwoSided);
+            let tau_w = tau(&e, &labels, Direction::TwoSided);
             assert!(
                 tau_w < real.tau * 0.5,
                 "world {w}: tau {tau_w} vs real {}",

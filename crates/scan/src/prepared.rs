@@ -32,10 +32,11 @@
 //! the `simulated` prefix — is exactly what a standalone
 //! [`Auditor::audit`](crate::audit::Auditor) with the equivalent
 //! config produces. World values depend only on `(seed, index, null
-//! model)`; the per-direction LLR fold is the same code path
-//! ([`ScanEngine::eval_world_into`]); and the stopping rule is replayed
-//! by the same [`WorldLane`](sfstats::montecarlo::WorldLane) a
-//! standalone adaptive run uses. The cross-checks live in the
+//! model)`; every world is scored by the same fold
+//! ([`ScanEngine::fold_counts`], behind [`ScanEngine::eval`]); and the
+//! stopping rule is replayed by the same
+//! [`WorldLane`](sfstats::montecarlo::WorldLane) a standalone adaptive
+//! run uses. The cross-checks live in the
 //! `serve_equivalence` proptests.
 
 use crate::config::{AuditConfig, NullModel, Statistic, WorldGen};
@@ -51,6 +52,11 @@ use serde::{Deserialize, Serialize};
 use sfindex::{BitLabels, Substrate, MAX_FUSED_WORLDS};
 use sfstats::montecarlo::{BudgetScheduler, McStrategy, MonteCarloResult, WorldLane};
 use sfstats::rng::world_rng;
+
+/// Largest Monte Carlo budget [`AuditRequest::validate`] accepts. A
+/// request's simulated worlds are allocated up front, so an unbounded
+/// budget read off the wire would abort the process on allocation.
+pub const MAX_WORLDS: usize = 1 << 20;
 
 /// One audit request: the cheap per-query knobs of an audit. The
 /// expensive knobs (dataset, regions, index backend, counting strategy)
@@ -238,8 +244,8 @@ impl AuditRequest {
     ///
     /// # Errors
     /// [`ScanError::InvalidRequest`] naming the offending knob:
-    /// `alpha` outside `(0, 1)`, zero `worlds`, or a zero early-stop
-    /// batch size.
+    /// `alpha` outside `(0, 1)`, zero `worlds` or more than
+    /// [`MAX_WORLDS`], or a zero early-stop batch size.
     pub fn validate(&self) -> Result<(), ScanError> {
         if !(self.alpha > 0.0 && self.alpha < 1.0) {
             return Err(ScanError::invalid_request(format!(
@@ -251,6 +257,12 @@ impl AuditRequest {
             return Err(ScanError::invalid_request(
                 "need at least one simulated world",
             ));
+        }
+        if self.worlds > MAX_WORLDS {
+            return Err(ScanError::invalid_request(format!(
+                "worlds must be at most {MAX_WORLDS}, got {}",
+                self.worlds
+            )));
         }
         if let McStrategy::EarlyStop { batch_size } = self.mc_strategy {
             if batch_size == 0 {
@@ -824,8 +836,8 @@ impl PreparedAudit {
             }
             // One fused sweep per batch: generate the batch's worlds
             // (per-world RNG streams — world w's labels are identical
-            // whatever batch it lands in), then count them all in one
-            // CSR pass (ScanEngine::eval_worlds_into).
+            // whatever batch it lands in), then count and fold them all
+            // in one ScanEngine::eval call.
             let count = out.len() / eval_dirs.len();
             let mut worlds = Vec::with_capacity(count);
             for k in 0..count {
@@ -839,13 +851,8 @@ impl PreparedAudit {
                 });
             }
             let refs: Vec<&BitLabels> = worlds.iter().collect();
-            if fine {
-                self.engine
-                    .eval_worlds_into_sharded_with(group.statistic, &refs, eval_dirs, out);
-            } else {
-                self.engine
-                    .eval_worlds_into_with(group.statistic, &refs, eval_dirs, out);
-            }
+            self.engine
+                .eval(group.statistic, &refs, eval_dirs, out, fine);
         };
         let run = run_world_group(
             plan.requests(),
@@ -981,9 +988,9 @@ pub(crate) struct GroupRun {
 /// [`BudgetScheduler`] spans. Worlds whose index falls inside `cached`
 /// are *replayed* — their flat per-direction rows are fed to the lanes
 /// as-is ([`WorldLane::feed_strided`]), no simulation — and only
-/// indices past the cached prefix call `eval_world` (in parallel when
+/// indices past the cached prefix call `eval_worlds` (in parallel when
 /// `parallel` is set; per-world independent RNG streams inside
-/// `eval_world` keep that deterministic). Because the lanes cannot
+/// `eval_worlds` keep that deterministic). Because the lanes cannot
 /// tell a replayed value from a simulated one, a resumed run is
 /// bit-identical to a cold run by construction.
 ///
@@ -1561,6 +1568,19 @@ mod tests {
         let json = serde_json::to_string(&request).unwrap();
         let back: AuditRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, request);
+    }
+
+    #[test]
+    fn world_budget_is_capped() {
+        let mut request = AuditRequest::new(0.05);
+        request.worlds = MAX_WORLDS;
+        assert_eq!(request.validate(), Ok(()));
+        for worlds in [MAX_WORLDS + 1, 1_000_000_000_000] {
+            request.worlds = worlds;
+            let err = request.validate().unwrap_err();
+            assert!(matches!(err, ScanError::InvalidRequest { .. }), "{err}");
+            assert!(err.to_string().contains("at most"), "{err}");
+        }
     }
 
     #[test]

@@ -70,14 +70,11 @@
 //! assert_eq!(service.stats().unique_worlds, 99, "no new worlds for the repeat");
 //! ```
 
-mod compat;
 mod geojson;
 mod histogram;
 mod service;
 mod wire;
 
-#[allow(deprecated)]
-pub use compat::{AuditServer, RequestId};
 pub use geojson::{findings_feature_collection, CIRCLE_SEGMENTS};
 pub use histogram::LatencyHistogram;
 pub use service::{
@@ -488,6 +485,30 @@ mod tests {
     }
 
     #[test]
+    fn hostile_lines_get_typed_rejections() {
+        let (mut service, handle, _) = service_with(300, 13);
+        // Nesting past the JSON parser's depth cap: a malformed line,
+        // not a stack overflow.
+        let err = service.submit_json(&"[".repeat(800_000)).unwrap_err();
+        assert!(matches!(err, SubmitError::Malformed { .. }), "{err}");
+        assert_eq!(
+            ResponseEnvelope::rejected(&err).status,
+            WireStatus::Rejected
+        );
+        // A budget past the world cap: an invalid request, not an
+        // allocation abort.
+        let mut huge = service.default_request(handle).unwrap();
+        huge.worlds = 1_000_000_000_000;
+        let err = service.submit(handle, huge).unwrap_err();
+        assert!(matches!(err, SubmitError::InvalidRequest { .. }), "{err}");
+        assert_eq!(
+            ResponseEnvelope::rejected(&err).status,
+            WireStatus::Rejected
+        );
+        assert_eq!(service.pending_total(), 0);
+    }
+
+    #[test]
     fn typed_error_envelopes_round_trip() {
         // Every SubmitError classifies to a stable kebab-case code, and
         // the envelope round-trips with the code intact.
@@ -782,61 +803,5 @@ mod tests {
             service.register(&o, &empty, base()).unwrap_err(),
             ScanError::EmptyRegionSet
         );
-    }
-
-    #[allow(deprecated)]
-    mod compat_shim {
-        use super::*;
-
-        #[test]
-        fn v1_surface_still_works_over_the_service() {
-            let o = outcomes(800, 20);
-            let mut server = AuditServer::new(&o, &grid(), base()).unwrap();
-            let a = server.submit(server.default_request());
-            let b = server.submit(server.default_request().with_direction(Direction::High));
-            assert_eq!(server.pending(), 2);
-            assert_eq!(server.plan().groups().len(), 1);
-            let responses = server.drain();
-            assert_eq!(responses.len(), 2);
-            assert_eq!(responses[0].ticket, a);
-            assert_eq!(responses[1].ticket, b);
-            let expected = Auditor::new(server.default_request().apply_to(base()))
-                .audit(&o, &grid())
-                .unwrap();
-            assert_eq!(responses[0].report, expected);
-            assert_eq!(server.stats().requests_served, 2);
-            // Ids keep increasing across drains, and the v2 cache works
-            // underneath: a repeat drain simulates nothing new.
-            let c = server.submit(server.default_request());
-            assert!(c > b);
-            let repeat = server.drain();
-            assert_eq!(repeat[0].report, expected);
-            assert_eq!(server.stats().unique_worlds, 99);
-            assert!(server.stats().worlds_replayed > 0);
-        }
-
-        #[test]
-        #[should_panic(expected = "alpha")]
-        fn v1_submit_still_panics_on_invalid_requests() {
-            let o = outcomes(200, 21);
-            let mut server = AuditServer::new(&o, &grid(), base()).unwrap();
-            let mut bad = server.default_request();
-            bad.alpha = -1.0;
-            let _ = server.submit(bad);
-        }
-
-        #[test]
-        fn v1_submit_json_rejects_without_queueing() {
-            let o = outcomes(300, 22);
-            let mut server = AuditServer::new(&o, &grid(), base()).unwrap();
-            assert!(server.submit_json("{not json}").is_err());
-            let mut bad = server.default_request();
-            bad.worlds = 0;
-            let err = server
-                .submit_json(&serde_json::to_string(&bad).unwrap())
-                .unwrap_err();
-            assert!(err.to_string().contains("world"), "{err}");
-            assert_eq!(server.pending(), 0);
-        }
     }
 }

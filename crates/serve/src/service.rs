@@ -117,8 +117,8 @@ impl Status {
 }
 
 /// Typed rejection from [`AuditService::submit`] (and the handle-routed
-/// service calls): the replacement for the v1 `AuditServer`'s
-/// panic-on-invalid-request.
+/// service calls): invalid or unroutable requests are refused before
+/// they are queued, never by a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// No session is registered under the handle (never registered, or

@@ -138,8 +138,9 @@ fn main() {
     assert_eq!(stats.unique_worlds, 398 + 100, "only the suffix was new");
     println!("\ncached == cold: verified bit-identical (zero new worlds for the repeat)");
 
-    // Typed rejection instead of a panic: the v1 AuditServer would
-    // have taken the process down here.
+    // Typed rejection instead of a panic: an invalid request never
+    // reaches the queue, so one bad payload cannot take the process
+    // (or its batch) down.
     let mut bad = default_request;
     bad.alpha = 42.0;
     let err = service.submit(handle, bad).unwrap_err();

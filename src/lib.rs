@@ -76,7 +76,5 @@ pub mod prelude {
         AuditResponse, AuditService, DatasetHandle, DrainPolicy, ServerStats, Status, SubmitError,
         Ticket,
     };
-    #[allow(deprecated)]
-    pub use sfserve::{AuditServer, RequestId};
     pub use sfstats::llr::bernoulli_llr;
 }

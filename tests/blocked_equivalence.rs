@@ -1,7 +1,8 @@
 //! Bit-identity of blocked world counting across the whole engine
 //! stack: for every index backend, `blocked == membership == requery`
-//! — for the real-world scan, single-direction `eval_world`, and the
-//! multi-direction `eval_world_into` fold batched serving runs on.
+//! — for the real-world scan and for `ScanEngine::eval`, both with one
+//! direction per call and with the multi-direction batches batched
+//! serving runs on.
 //!
 //! Each engine generates its own worlds (blocked engines store them in
 //! Morton layout), so the property under test is exactly the serving
@@ -10,6 +11,7 @@
 //! backend.
 
 use proptest::prelude::*;
+use spatial_fairness::index::BitLabels;
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::engine::ScanEngine;
 use spatial_fairness::scan::{CountingStrategy, IndexBackend, NullModel};
@@ -25,6 +27,13 @@ fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
             SpatialOutcomes::new(points, labels).unwrap()
         },
     )
+}
+
+/// One world's `τ` per direction, with the engine's default statistic.
+fn taus(engine: &ScanEngine, world: &BitLabels, dirs: &[Direction]) -> Vec<f64> {
+    let mut out = vec![0.0; dirs.len()];
+    engine.eval(engine.statistic(), &[world], dirs, &mut out, false);
+    out
 }
 
 proptest! {
@@ -77,19 +86,16 @@ proptest! {
                 prop_assert_eq!(ref_world.count_ones(), blk_world.count_ones());
                 prop_assert_eq!(&ref_world, &req_world);
 
-                let mut ref_taus = [0.0; 3];
-                let mut blk_taus = [0.0; 3];
-                let mut req_taus = [0.0; 3];
-                reference.eval_world_into(&ref_world, &dirs, &mut ref_taus);
-                blocked.eval_world_into(&blk_world, &dirs, &mut blk_taus);
-                requery.eval_world_into(&req_world, &dirs, &mut req_taus);
-                prop_assert_eq!(ref_taus, blk_taus, "blocked vs membership, {:?}", backend);
-                prop_assert_eq!(ref_taus, req_taus, "requery vs membership, {:?}", backend);
+                let ref_taus = taus(&reference, &ref_world, &dirs);
+                let blk_taus = taus(&blocked, &blk_world, &dirs);
+                let req_taus = taus(&requery, &req_world, &dirs);
+                prop_assert_eq!(&ref_taus, &blk_taus, "blocked vs membership, {:?}", backend);
+                prop_assert_eq!(&ref_taus, &req_taus, "requery vs membership, {:?}", backend);
 
                 for &d in &dirs {
                     prop_assert_eq!(
-                        blocked.eval_world(&blk_world, d),
-                        reference.eval_world(&ref_world, d)
+                        taus(&blocked, &blk_world, &[d]),
+                        taus(&reference, &ref_world, &[d])
                     );
                 }
             }

@@ -76,8 +76,8 @@ proptest! {
                     }
                     let mut taus = [0.0; 3];
                     let mut ref_taus = [0.0; 3];
-                    engine.eval_world_into(&world, &dirs, &mut taus);
-                    reference.eval_world_into(&ref_world, &dirs, &mut ref_taus);
+                    engine.eval(engine.statistic(), &[&world], &dirs, &mut taus, false);
+                    reference.eval(reference.statistic(), &[&ref_world], &dirs, &mut ref_taus, false);
                     prop_assert_eq!(
                         taus, ref_taus,
                         "{} {:?} {:?} diverged", backend, strategy, null_model
