@@ -406,3 +406,41 @@ proptest! {
         prop_assert_eq!(p, full.p_partials);
     }
 }
+
+/// An 800,000-deep `[` line: the shape that once overflowed the vendored
+/// parser's stack.
+fn nested_brackets_line() -> String {
+    "[".repeat(800_000)
+}
+
+#[test]
+fn deeply_nested_request_is_an_error_not_a_stack_overflow() {
+    assert!(WorkerRequest::from_json(&nested_brackets_line()).is_err());
+}
+
+#[test]
+fn worker_answers_a_deeply_nested_line_and_keeps_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    let prepared = prepared(200);
+    let workers = spawn_workers(&prepared, 1, &[]);
+    let stream = std::net::TcpStream::connect(workers[0].local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut reply = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        let mut back = String::new();
+        reader.read_line(&mut back).unwrap();
+        WorkerReply::from_json(back.trim()).unwrap()
+    };
+    match reply(&nested_brackets_line()) {
+        WorkerReply::Err { id: None, error } => {
+            assert!(error.starts_with("malformed request"), "{error}")
+        }
+        other => panic!("expected a malformed-request error, got {other:?}"),
+    }
+    match reply(&WorkerRequest::Hello.to_json()) {
+        WorkerReply::Hello { num_regions, .. } => assert_eq!(num_regions, 16),
+        other => panic!("expected a hello reply, got {other:?}"),
+    }
+    assert_eq!(workers[0].stats().errors, 1);
+}

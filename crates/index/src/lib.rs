@@ -21,7 +21,8 @@
 //!   ranges (the paper's §4.2 grid partitionings).
 //! * [`Membership`] — precomputed region→member-id lists that make the
 //!   Monte Carlo loop cheap: `n(R)` never changes across worlds, so
-//!   each world only recounts `p(R)` against a fresh label bitset.
+//!   each world only recounts `p(R)` against a fresh label bitset —
+//!   and a nested region only its ring, adding its parent's count.
 //! * [`BlockedMembership`] — the membership lists compiled into
 //!   word-aligned `(block, mask)` popcnt runs over the [`BitLabels`]
 //!   block array (with a Morton-order id layout, [`morton_layout`],

@@ -6,22 +6,46 @@
 //! each region's member ids once turns a world evaluation into a dense
 //! sweep `p(R) = Σ labels[id]` over cached, sorted id lists against a
 //! label bitset that fits in cache.
+//!
+//! # Containment deltas
+//!
+//! Scan families are nested: the paper's squares are centre-major with
+//! increasing side lengths (and `circles` likewise by radius), so each
+//! region is the previous one plus a thin ring. At build time region
+//! `r`'s *parent* is `r − 1` when `r − 1`'s member list is a non-empty
+//! subset of `r`'s; its *ring* is then `members(r) \ members(r − 1)`,
+//! and otherwise its ring is its whole list. A world sweep computes
+//! `p(r) = p(parent) + Σ labels[ring(r)]` in region order, reading each
+//! ring once instead of every full list. The rule reads only the sorted
+//! lists, never geometry; partitions such as grid cells get no parents
+//! and sweep exactly as before. Counts are exact integer sums, so every
+//! `p(R)` is the same number the full lists give.
 
 use crate::{labels::BitLabels, CountPair, PointVisit};
 use sfgeo::Region;
 
-/// Region→member-ids lists with world-invariant `n(R)` counts.
+/// Region→member-ids lists with world-invariant `n(R)` counts, plus the
+/// containment-delta plan the per-world sweep counts through (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct Membership {
     /// CSR layout: `offsets[r]..offsets[r+1]` indexes `ids`.
     offsets: Vec<u64>,
     ids: Vec<u32>,
+    /// Whether region `r − 1` is region `r`'s parent.
+    nested: Vec<bool>,
+    /// Ring CSR for nested regions: `ring_offsets[r]..ring_offsets[r+1]`
+    /// indexes `ring_ids` (an empty range for regions without a parent,
+    /// whose ring is their full member list).
+    ring_offsets: Vec<u64>,
+    ring_ids: Vec<u32>,
     num_points: usize,
 }
 
 impl Membership {
     /// Builds membership lists for `regions` using any id-enumerating
-    /// index.
+    /// index, then derives each region's parent and ring with one
+    /// sorted merge against the previous region's list.
     ///
     /// # Panics
     /// Panics if the index enumerates an id `>= num_points`. Validating
@@ -47,9 +71,23 @@ impl Membership {
             }
             offsets.push(ids.len() as u64);
         }
+        // The containment-delta plan: one merge against the previous
+        // region's list decides the parent and yields the ring.
+        let list = |r: usize| &ids[offsets[r] as usize..offsets[r + 1] as usize];
+        let mut nested = Vec::with_capacity(regions.len());
+        let mut ring_offsets = Vec::with_capacity(regions.len() + 1);
+        ring_offsets.push(0u64);
+        let mut ring_ids = Vec::new();
+        for r in 0..regions.len() {
+            nested.push(r > 0 && ring_into(list(r - 1), list(r), &mut ring_ids));
+            ring_offsets.push(ring_ids.len() as u64);
+        }
         Membership {
             offsets,
             ids,
+            nested,
+            ring_offsets,
+            ring_ids,
             num_points,
         }
     }
@@ -64,10 +102,32 @@ impl Membership {
         self.num_points
     }
 
-    /// Member ids of region `r` (sorted).
+    /// Member ids of region `r` (sorted) — the full list, whatever the
+    /// region's parent.
     pub fn members(&self, r: usize) -> &[u32] {
         let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
         &self.ids[s..e]
+    }
+
+    /// Region `r`'s parent in the containment-delta plan: `Some(r − 1)`
+    /// when `members(r − 1)` is a non-empty subset of `members(r)`.
+    pub fn parent(&self, r: usize) -> Option<usize> {
+        self.nested[r].then(|| r - 1)
+    }
+
+    /// The ids region `r`'s sweep step reads (sorted):
+    /// `members(r) \ members(parent)` when it has a parent, otherwise
+    /// its full member list.
+    pub fn ring(&self, r: usize) -> &[u32] {
+        if self.nested[r] {
+            let (s, e) = (
+                self.ring_offsets[r] as usize,
+                self.ring_offsets[r + 1] as usize,
+            );
+            &self.ring_ids[s..e]
+        } else {
+            self.members(r)
+        }
     }
 
     /// World-invariant observation count `n(R)` of region `r`.
@@ -75,7 +135,8 @@ impl Membership {
         self.offsets[r + 1] - self.offsets[r]
     }
 
-    /// Counts `(n(R), p(R))` of region `r` against a label set.
+    /// Counts `(n(R), p(R))` of region `r` against a label set, reading
+    /// its full member list.
     pub fn count(&self, r: usize, labels: &BitLabels) -> CountPair {
         assert_eq!(
             labels.len(),
@@ -89,7 +150,9 @@ impl Membership {
     }
 
     /// Counts `p(R)` for *all* regions against a label set, reusing the
-    /// output buffer. This is the per-world hot loop.
+    /// output buffer. This is the per-world hot loop: regions are swept
+    /// in order as `out[r] = out[parent] + Σ labels[ring(r)]`, so each
+    /// world reads [`Membership::total_ids`] ids.
     pub fn count_all_into(&self, labels: &BitLabels, out: &mut Vec<u64>) {
         assert_eq!(
             labels.len(),
@@ -98,14 +161,44 @@ impl Membership {
         );
         out.clear();
         out.reserve(self.num_regions());
+        let mut p = 0u64;
         for r in 0..self.num_regions() {
-            out.push(labels.count_at(self.members(r)));
+            if !self.nested[r] {
+                p = 0;
+            }
+            p += labels.count_at(self.ring(r));
+            out.push(p);
         }
     }
 
-    /// Total number of stored ids (memory diagnostic: 4 bytes each).
+    /// Ids one [`Membership::count_all_into`] sweep reads: the sum of
+    /// ring lengths. Without nesting this is `Σ n(R)`.
     pub fn total_ids(&self) -> usize {
-        self.ids.len()
+        (0..self.num_regions()).map(|r| self.ring(r).len()).sum()
+    }
+}
+
+/// Appends `outer \ inner` to `ring` and returns `true` when the sorted
+/// list `inner` is a non-empty subset of `outer`; otherwise leaves
+/// `ring` as it was and returns `false`. One merge over both lists.
+fn ring_into(inner: &[u32], outer: &[u32], ring: &mut Vec<u32>) -> bool {
+    if inner.is_empty() || inner.len() > outer.len() {
+        return false;
+    }
+    let start = ring.len();
+    let mut rest = inner;
+    for &id in outer {
+        match rest.first() {
+            Some(&next) if next == id => rest = &rest[1..],
+            Some(&next) if next < id => break,
+            _ => ring.push(id),
+        }
+    }
+    if rest.is_empty() {
+        true
+    } else {
+        ring.truncate(start);
+        false
     }
 }
 
@@ -226,5 +319,58 @@ mod tests {
         assert_eq!(mem.n_of(0), 0);
         let world = BitLabels::from_fn(n, |_| true);
         assert_eq!(mem.count(0, &world), CountPair::default());
+    }
+
+    #[test]
+    fn nested_squares_chain_and_partitions_do_not() {
+        let (idx, _, n) = setup();
+        let c = Point::new(5.0, 5.0);
+        let regions: Vec<Region> = vec![
+            Rect::square(c, 1.0).into(),
+            Rect::square(c, 2.0).into(),
+            Rect::square(c, 2.0).into(),
+            Rect::square(c, 4.0).into(),
+            // Smaller than its predecessor, then a disjoint neighbour.
+            Rect::square(c, 3.0).into(),
+            Rect::from_coords(0.0, 0.0, 1.0, 1.0).into(),
+        ];
+        let mem = Membership::build(&idx, n, &regions);
+        let parents: Vec<_> = (0..regions.len()).map(|r| mem.parent(r)).collect();
+        assert_eq!(parents, [None, Some(0), Some(1), Some(2), None, None]);
+        assert!(
+            mem.ring(2).is_empty(),
+            "identical lists leave an empty ring"
+        );
+        for r in 0..regions.len() {
+            let mut full: Vec<u32> = mem.ring(r).to_vec();
+            if let Some(p) = mem.parent(r) {
+                full.extend_from_slice(mem.members(p));
+                full.sort_unstable();
+            }
+            assert_eq!(full, mem.members(r), "region {r}");
+        }
+        let rings: usize = (0..regions.len()).map(|r| mem.ring(r).len()).sum();
+        assert_eq!(mem.total_ids(), rings);
+        assert!(mem.total_ids() < (0..regions.len()).map(|r| mem.n_of(r) as usize).sum());
+    }
+
+    #[test]
+    fn ring_merge_rejects_non_subsets() {
+        let mut ring = vec![7];
+        assert!(ring_into(&[2, 5], &[1, 2, 3, 5], &mut ring));
+        assert_eq!(ring, [7, 1, 3]);
+        for (inner, outer) in [
+            (&[][..], &[1, 2][..]),
+            (&[1, 2, 3][..], &[1, 2][..]),
+            (&[2, 4][..], &[1, 2, 3, 5][..]),
+            (&[6][..], &[1, 2, 3, 5][..]),
+        ] {
+            assert!(!ring_into(inner, outer, &mut ring), "{inner:?} ⊄ {outer:?}");
+            assert_eq!(
+                ring,
+                [7, 1, 3],
+                "a rejected merge leaves the ring untouched"
+            );
+        }
     }
 }

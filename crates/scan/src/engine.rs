@@ -28,6 +28,24 @@
 //! point are unchanged — only the bit position holding it moves), so
 //! every `τ` is bit-identical to the scalar strategies.
 //!
+//! # Containment-delta counting
+//!
+//! Scan families nest: [`RegionSet::squares`] and
+//! [`RegionSet::circles`] list each centre's regions from smallest to
+//! largest, so a region is its predecessor plus a thin ring. When
+//! [`Membership::build`] finds region `r − 1`'s sorted member list to
+//! be a non-empty subset of region `r`'s (one merge per region at
+//! prepare time, no geometry), `r − 1` becomes `r`'s parent and `r`
+//! stores the ring `members(r) \ members(r − 1)`. The membership arm
+//! of [`ScanEngine::eval`] then counts every world as `p(r) =
+//! p(parent) + Σ labels[ring(r)]` in region order: on the paper's 100
+//! centres × 20 sides over the small SynthLAR that reads 22,901 ids a
+//! world instead of 306,981. Grid cells and other partitions get no
+//! parents and read their full lists as before. The adds are exact
+//! integers, so every `τ` is bit-identical; [`ScanEngine::scan_real`]
+//! keeps counting the full lists, which makes it an independent check
+//! on the ring sweep.
+//!
 //! # Auto counting strategy
 //!
 //! [`CountingStrategy::Auto`] resolves Membership vs Requery from the
@@ -151,7 +169,8 @@ pub struct RealScan {
 /// The per-world counting structure actually in effect after strategy
 /// resolution.
 enum Counting {
-    /// Scalar replay of the membership id lists.
+    /// Scalar sweep of the membership rings (each region's count is
+    /// its parent's plus its ring's).
     Membership(Membership),
     /// Masked-popcount sweep over blocked runs (Morton id layout).
     Blocked(Box<BlockedMembership>),
@@ -517,8 +536,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self.blocked().map(BlockedMembership::ids_per_word)
     }
 
-    /// The membership lists this engine replays per world, when the
-    /// resolved strategy is [`CountingStrategy::Membership`].
+    /// The membership lists and rings this engine sweeps per world,
+    /// when the resolved strategy is [`CountingStrategy::Membership`].
     pub fn membership(&self) -> Option<&Membership> {
         match &self.counting {
             Counting::Membership(m) => Some(m),
@@ -903,7 +922,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     ///   shard, one rayon task per shard runs that sweep over its
     ///   clipped CSR view and the exact integer partials are summed in
     ///   shard order;
-    /// * membership and requery engines count world by world.
+    /// * membership engines sweep world by world through
+    ///   [`Membership::count_all_into`], each region's count its
+    ///   parent's plus its ring (see *Containment-delta counting* in
+    ///   the module docs);
+    /// * requery engines query world by world.
     ///
     /// `fine` is the work-splitter's axis flag (see
     /// [`WorldEvaluator::eval_span`](crate::prepared::WorldEvaluator)):
@@ -968,9 +991,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             }
             Counting::Blocked(b) => b.count_all_many_into(worlds, self.kernel, &mut counts),
             Counting::Membership(m) => {
+                let mut one = Vec::with_capacity(self.region_n.len());
                 for (w, labels) in worlds.iter().enumerate() {
-                    for r in 0..self.region_n.len() {
-                        counts[r * width + w] = labels.count_at(m.members(r));
+                    m.count_all_into(labels, &mut one);
+                    for (r, &p) in one.iter().enumerate() {
+                        counts[r * width + w] = p;
                     }
                 }
             }
@@ -1809,11 +1834,28 @@ mod tests {
         // Every evaluation path scores through `fold_counts`, while
         // `scan_real_with` keeps its own score loop — so evaluating the
         // real labels as a world is the independent check on the fold.
+        // The membership arm counts nested squares and circles through
+        // their rings; scan_real_with counts their full lists.
         let grid = RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4, 4);
+        let centres = vec![
+            Point::new(2.0, 3.0),
+            Point::new(6.5, 6.5),
+            Point::new(8.0, 1.5),
+        ];
+        let mut nested = RegionSet::squares(centres.clone(), &[0.5, 1.0, 2.0, 4.0, 8.0])
+            .regions()
+            .to_vec();
+        nested.extend_from_slice(RegionSet::circles(centres, &[0.7, 1.5, 3.0]).regions());
+        let nested = RegionSet::from_regions(nested);
+        let m = ScanEngine::build(&scattered_outcomes(), &nested, CountingStrategy::Membership)
+            .unwrap();
+        let m = m.membership().unwrap();
+        assert!(m.total_ids() < (0..m.num_regions()).map(|r| m.n_of(r) as usize).sum());
         for (o, regions) in [
             (outcomes(), region_set()),
             (dense_outcomes(), region_set()),
             (scattered_outcomes(), grid),
+            (scattered_outcomes(), nested),
         ] {
             for strategy in [
                 CountingStrategy::Membership,
