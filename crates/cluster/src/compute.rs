@@ -55,6 +55,51 @@ pub struct SpanPartials {
     pub p_partials: Vec<u64>,
 }
 
+/// What one word window can hold: each region's members inside it and
+/// the window's point count. A partial beyond these could not have come
+/// from counting, so a coordinator rejects the reply carrying it
+/// instead of folding it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct WindowCapacity {
+    /// `region_n[r]`: region `r`'s members inside the window.
+    pub(crate) region_n: Vec<u64>,
+    /// Points inside the window.
+    pub(crate) points: u64,
+}
+
+impl WindowCapacity {
+    /// Checks a span's partials (`counts[r * W + k]`, `p_partials[k]`,
+    /// dimensions already matched) against the window: for every world
+    /// `k`, `p_partials[k] ≤ points`, and for every region `r`, its
+    /// count fits inside the region (`≤ region_n[r]`), inside the
+    /// window's positives (`≤ p_partials[k]`), and leaves no more
+    /// positives outside the region than there are points
+    /// (`p_partials[k] − count + region_n[r] ≤ points`). Partials that
+    /// pass in every window sum to counts every statistic accepts.
+    pub(crate) fn check(&self, counts: &[u64], p_partials: &[u64]) -> Result<(), String> {
+        let width = p_partials.len();
+        for (k, &p) in p_partials.iter().enumerate() {
+            if p > self.points {
+                return Err(format!(
+                    "world {k}: {p} positives in a window of {} points",
+                    self.points
+                ));
+            }
+            for (r, &n_r) in self.region_n.iter().enumerate() {
+                let c = counts[r * width + k];
+                if c > n_r || c > p || p - c + n_r > self.points {
+                    return Err(format!(
+                        "world {k}, region {r}: {c} positives for {n_r} members \
+                         ({p} positives, {} points in the window)",
+                        self.points
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Errors a span request can hit before any counting happens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanError {
@@ -140,6 +185,25 @@ impl SpanCounter {
         self.prepared.num_points()
     }
 
+    /// What word window `word_lo..word_hi` can hold (see
+    /// [`WindowCapacity`]). Clips the CSR once and keeps only the sizes.
+    ///
+    /// # Panics
+    /// Panics on a window [`BlockedMembership::clip_to_words`] rejects.
+    pub(crate) fn window_capacity(&self, word_lo: usize, word_hi: usize) -> WindowCapacity {
+        let view = self
+            .prepared
+            .engine()
+            .blocked()
+            .expect("constructor verified the blocked substrate")
+            .clip_to_words(word_lo, word_hi);
+        let n = self.num_points();
+        WindowCapacity {
+            region_n: (0..view.num_regions()).map(|r| view.n_of(r)).collect(),
+            points: ((word_hi * 64).min(n) - (word_lo * 64).min(n)) as u64,
+        }
+    }
+
     fn view(&self, word_lo: usize, word_hi: usize) -> Arc<BlockedMembership> {
         let mut views = self.views.lock().expect("view cache lock");
         views
@@ -194,5 +258,29 @@ impl SpanCounter {
             .map(|labels| labels.count_ones_in_words(word_lo, word_hi))
             .collect();
         Ok(SpanPartials { counts, p_partials })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WindowCapacity;
+
+    #[test]
+    fn window_capacity_rejects_impossible_partials() {
+        // Two regions of 3 and 0 members in a 10-point window, two worlds.
+        let cap = WindowCapacity {
+            region_n: vec![3, 0],
+            points: 10,
+        };
+        // counts[r * 2 + k]: region 0 holds 2 and 3 positives, region 1 none.
+        assert_eq!(cap.check(&[2, 3, 0, 0], &[4, 10]), Ok(()));
+        // More positives than members.
+        assert!(cap.check(&[4, 3, 0, 0], &[4, 10]).is_err());
+        assert!(cap.check(&[2, 3, 1, 0], &[4, 10]).is_err());
+        // More positives than the window's.
+        assert!(cap.check(&[2, 3, 0, 0], &[1, 10]).is_err());
+        assert!(cap.check(&[2, 3, 0, 0], &[4, 11]).is_err());
+        // All 10 points positive, yet region 0 reports only 2 of its 3.
+        assert!(cap.check(&[3, 2, 0, 0], &[4, 10]).is_err());
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! Each dispatch carries a deadline derived from the injected
 //! [`Clock`]. A missed deadline, dropped connection, undecodable
-//! reply, or remote error fails the dispatch: the worker takes a
-//! health-state hit (`Healthy → Suspect`, and `Dead` after
+//! reply, reply whose counts its word window cannot hold, or remote
+//! error fails the dispatch: the
+//! worker takes a health-state hit (`Healthy → Suspect`, and `Dead` after
 //! [`CoordinatorConfig::dead_after`] consecutive failures), the
 //! connection is discarded, and exactly that shard's span is
 //! re-dispatched after a capped exponential backoff — first to the
@@ -32,7 +33,7 @@
 //! [`fold_counts`]: sfscan::engine::ScanEngine::fold_counts
 //! [`shard_word_bounds`]: sfindex::shard_word_bounds
 
-use crate::compute::{SpanCounter, SpanError, SpanSpec};
+use crate::compute::{SpanCounter, SpanError, SpanSpec, WindowCapacity};
 use crate::wire::{CountRequest, WorkerReply, WorkerRequest};
 use serde::{Deserialize, Serialize};
 use sfindex::shard_word_bounds;
@@ -154,7 +155,8 @@ pub struct ClusterStats {
     pub deadline_misses: u64,
     /// Dispatches failed on connect/write/EOF errors.
     pub conn_errors: u64,
-    /// Dispatches failed on undecodable or mismatched replies.
+    /// Dispatches failed on undecodable, mismatched or impossible
+    /// replies.
     pub corrupt_replies: u64,
     /// Dispatches the worker answered with a typed error.
     pub remote_errors: u64,
@@ -213,6 +215,9 @@ pub struct DistributedEvaluator {
     counter: SpanCounter,
     workers: Vec<WorkerSlot>,
     bounds: Vec<(usize, usize)>,
+    /// What each shard window can hold, for rejecting impossible
+    /// partials before they reach the fold.
+    capacities: Vec<WindowCapacity>,
     config: CoordinatorConfig,
     clock: Arc<dyn Clock>,
     next_id: AtomicU64,
@@ -246,6 +251,10 @@ impl DistributedEvaluator {
         }
         let counter = SpanCounter::new(prepared)?;
         let bounds = shard_word_bounds(counter.num_label_words(), addrs.len());
+        let capacities = bounds
+            .iter()
+            .map(|&(lo, hi)| counter.window_capacity(lo, hi))
+            .collect();
         Ok(DistributedEvaluator {
             counter,
             workers: addrs
@@ -256,6 +265,7 @@ impl DistributedEvaluator {
                 })
                 .collect(),
             bounds,
+            capacities,
             config,
             clock,
             next_id: AtomicU64::new(0),
@@ -327,7 +337,7 @@ impl DistributedEvaluator {
                     std::thread::sleep(Duration::from_millis(backoff));
                 }
             }
-            match self.dispatch(w, &request) {
+            match self.dispatch(w, &request, &self.capacities[shard]) {
                 Ok((counts, p_partials)) => {
                     self.stats.completed_remote.fetch_add(1, Ordering::SeqCst);
                     return (counts, p_partials);
@@ -397,17 +407,19 @@ impl DistributedEvaluator {
     }
 
     /// One wire dispatch: connect (lazily), send, read one reply under
-    /// the deadline, validate shape. Updates the worker's health
-    /// machine on both outcomes.
+    /// the deadline, validate its shape and its counts against what the
+    /// request's window can hold. Updates the worker's health machine
+    /// on both outcomes.
     fn dispatch(
         &self,
         w: usize,
         request: &CountRequest,
+        capacity: &WindowCapacity,
     ) -> Result<(Vec<u64>, Vec<u64>), DispatchError> {
         self.stats.dispatches.fetch_add(1, Ordering::SeqCst);
         let slot = &self.workers[w];
         let mut state = slot.state.lock().expect("worker slot lock");
-        let result = self.dispatch_locked(&mut state, &slot.addr, request);
+        let result = self.dispatch_locked(&mut state, &slot.addr, request, capacity);
         match &result {
             Ok(_) => {
                 state.consecutive_failures = 0;
@@ -432,6 +444,7 @@ impl DistributedEvaluator {
         state: &mut SlotState,
         addr: &str,
         request: &CountRequest,
+        capacity: &WindowCapacity,
     ) -> Result<(Vec<u64>, Vec<u64>), DispatchError> {
         if state.stream.is_none() {
             use std::net::ToSocketAddrs;
@@ -493,6 +506,11 @@ impl DistributedEvaluator {
                         "reply dimensions disagree with the request span",
                     )));
                 }
+                // Well-formed but impossible counts would otherwise
+                // reach the fold and panic there.
+                capacity
+                    .check(&counts, &p_partials)
+                    .map_err(DispatchError::Corrupt)?;
                 Ok((counts, p_partials))
             }
             Ok(WorkerReply::Err { error, .. }) => Err(DispatchError::Remote(error)),

@@ -179,6 +179,104 @@ fn injected_delays_miss_deadlines_and_still_bit_identical() {
     assert!(stats.deadline_misses > 0, "no deadline fired: {stats:?}");
 }
 
+/// Rewrites a span's honest `(counts, p_partials)` into impossible
+/// ones, given the whole world's point count.
+type Tamper = fn(&mut [u64], &mut [u64], u64);
+
+/// A loopback shard worker that counts honestly but runs its first
+/// `lies` count replies through `tamper` — well-formed lines carrying
+/// counts no window can hold. Returns its address.
+fn lying_worker(counter: Arc<SpanCounter>, lies: usize, tamper: Tamper) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut told = 0;
+        // The coordinator drops a connection after a failed dispatch
+        // and reconnects for the retry.
+        for stream in listener.incoming() {
+            let stream = stream.unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                let Ok(WorkerRequest::Count(request)) = WorkerRequest::from_json(line.trim())
+                else {
+                    panic!("unexpected request {line}");
+                };
+                let (lo, hi) = (request.word_lo as usize, request.word_hi as usize);
+                let mut partials = counter
+                    .count_span(SpanSpec {
+                        null_model: request.null_model,
+                        worldgen: request.worldgen,
+                        seed: request.seed,
+                        first: request.first as usize,
+                        count: request.count as usize,
+                        word_lo: lo,
+                        word_hi: hi,
+                    })
+                    .unwrap();
+                if told < lies {
+                    told += 1;
+                    let points = counter.num_points() as u64;
+                    tamper(&mut partials.counts, &mut partials.p_partials, points);
+                }
+                let reply = WorkerReply::Count {
+                    id: request.id,
+                    counts: partials.counts,
+                    p_partials: partials.p_partials,
+                };
+                if writer
+                    .write_all(format!("{}\n", reply.to_json()).as_bytes())
+                    .is_err()
+                {
+                    break;
+                }
+                line.clear();
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn impossible_counts_are_corrupt_and_redispatched() {
+    let prepared = prepared(900);
+    let requests = request_matrix();
+    let reference = render(&prepared.run_batch(&requests));
+    let tampers: [Tamper; 3] = [
+        // A region with more positives than its whole window.
+        |counts, p_partials, _| counts[0] = p_partials[0] + 1,
+        // More positives than the whole world has points.
+        |_, p_partials, points| p_partials[0] = points + 1,
+        // A region with more positives than the whole world has points.
+        |counts, _, points| counts[0] = points + 1,
+    ];
+    for tamper in tampers {
+        let counter = Arc::new(SpanCounter::new(prepared.clone()).unwrap());
+        let addr = lying_worker(counter, 2, tamper);
+        let eval = DistributedEvaluator::new(
+            prepared.clone(),
+            &[addr],
+            CoordinatorConfig {
+                backoff_base_ms: 1,
+                ..CoordinatorConfig::default()
+            },
+            Arc::new(SystemClock::new()),
+        )
+        .unwrap();
+        let mut cache = WorldCache::new();
+        let (reports, _) = prepared.run_batch_cached_with(&requests, &mut cache, Some(&eval));
+        assert_eq!(render(&reports), reference);
+        let stats = eval.stats();
+        assert_eq!(stats.corrupt_replies, 2, "{stats:?}");
+        assert_eq!(stats.redispatches, 2, "{stats:?}");
+        assert_eq!(stats.degraded_local_spans, 0, "{stats:?}");
+        assert_eq!(eval.worker_health(0), WorkerHealth::Healthy);
+    }
+}
+
 #[test]
 fn no_live_workers_degrades_to_local_and_stays_bit_identical() {
     let prepared = prepared(1200);

@@ -46,6 +46,25 @@
 //! keeps counting the full lists, which makes it an independent check
 //! on the ring sweep.
 //!
+//! # Exact τ fold
+//!
+//! A world's `τ` is the maximum region score, so only a score that
+//! beats the running maximum can change it. [`ScanEngine::fold_counts`]
+//! (behind [`ScanEngine::eval`], the distributed coordinator and every
+//! other world path) hands each world's non-empty regions to
+//! [`TauKernel::fold_tau`], which scores every region once for all
+//! requested directions: the exact integer `d = p·N − n·P` routes the
+//! single LLR to `TwoSided` plus `High` (`d > 0`) or `Low` (`d < 0`),
+//! and the logs are taken only when the region's Pearson `X²` — an
+//! upper bound on the LLR, plus a rounding margin — reaches the
+//! smallest running `τ` among the slots it feeds. Mean-residual scores
+//! take no logs and run the plain per-direction loop. Skipped regions
+//! are exactly those whose score could not have won, and the LLR
+//! formula is unchanged, so every `τ` is bit-identical to the
+//! per-region, per-direction [`TauKernel::score`] loop that
+//! [`ScanEngine::scan_real_with`] still runs; the `fold_oracle`
+//! property tests pin the two against each other.
+//!
 //! # Auto counting strategy
 //!
 //! [`CountingStrategy::Auto`] resolves Membership vs Requery from the
@@ -1022,17 +1041,22 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// The world fold — the only place a simulated world's `τ` is
     /// scored: `counts[r * W + w]` is `p(R_r)` under world `w`,
     /// `p_worlds[w]` that world's total positives. Per world, every
-    /// non-empty region's `(n_r, p_r, N, P_world)` quadruple is scored
-    /// through the same [`TauKernel`] in region order and the maximum
-    /// kept per direction — so a caller that reduces exact integer
-    /// count partials from *anywhere* (engine shards, shard-worker
-    /// processes, a degraded local recount) and feeds them here gets
-    /// `τ` values bit-identical to [`ScanEngine::eval`]. This is the
-    /// distributed coordinator's folding half.
+    /// non-empty region's `(n_r, p_r, N, P_world)` quadruple goes
+    /// through [`TauKernel::fold_tau`] in region order, which writes
+    /// exactly the per-direction maximum of [`TauKernel::score`] while
+    /// scoring each region once and skipping the logs of regions that
+    /// cannot win (see *Exact τ fold* in the module docs) — so a caller
+    /// that reduces exact integer count partials from *anywhere*
+    /// (engine shards, shard-worker processes, a degraded local
+    /// recount) and feeds them here gets `τ` values bit-identical to
+    /// [`ScanEngine::eval`]. This is the distributed coordinator's
+    /// folding half.
     ///
     /// # Panics
     /// Panics when the matrix dimensions disagree with
-    /// `p_worlds.len() × directions.len()` / the region count.
+    /// `p_worlds.len() × directions.len()` / the region count, or on a
+    /// count the statistic's validation rejects (a region holding more
+    /// positives than observations, or than the world).
     pub fn fold_counts(
         &self,
         statistic: Statistic,
@@ -1041,35 +1065,52 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         directions: &[Direction],
         out: &mut [f64],
     ) {
-        let width = p_worlds.len();
-        let stride = directions.len();
-        assert_eq!(
-            out.len(),
-            width * stride,
-            "one output slot per (world, direction)"
+        fold_matrix(
+            statistic,
+            self.n_total,
+            &self.region_n,
+            p_worlds,
+            counts,
+            directions,
+            out,
         );
-        assert_eq!(
-            counts.len(),
-            self.region_n.len() * width,
-            "one count per (region, world)"
+    }
+}
+
+/// [`ScanEngine::fold_counts`] over an explicit world size `n_total`
+/// and region sizes `region_n`.
+fn fold_matrix(
+    statistic: Statistic,
+    n_total: u64,
+    region_n: &[u64],
+    p_worlds: &[u64],
+    counts: &[u64],
+    directions: &[Direction],
+    out: &mut [f64],
+) {
+    let width = p_worlds.len();
+    let stride = directions.len();
+    assert_eq!(
+        out.len(),
+        width * stride,
+        "one output slot per (world, direction)"
+    );
+    assert_eq!(
+        counts.len(),
+        region_n.len() * width,
+        "one count per (region, world)"
+    );
+    for (w, &p_world) in p_worlds.iter().enumerate() {
+        let regions = region_n
+            .iter()
+            .zip(counts.iter().skip(w).step_by(width))
+            .filter(|(&n_r, _)| n_r != 0)
+            .map(|(&n_r, &p_r)| (n_r, p_r));
+        TauKernel::new(statistic, n_total, p_world).fold_tau(
+            regions,
+            directions,
+            &mut out[w * stride..(w + 1) * stride],
         );
-        out.fill(0.0);
-        for (w, &p_world) in p_worlds.iter().enumerate() {
-            let kernel = TauKernel::new(statistic, self.n_total, p_world);
-            let tau = &mut out[w * stride..(w + 1) * stride];
-            for (r, &n_r) in self.region_n.iter().enumerate() {
-                if n_r == 0 {
-                    continue;
-                }
-                let p_r = counts[r * width + w];
-                for (tau, &direction) in tau.iter_mut().zip(directions) {
-                    let llr = kernel.score(n_r, p_r, direction);
-                    if llr > *tau {
-                        *tau = llr;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1173,6 +1214,9 @@ fn resolve_strategy(
         }
     }
 }
+
+#[cfg(test)]
+mod fold_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -32,8 +32,42 @@
 //!   naturally with permutation nulls, where every world holds `P`
 //!   fixed. Continuous outcome streams enter by centering/thresholding
 //!   at preparation time (the `meanvar` moment machinery in `sfscan`).
+//!
+//! # The exact world fold
+//!
+//! [`TauKernel::score`] scores one region in one direction; it is the
+//! per-region path of a real-data scan and the oracle for
+//! [`TauKernel::fold_tau`], which produces a whole world's `τ` for
+//! every requested direction with the same bits as the
+//! `max`-of-`score` loop. For the two LLR statistics it scores each
+//! region once:
+//!
+//! * **One score per region.** A region's LLR does not depend on the
+//!   direction; the direction only gates it. The exact integer
+//!   `d = p·N − n·P` (in `u64`, or `u128` when a product overflows)
+//!   decides the gate: `d = 0` means equal
+//!   rates and a zero score, `d > 0` routes the single LLR to the
+//!   `TwoSided` and `High` slots, `d < 0` to `TwoSided` and `Low`.
+//!   Division rounding is monotone, so the float rates `llr` compares
+//!   can tie but never cross the exact order; the fold keeps `llr`'s
+//!   float `rate_in == rate_out` check, so a tie (possible once
+//!   `N ≥ 2^27`) still scores zero everywhere.
+//! * **Logs only where they can win.** `τ` is a maximum, and a score
+//!   that cannot beat every slot it feeds cannot change a bit of it.
+//!   The LLR never exceeds Pearson's `X²` (see [`crate::llr`]), so the
+//!   fold takes the logs only when `X²·(1 + 10⁻⁹) + margin` reaches the
+//!   smallest running `τ` among those slots, compared without a
+//!   division. The margin (`llr_rounding_margin`, `64·ε·(|l0| + N)`)
+//!   bounds how far rounding can lift a computed LLR above the exact
+//!   one; the `10⁻⁹` covers the rounding of `X²` itself.
+//!
+//! The per-world constants (`l0`, `P·(N−P)`, the margin) are computed
+//! once per [`TauKernel::fold_tau`] call, i.e. once per world. The
+//! mean residual takes no logs and runs the plain `score` loop.
 
-use crate::llr::{bernoulli_llr_directed, Counts2x2};
+use crate::llr::{
+    bernoulli_llr_directed, llr_given_null, llr_rounding_margin, null_log_likelihood, Counts2x2,
+};
 use crate::pvalue::Direction;
 use serde::{Deserialize, Serialize};
 
@@ -188,6 +222,93 @@ impl TauKernel {
         }
     }
 
+    /// Writes this world's `τ` for each of `directions` into `tau`:
+    /// `tau[i]` is the maximum over `regions` of
+    /// `self.score(n_r, p_r, directions[i])`, or `0` when no region
+    /// scores above it. Bit-identical to that loop for any direction
+    /// list, permutations and repeats included; for the LLR statistics
+    /// each region is scored once and the logs are skipped wherever its
+    /// `X²` bound shows the region cannot raise a slot (see the module
+    /// docs). Every `(n_r, p_r)` pair is validated exactly as `score`
+    /// validates it.
+    ///
+    /// # Panics
+    /// Panics if `tau.len() != directions.len()`, or (LLR statistics)
+    /// on a count pair [`Counts2x2::new`] rejects.
+    pub fn fold_tau<I>(&self, regions: I, directions: &[Direction], tau: &mut [f64])
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+    {
+        assert_eq!(tau.len(), directions.len(), "one τ slot per direction");
+        tau.fill(0.0);
+        match self.statistic {
+            Statistic::BernoulliLlr | Statistic::EqualOppTpr => {
+                self.fold_llr(regions, directions, tau)
+            }
+            Statistic::MeanResidual => {
+                for (n_r, p_r) in regions {
+                    for (t, &direction) in tau.iter_mut().zip(directions) {
+                        let score = self.score(n_r, p_r, direction);
+                        if score > *t {
+                            *t = score;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn fold_llr<I>(&self, regions: I, directions: &[Direction], tau: &mut [f64])
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+    {
+        let (big_n, big_p) = (self.n_total, self.p_total);
+        let (nn, pp) = (big_n as f64, big_p as f64);
+        let l0 = null_log_likelihood(big_n, big_p);
+        let margin = llr_rounding_margin(l0, nn);
+        let pq = pp * (nn - pp);
+        let scale = nn * (1.0 + X2_SLACK);
+        // Per side (above, below), the smallest running τ among the
+        // slots it feeds (+∞ when it feeds none): a score below it
+        // changes nothing.
+        let mut floors = side_floors(directions, tau);
+        for (n_r, p_r) in regions {
+            Counts2x2::new(n_r, p_r, big_n, big_p);
+            if n_r == 0 || n_r == big_n {
+                continue;
+            }
+            // The sign of d picks the side. d = 0 (equal rates) gets no
+            // branch of its own: its bound is at most the margin, and a
+            // region the bound does not skip meets the rate check below,
+            // which equal rates never pass.
+            let (low, dev) = deviation(n_r, p_r, big_n, big_p);
+            let (n, p) = (n_r as f64, p_r as f64);
+            // X² = N·d² / den, compared against the floor without the
+            // division: den > 0 whenever d ≠ 0 (0 < n < N, and d ≠ 0
+            // forces 0 < P < N).
+            let den = n * (nn - n) * pq;
+            let floor = floors[usize::from(low)];
+            if scale * dev * dev + margin * den < floor * den {
+                continue;
+            }
+            let (n_out, p_out) = (nn - n, pp - p);
+            if p / n == p_out / n_out {
+                continue;
+            }
+            let score = llr_given_null(n, p, n_out, p_out, l0);
+            let mut raised = false;
+            for (t, &direction) in tau.iter_mut().zip(directions) {
+                if feeds(direction, low) && score > *t {
+                    *t = score;
+                    raised = true;
+                }
+            }
+            if raised {
+                floors = side_floors(directions, tau);
+            }
+        }
+    }
+
     /// Standardized mean residual: with `ρ = P/N`, the region's mean
     /// residual is `p/n − ρ` and its null standard error `√(ρ(1−ρ)/n)`,
     /// giving the z-style score `(p/n − ρ)·√n / √(ρ(1−ρ))`.
@@ -213,6 +334,49 @@ impl TauKernel {
             Direction::Low => (-z).max(0.0),
         }
     }
+}
+
+/// Relative slack on the computed `X²` in the fold's skip test: far
+/// above the few-ulp rounding of its products, far below any margin
+/// that would make the skip useless.
+const X2_SLACK: f64 = 1e-9;
+
+/// The exact deviation `d = p·N − n·P` as (`d < 0`, `|d|` rounded to
+/// `f64` once): in `u64` when both products fit (every dataset under
+/// 2^32 points), in `u128` otherwise.
+#[inline]
+fn deviation(n_r: u64, p_r: u64, big_n: u64, big_p: u64) -> (bool, f64) {
+    match (p_r.checked_mul(big_n), n_r.checked_mul(big_p)) {
+        (Some(above), Some(below)) => (above < below, above.abs_diff(below) as f64),
+        _ => {
+            let above = u128::from(p_r) * u128::from(big_n);
+            let below = u128::from(n_r) * u128::from(big_p);
+            (above < below, above.abs_diff(below) as f64)
+        }
+    }
+}
+
+/// Whether a region whose inside rate is below (`low`) or above the
+/// outside rate scores in `direction`.
+#[inline]
+fn feeds(direction: Direction, low: bool) -> bool {
+    match direction {
+        Direction::TwoSided => true,
+        Direction::High => !low,
+        Direction::Low => low,
+    }
+}
+
+/// The smallest running τ among the slots each side feeds, indexed by
+/// `low` (+∞ for a side that feeds none).
+fn side_floors(directions: &[Direction], tau: &[f64]) -> [f64; 2] {
+    [false, true].map(|low| {
+        directions
+            .iter()
+            .zip(tau)
+            .filter(|(&direction, _)| feeds(direction, low))
+            .fold(f64::INFINITY, |floor, (_, &t)| floor.min(t))
+    })
 }
 
 #[cfg(test)]

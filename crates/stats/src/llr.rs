@@ -25,6 +25,27 @@
 //! equivalent, and all public APIs work in log space for numerical
 //! stability (the paper: "in practice, we compute and determine the
 //! difference of log-likelihoods").
+//!
+//! # The Pearson X² bound
+//!
+//! The LLR is `N` times a Kullback–Leibler divergence: `LLR(R) =
+//! n·KL(ρ̂0‖ρ̂) + (N−n)·KL(ρ̂1‖ρ̂)`, and `KL(a‖b) ≤ (a−b)²/(b(1−b))` (KL
+//! never exceeds the χ² divergence). With the exact integer deviation
+//! `d = p·N − n·P` we have `ρ̂0 − ρ̂ = d/(nN)` and `ρ̂1 − ρ̂ =
+//! −d/((N−n)N)`, so the two terms sum to Pearson's statistic of the
+//! region's 2×2 table:
+//!
+//! ```text
+//! LLR(R) ≤ X²(R) = N·d² / (n·(N−n)·P·(N−P))
+//! ```
+//!
+//! No logarithm is needed to evaluate `X²`, and `d` also decides the
+//! direction: `d > 0` exactly when the inside rate is above the
+//! outside rate (the global rate is their weighted average). The
+//! world fold in [`crate::kernel`] uses both facts to take logs only
+//! for regions whose bound can still beat the running maximum; the
+//! bound holds for the *computed* LLR up to a rounding margin
+//! (`llr_rounding_margin`).
 
 use serde::{Deserialize, Serialize};
 
@@ -189,10 +210,38 @@ fn llr_impl(c: &Counts2x2, direction: Direction) -> f64 {
         // Eq. 1's "otherwise" branch: L1 collapses to L0.
         return 0.0;
     }
+    llr_given_null(n, p, n_out, p_out, ll_at_mle(nn, pp))
+}
+
+/// The LLR of a region whose inside and outside rates differ, given
+/// the world's null log-likelihood `l0 = ll_at_mle(N, P)`: the log
+/// arithmetic [`bernoulli_llr_directed`] runs after its gates, shared
+/// with the world fold so both produce the same bits.
+#[inline]
+pub(crate) fn llr_given_null(n: f64, p: f64, n_out: f64, p_out: f64, l0: f64) -> f64 {
     let l1 = ll_at_mle(n, p) + ll_at_mle(n_out, p_out);
-    let l0 = ll_at_mle(nn, pp);
     // Guard tiny negative values from floating-point cancellation.
     (l1 - l0).max(0.0)
+}
+
+/// An absolute bound on how far the *computed* LLR of any region of a
+/// world with `N = n_total` observations and null log-likelihood `l0`
+/// can exceed the exact one: `64·ε·(|l0| + N)`.
+///
+/// Every `xlogy` term of `l1` and `l0` is `≤ 0` (a count times the log
+/// of a rate in `[0, 1]`), and `l1 ≥ l0`, so `|l1| ≤ |l0|`. A term
+/// `x·ln(y)` with a correctly rounded rate `y` is off by at most `2ε`
+/// of its magnitude (the product and the log's own rounding) plus `x·ε`
+/// from the rate's rounding — and for `y = 1 − p/n` the subtraction
+/// amplifies `p/n`'s error by `p/(n−p)`, which the factor `x = n−p`
+/// turns back into `p·ε`. Each `ll_at_mle(n, p)` is therefore within
+/// `3ε·|ll| + 2n·ε`, the two-term `l1` within `4ε·|l1| + 2N·ε`, and the
+/// final subtraction adds `ε` relative. In all, `computed LLR ≤
+/// (1 + ε)·LLR + 8ε·|l0| + 5N·ε`, which the margin covers eight times
+/// over (the relative `ε` is left to the caller's relative slack).
+#[inline]
+pub(crate) fn llr_rounding_margin(l0: f64, n_total: f64) -> f64 {
+    64.0 * f64::EPSILON * (l0.abs() + n_total)
 }
 
 /// The log-likelihood of the *null* hypothesis at its maximum
@@ -363,6 +412,55 @@ mod tests {
     fn counts_validate_outside() {
         // inside 50 obs 0 pos; outside 50 obs but 60 positives claimed.
         let _ = Counts2x2::new(50, 0, 100, 60);
+    }
+
+    /// Pearson's X² of a region's 2×2 table from the exact deviation.
+    fn pearson_x2(n: u64, p: u64, nn: u64, pp: u64) -> f64 {
+        let d = (i128::from(p) * i128::from(nn) - i128::from(n) * i128::from(pp)).unsigned_abs();
+        let d = d as f64;
+        nn as f64 * d * d / (n as f64 * (nn - n) as f64 * pp as f64 * (nn - pp) as f64)
+    }
+
+    /// `computed LLR ≤ X²·(1 + 10⁻⁹) + margin`, the inequality the world
+    /// fold's skip relies on.
+    fn assert_bounded(n: u64, p: u64, nn: u64, pp: u64) -> bool {
+        let llr = bernoulli_llr(&counts(n, p, nn, pp));
+        if llr == 0.0 {
+            return false;
+        }
+        let x2 = pearson_x2(n, p, nn, pp);
+        let margin = llr_rounding_margin(null_log_likelihood(nn, pp), nn as f64);
+        assert!(
+            llr <= x2 * (1.0 + 1e-9) + margin,
+            "n={n} p={p} N={nn} P={pp}: llr {llr} > X² {x2} + {margin}"
+        );
+        llr > x2
+    }
+
+    #[test]
+    fn pearson_x2_bounds_the_computed_llr() {
+        // Every table of every world up to N = 40.
+        for nn in 2..=40u64 {
+            for pp in 1..nn {
+                for n in 1..nn {
+                    for p in pp.saturating_sub(nn - n)..=n.min(pp) {
+                        assert_bounded(n, p, nn, pp);
+                    }
+                }
+            }
+        }
+        // Near-ties at N up to 2^31, where the exact LLR is ~0 and the
+        // computed one is all rounding: there the margin, not X², is
+        // what bounds it.
+        let mut margin_needed = false;
+        for k in 0..4_000u64 {
+            let nn = (1u64 << 31) - 1 - k * 7_919;
+            let pp = nn / 3 + k * 104_729;
+            let n = nn / 5 + k * 15_485_863 % (nn / 2);
+            let p = ((u128::from(n) * u128::from(pp)) / u128::from(nn)) as u64;
+            margin_needed |= assert_bounded(n, p, nn, pp);
+        }
+        assert!(margin_needed, "no near-tie exercised the rounding margin");
     }
 
     #[test]
