@@ -321,9 +321,9 @@ struct ServeBenchRecord {
     /// gain of word generation; asserted `>= 2` at full scale.
     word_batch_speedup: f64,
     /// Word-path reports bit-identical between the blocked service and
-    /// a scalar-strategy prepared engine (per-world label sets agree
-    /// across storage layouts), and word-world per-region counts
-    /// identical between membership and blocked counting.
+    /// a scalar-strategy prepared engine, and word worlds and their
+    /// per-region counts identical between membership and blocked
+    /// counting.
     word_bit_identical: bool,
     /// Shards the isolation engine was split into (≥ 2 so the
     /// shard-partial reduce is exercised even on one core).
@@ -611,8 +611,7 @@ pub fn run(opts: &Options) {
 
     // Word bit-identity across counting strategies: the blocked
     // service's word reports must equal a scalar-strategy prepared
-    // engine's word reports (same physical labels, different storage
-    // layout).
+    // engine's word reports (the same worlds, counted differently).
     let word_reference = PreparedAudit::prepare(&outcomes, &regions, base)
         .expect("auditable")
         .run_batch(&word_requests);
@@ -676,18 +675,17 @@ pub fn run(opts: &Options) {
     let mut counting_scalar_ms = 0.0f64;
     let mut counting_blocked_ms = 0.0f64;
     for w in 0..counting_worlds {
-        // Same world drawn once per layout (identical RNG streams).
+        // Every engine stores worlds in one layout, so both structures
+        // count the same drawn world.
         let mut rng = sfstats::rng::world_rng(base.seed, w as u64);
         let world = scalar_engine.generate_world(NullModel::Bernoulli, &mut rng);
-        let mut rng = sfstats::rng::world_rng(base.seed, w as u64);
-        let blocked_world = blocked_engine.generate_world(NullModel::Bernoulli, &mut rng);
 
         let t = Instant::now();
         membership.count_all_into(&world, &mut scalar_counts);
         counting_scalar_ms += t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        blocked.count_all_into(&blocked_world, &mut blocked_counts);
+        blocked.count_all_into(&world, &mut blocked_counts);
         counting_blocked_ms += t.elapsed().as_secs_f64() * 1e3;
 
         counting_bit_identical &= scalar_counts == blocked_counts;
@@ -866,9 +864,9 @@ pub fn run(opts: &Options) {
         );
     }
 
-    // Word-world count integrity across layouts: the same word world,
-    // generated by the scalar-strategy and blocked engines, must
-    // produce identical per-region counts (the harness that pins the
+    // Word-world integrity across strategies: the scalar-strategy and
+    // blocked engines must draw the same word world and count it to
+    // identical per-region counts (the harness that pins the
     // cross-strategy bit-identity of the τ comparison above, at the
     // counting level).
     for w in 0..counting_worlds.min(64) {
@@ -878,7 +876,7 @@ pub fn run(opts: &Options) {
         let bw = blocked_engine.generate_world_with(NullModel::Bernoulli, WorldGen::Word, &mut rng);
         membership.count_all_into(&mw, &mut scalar_counts);
         blocked.count_all_into(&bw, &mut blocked_counts);
-        word_bit_identical &= scalar_counts == blocked_counts;
+        word_bit_identical &= mw == bw && scalar_counts == blocked_counts;
     }
     assert!(
         word_bit_identical,

@@ -22,14 +22,13 @@
 //!
 //! Mask density — member ids per touched word — decides whether the
 //! popcnt sweep beats the scalar gather. Dataset-order ids scatter a
-//! compact region's members across the whole bitset; sorting ids by
-//! Morton (Z-order) code of their location ([`morton_layout`]) makes
-//! spatially compact regions own dense runs of bit positions instead.
-//! A layout-compiled `BlockedMembership` therefore counts against
-//! labels stored in *layout space*: bit `to_pos[id]` holds original
-//! id's label. Counts are layout-invariant (a permutation reorders the
-//! summands of `p(R)`), which is what keeps blocked counting
-//! bit-identical to the scalar paths.
+//! compact region's members across the whole bitset; ranking points by
+//! the Morton (Z-order) code of their location ([`morton_layout`])
+//! makes spatially compact regions own dense runs of bit positions
+//! instead. The masks count whatever positions the lists hold: a scan
+//! engine enumerates every member as its Morton position, so its lists,
+//! masks and worlds share one layout. Counts are layout-invariant (a
+//! permutation reorders the summands of `p(R)`).
 //!
 //! # Validation
 //!
@@ -74,11 +73,6 @@ pub enum BlockedBuildError {
         /// Number of points the lists may refer to.
         num_points: usize,
     },
-    /// The id layout is not a permutation of `0..num_points`.
-    InvalidLayout {
-        /// What is wrong with the layout.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for BlockedBuildError {
@@ -99,9 +93,6 @@ impl std::fmt::Display for BlockedBuildError {
                 f,
                 "region {region}: member id {id} out of range for {num_points} points"
             ),
-            BlockedBuildError::InvalidLayout { reason } => {
-                write!(f, "invalid id layout: {reason}")
-            }
         }
     }
 }
@@ -125,14 +116,12 @@ pub struct BlockedMembership {
     /// World-invariant `n(R)` (total mask popcount per region).
     region_n: Vec<u64>,
     num_points: usize,
-    /// Original id → bit position in layout space (`None` = identity).
-    to_pos: Option<Vec<u32>>,
 }
 
 impl BlockedMembership {
-    /// Compiles a [`Membership`] in identity layout: bit positions are
-    /// the original ids, so the masks count the same label bitsets the
-    /// scalar path reads.
+    /// Compiles a [`Membership`]: bit positions are the ids its lists
+    /// hold, so the masks count the same label bitsets the scalar path
+    /// reads.
     ///
     /// # Errors
     /// [`BlockedBuildError`] if any member list is unsorted, contains
@@ -145,51 +134,14 @@ impl BlockedMembership {
         )
     }
 
-    /// Compiles a [`Membership`] in a permuted id layout: member id
-    /// `id` occupies bit `to_pos[id]`, so spatially coherent layouts
-    /// (e.g. [`morton_layout`]) produce dense masks. Label bitsets
-    /// counted against this compilation must be built in the same
-    /// layout (see [`BlockedMembership::position_of`]).
-    ///
-    /// # Errors
-    /// [`BlockedBuildError`] for invalid member lists (as in
-    /// [`BlockedMembership::compile`]) or a `to_pos` that is not a
-    /// permutation of `0..num_points`.
-    pub fn compile_with_layout(
-        membership: &Membership,
-        to_pos: Vec<u32>,
-    ) -> Result<Self, BlockedBuildError> {
-        validate_layout(&to_pos, membership.num_points())?;
-        let mut compiled = Self::compile_core(
-            (0..membership.num_regions()).map(|r| membership.members(r)),
-            membership.num_points(),
-            Some(&to_pos),
-        )?;
-        compiled.to_pos = Some(to_pos);
-        Ok(compiled)
-    }
-
-    /// Compiles raw per-region id lists in identity layout (the
-    /// low-level entry `compile` wraps; exposed for direct/blocked
-    /// equivalence tests and custom pipelines).
+    /// Compiles raw per-region id lists (the low-level entry `compile`
+    /// wraps; exposed for direct/blocked equivalence tests and custom
+    /// pipelines): validates each list, then folds its positions into
+    /// full ranges and partial runs.
     ///
     /// # Errors
     /// See [`BlockedMembership::compile`].
     pub fn from_lists<'a, I>(lists: I, num_points: usize) -> Result<Self, BlockedBuildError>
-    where
-        I: Iterator<Item = &'a [u32]>,
-    {
-        Self::compile_core(lists, num_points, None)
-    }
-
-    /// Shared compilation core: validates each list, maps it through
-    /// the layout (when given) into sorted bit positions, then folds
-    /// the positions into full ranges and partial runs.
-    fn compile_core<'a, I>(
-        lists: I,
-        num_points: usize,
-        to_pos: Option<&[u32]>,
-    ) -> Result<Self, BlockedBuildError>
     where
         I: Iterator<Item = &'a [u32]>,
     {
@@ -202,22 +154,10 @@ impl BlockedMembership {
             run_masks: Vec::new(),
             region_n: Vec::new(),
             num_points,
-            to_pos: None,
         };
-        let mut mapped: Vec<u32> = Vec::new();
         for (region, list) in lists.enumerate() {
             validate_list(region, list, num_points)?;
-            match to_pos {
-                Some(to_pos) => {
-                    mapped.clear();
-                    mapped.extend(list.iter().map(|&id| to_pos[id as usize]));
-                    // A permutation keeps the list duplicate-free; only
-                    // the order needs re-establishing.
-                    mapped.sort_unstable();
-                    b.push_region(&mapped);
-                }
-                None => b.push_region(list),
-            }
+            b.push_region(list);
         }
         Ok(b)
     }
@@ -282,42 +222,7 @@ impl BlockedMembership {
         self.region_n[r]
     }
 
-    /// The bit position of original id `id` in this compilation's
-    /// layout. Label bitsets passed to [`BlockedMembership::count`]
-    /// must place id's label at this position.
-    #[inline]
-    pub fn position_of(&self, id: u32) -> u32 {
-        match &self.to_pos {
-            Some(to_pos) => to_pos[id as usize],
-            None => id,
-        }
-    }
-
-    /// Returns `true` when this compilation permutes ids (labels must
-    /// be generated in layout space).
-    pub fn is_permuted(&self) -> bool {
-        self.to_pos.is_some()
-    }
-
-    /// Builds a layout-space label bitset from original-id labels
-    /// (`labels[id]` lands at bit [`BlockedMembership::position_of`]
-    /// `(id)`).
-    pub fn layout_labels(&self, labels: &[bool]) -> BitLabels {
-        assert_eq!(
-            labels.len(),
-            self.num_points,
-            "label count must match the compiled point count"
-        );
-        let mut bits = BitLabels::zeros(self.num_points);
-        for (id, &l) in labels.iter().enumerate() {
-            if l {
-                bits.set(self.position_of(id as u32) as usize, true);
-            }
-        }
-        bits
-    }
-
-    /// Counts `p(R)` of region `r` against a layout-space label
+    /// Counts `p(R)` of region `r` against a label
     /// bitset: popcnt over full ranges, masked popcnt over partial
     /// runs. Branch-free over the runs — this is the per-world hot
     /// loop replacing the scalar id gather.
@@ -389,8 +294,8 @@ impl BlockedMembership {
         acc
     }
 
-    /// Counts `p(R)` for *all* regions against a layout-space label
-    /// set, reusing the output buffer.
+    /// Counts `p(R)` for *all* regions against a label set, reusing
+    /// the output buffer.
     pub fn count_all_into(&self, labels: &BitLabels, out: &mut Vec<u64>) {
         self.count_all_into_with(labels, CountingKernel::Scalar, out);
     }
@@ -537,17 +442,14 @@ impl BlockedMembership {
     /// A counting view of this compilation restricted to label words
     /// `word_lo..word_hi`: full ranges are clipped at the boundaries
     /// and partial runs outside the window are dropped. Block indices
-    /// stay **absolute**, so the view counts against the *full*
-    /// layout-space label array — and because every word belongs to
-    /// exactly one window of a partition, summing the views' counts
+    /// stay **absolute**, so the view counts against the *full* label
+    /// array — and because every word belongs to exactly one window
+    /// of a partition, summing the views' counts
     /// over a partition of `0..num_label_words()` reproduces the
     /// unsharded count exactly (integer addition, no rounding).
     ///
     /// The view's `n_of`/`total_ids` are window-local (they sum to the
-    /// parent's across a partition). The view never carries a layout
-    /// (`is_permuted()` is `false`): it is a counting structure, not a
-    /// label-placement oracle — positions were already mapped by the
-    /// parent compilation.
+    /// parent's across a partition).
     ///
     /// # Panics
     /// Panics on an inverted window (`word_lo > word_hi`) or one
@@ -572,7 +474,6 @@ impl BlockedMembership {
             run_masks: Vec::new(),
             region_n: Vec::new(),
             num_points: self.num_points,
-            to_pos: None,
         };
         for r in 0..self.num_regions() {
             let mut n = 0u64;
@@ -660,33 +561,6 @@ fn validate_list(region: usize, list: &[u32], num_points: usize) -> Result<(), B
                 num_points,
             });
         }
-    }
-    Ok(())
-}
-
-/// Validates that `to_pos` is a permutation of `0..num_points`.
-fn validate_layout(to_pos: &[u32], num_points: usize) -> Result<(), BlockedBuildError> {
-    if to_pos.len() != num_points {
-        return Err(BlockedBuildError::InvalidLayout {
-            reason: format!(
-                "layout has {} entries for {num_points} points",
-                to_pos.len()
-            ),
-        });
-    }
-    let mut seen = vec![false; num_points];
-    for (id, &pos) in to_pos.iter().enumerate() {
-        let Some(slot) = seen.get_mut(pos as usize) else {
-            return Err(BlockedBuildError::InvalidLayout {
-                reason: format!("id {id} maps to position {pos} >= {num_points}"),
-            });
-        };
-        if *slot {
-            return Err(BlockedBuildError::InvalidLayout {
-                reason: format!("position {pos} assigned twice"),
-            });
-        }
-        *slot = true;
     }
     Ok(())
 }
@@ -850,23 +724,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bad_layouts_rejected() {
-        let m = membership_fixture();
-        let n = m.num_points();
-        // Wrong length.
-        let err = BlockedMembership::compile_with_layout(&m, vec![0; n + 1]).unwrap_err();
-        assert!(matches!(err, BlockedBuildError::InvalidLayout { .. }));
-        // Repeated position.
-        let err = BlockedMembership::compile_with_layout(&m, vec![0; n]).unwrap_err();
-        assert!(matches!(err, BlockedBuildError::InvalidLayout { .. }));
-        // Out-of-range position.
-        let mut layout: Vec<u32> = (0..n as u32).collect();
-        layout[0] = n as u32;
-        let err = BlockedMembership::compile_with_layout(&m, layout).unwrap_err();
-        assert!(matches!(err, BlockedBuildError::InvalidLayout { .. }));
-    }
-
     fn membership_fixture() -> Membership {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let n = 700;
@@ -888,7 +745,6 @@ mod tests {
     fn compile_matches_membership_counts_across_worlds() {
         let m = membership_fixture();
         let b = BlockedMembership::compile(&m).unwrap();
-        assert!(!b.is_permuted());
         let mut rng = ChaCha8Rng::seed_from_u64(78);
         let mut world = BitLabels::zeros(m.num_points());
         for _ in 0..5 {
@@ -901,6 +757,38 @@ mod tests {
         }
     }
 
+    /// A uniformly random permutation of `0..n`.
+    fn shuffled_layout(n: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
+        let mut layout: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            let j = rng.gen_range(0..=i);
+            layout.swap(i, j);
+        }
+        layout
+    }
+
+    /// Compiles `m`'s lists with every id moved to `to_pos[id]`.
+    fn compile_permuted(m: &Membership, to_pos: &[u32]) -> BlockedMembership {
+        let lists: Vec<Vec<u32>> = (0..m.num_regions())
+            .map(|r| {
+                let mut list: Vec<u32> =
+                    m.members(r).iter().map(|&id| to_pos[id as usize]).collect();
+                list.sort_unstable();
+                list
+            })
+            .collect();
+        BlockedMembership::from_lists(lists.iter().map(Vec::as_slice), m.num_points()).unwrap()
+    }
+
+    /// `labels[id]` placed at bit `to_pos[id]`.
+    fn permuted_world(labels: &[bool], to_pos: &[u32]) -> BitLabels {
+        let mut world = BitLabels::zeros(labels.len());
+        for (&label, &pos) in labels.iter().zip(to_pos) {
+            world.set(pos as usize, label);
+        }
+        world
+    }
+
     #[test]
     fn layout_compilation_matches_scalar_counts() {
         let m = membership_fixture();
@@ -908,16 +796,11 @@ mod tests {
         // An arbitrary permutation — correctness must not depend on the
         // layout being spatially meaningful.
         let n = m.num_points();
-        let mut layout: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            layout.swap(i, j);
-        }
-        let b = BlockedMembership::compile_with_layout(&m, layout).unwrap();
-        assert!(b.is_permuted());
+        let layout = shuffled_layout(n, &mut rng);
+        let b = compile_permuted(&m, &layout);
         let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
         let world = BitLabels::from_bools(&bools);
-        let layout_world = b.layout_labels(&bools);
+        let layout_world = permuted_world(&bools, &layout);
         assert_eq!(world.count_ones(), layout_world.count_ones());
         for r in 0..m.num_regions() {
             assert_eq!(
@@ -934,8 +817,9 @@ mod tests {
         let points: Vec<Point> = (0..500)
             .map(|_| Point::new(rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
             .collect();
-        let layout = morton_layout(&points);
-        validate_layout(&layout, points.len()).unwrap();
+        let mut layout = morton_layout(&points);
+        layout.sort_unstable();
+        assert!(layout.iter().copied().eq(0..points.len() as u32));
         assert!(morton_layout(&[]).is_empty());
     }
 
@@ -962,7 +846,8 @@ mod tests {
         }
         let m = Membership::build(&idx, n, &regions);
         let flat = BlockedMembership::compile(&m).unwrap();
-        let morton = BlockedMembership::compile_with_layout(&m, morton_layout(&points)).unwrap();
+        let to_pos = morton_layout(&points);
+        let morton = compile_permuted(&m, &to_pos);
         assert_eq!(flat.total_ids(), morton.total_ids());
         assert!(
             morton.ids_per_word() > 8.0 * flat.ids_per_word(),
@@ -974,7 +859,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(82);
         let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
         let flat_world = BitLabels::from_bools(&bools);
-        let morton_world = morton.layout_labels(&bools);
+        let morton_world = permuted_world(&bools, &to_pos);
         for r in 0..m.num_regions() {
             assert_eq!(flat.count(r, &flat_world), morton.count(r, &morton_world));
         }
@@ -1007,17 +892,8 @@ mod tests {
     #[test]
     fn clipped_views_sum_to_the_unsharded_counts() {
         let m = membership_fixture();
-        let b = BlockedMembership::compile_with_layout(&m, {
-            let mut rng = ChaCha8Rng::seed_from_u64(83);
-            let n = m.num_points();
-            let mut layout: Vec<u32> = (0..n as u32).collect();
-            for i in (1..n).rev() {
-                let j = rng.gen_range(0..=i);
-                layout.swap(i, j);
-            }
-            layout
-        })
-        .unwrap();
+        let layout = shuffled_layout(m.num_points(), &mut ChaCha8Rng::seed_from_u64(83));
+        let b = compile_permuted(&m, &layout);
         let words = b.num_label_words();
         let mut rng = ChaCha8Rng::seed_from_u64(84);
         let world = BitLabels::from_fn(b.num_points(), |_| rng.gen_bool(0.4));

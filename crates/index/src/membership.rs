@@ -7,6 +7,11 @@
 //! sweep `p(R) = Σ labels[id]` over cached, sorted id lists against a
 //! label bitset that fits in cache.
 //!
+//! The lists hold whatever ids the visitor enumerates, and the label
+//! bitset must be indexed the same way. A scan engine enumerates
+//! through a view that reports each point's Morton position, so its
+//! lists hold positions in its world layout.
+//!
 //! # Containment deltas
 //!
 //! Scan families are nested: the paper's squares are centre-major with

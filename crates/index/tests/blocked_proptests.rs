@@ -82,12 +82,23 @@ proptest! {
         ];
         let membership = Membership::build(&idx, n, &regions);
         let flat = BlockedMembership::compile(&membership).unwrap();
-        let morton = BlockedMembership::compile_with_layout(
-            &membership,
-            morton_layout(&points),
-        ).unwrap();
+        // Morton positions: every listed id and every label moves to
+        // `to_pos[id]`.
+        let to_pos = morton_layout(&points);
+        let lists: Vec<Vec<u32>> = (0..membership.num_regions())
+            .map(|r| {
+                let mut list: Vec<u32> =
+                    membership.members(r).iter().map(|&id| to_pos[id as usize]).collect();
+                list.sort_unstable();
+                list
+            })
+            .collect();
+        let morton = BlockedMembership::from_lists(lists.iter().map(Vec::as_slice), n).unwrap();
         let world = BitLabels::from_bools(&bools);
-        let layout_world = morton.layout_labels(&bools);
+        let mut layout_world = BitLabels::zeros(n);
+        for (&label, &pos) in bools.iter().zip(&to_pos) {
+            layout_world.set(pos as usize, label);
+        }
         for r in 0..membership.num_regions() {
             let expected = membership.count(r, &world).p;
             prop_assert_eq!(flat.count(r, &world), expected, "flat, region {}", r);

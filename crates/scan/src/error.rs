@@ -61,14 +61,12 @@ pub enum ScanError {
         /// `n(R)` from enumerating member ids.
         enumerated_n: u64,
     },
-    /// The index's member-id enumeration produced lists the blocked
-    /// compilation rejects (e.g. the same id visited twice for one
-    /// region). `Membership::build` sorts and range-checks what the
-    /// substrate enumerates, but duplicates still get through it —
-    /// compiling them into masks would silently undercount, so the
-    /// engine surfaces the compilation error instead.
+    /// The index's member-id enumeration is corrupt: an id `>= N`, or
+    /// the same id visited twice for one region. Counting either would
+    /// silently corrupt every world, so the engine refuses the
+    /// substrate at build, under every counting strategy.
     MembershipIntegrity {
-        /// The blocked compiler's rejection, verbatim.
+        /// What is wrong, naming the offending point id.
         reason: String,
     },
 }
@@ -119,7 +117,7 @@ impl std::fmt::Display for ScanError {
             ScanError::MembershipIntegrity { reason } => write!(
                 f,
                 "membership integrity violation: {reason}; refusing to serve a substrate whose \
-                 member-id enumeration cannot compile into exact counting masks"
+                 member-id enumeration cannot count exactly"
             ),
         }
     }

@@ -4,11 +4,10 @@
 //! direction per call and with the multi-direction batches batched
 //! serving runs on.
 //!
-//! Each engine generates its own worlds (blocked engines store them in
-//! Morton layout), so the property under test is exactly the serving
-//! layer's invariant: per-world `τ` values are a function of `(seed,
-//! null model, direction)` only, never of the counting strategy or
-//! backend.
+//! Each engine generates its own worlds, so the property under test is
+//! exactly the serving layer's invariant: per-world labels and `τ`
+//! values are a function of `(seed, null model, direction)` only, never
+//! of the counting strategy or backend.
 
 use proptest::prelude::*;
 use spatial_fairness::index::BitLabels;
@@ -66,6 +65,8 @@ proptest! {
                 CountingStrategy::Requery,
             )
             .unwrap();
+            prop_assert_eq!(blocked.real_world(), reference.real_world());
+            prop_assert_eq!(requery.real_world(), reference.real_world());
             let real = blocked.scan_real(Direction::TwoSided);
             prop_assert_eq!(&real.counts, &ref_real.counts);
             prop_assert_eq!(&real.llrs, &ref_real.llrs);
@@ -82,8 +83,8 @@ proptest! {
                 let mut rng = spatial_fairness::stats::rng::world_rng(seed, w as u64);
                 let req_world = requery.generate_world(null_model, &mut rng);
 
-                // Same world, different storage layout for blocked.
-                prop_assert_eq!(ref_world.count_ones(), blk_world.count_ones());
+                // One world layout: the same bitset from every engine.
+                prop_assert_eq!(&ref_world, &blk_world);
                 prop_assert_eq!(&ref_world, &req_world);
 
                 let ref_taus = taus(&reference, &ref_world, &dirs);

@@ -1,10 +1,10 @@
 //! WorldGen v2 contract tests: the word-parallel generator's exactness
 //! (`Permutation` worlds carry exactly `P` positives), its statistical
 //! equivalence to the scalar generator (Bernoulli totals follow the
-//! same binomial law), its bit-identity across every index backend and
-//! counting strategy, and the world-class separation that keeps
-//! `Scalar` and `Word` τ-prefixes from ever being spliced in the
-//! world cache.
+//! same binomial law), its bit-identity across every index backend,
+//! counting strategy and generation path, and the world-class
+//! separation that keeps `Scalar` and `Word` τ-prefixes from ever being
+//! spliced in the world cache.
 
 use proptest::prelude::*;
 use spatial_fairness::prelude::*;
@@ -39,9 +39,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// (c) `Word` worlds are bit-identical across all 5 backends and
-    /// all explicit counting strategies: same per-point labels (same
-    /// popcount; equal bitsets whenever the storage layout matches)
-    /// and the same multi-direction τ fold.
+    /// all explicit counting strategies: the same bitset (every engine
+    /// stores worlds in one layout) and the same multi-direction τ
+    /// fold.
     #[test]
     fn word_worlds_are_bit_identical_across_backends_and_strategies(
         outcomes in arb_outcomes(),
@@ -70,10 +70,7 @@ proptest! {
                     let mut ref_rng = world_rng(seed, w as u64);
                     let ref_world =
                         reference.generate_world_with(null_model, WorldGen::Word, &mut ref_rng);
-                    prop_assert_eq!(world.count_ones(), ref_world.count_ones());
-                    if engine.resolved_strategy() != CountingStrategy::Blocked {
-                        prop_assert_eq!(&world, &ref_world, "{} {:?}", backend, strategy);
-                    }
+                    prop_assert_eq!(&world, &ref_world, "{} {:?}", backend, strategy);
                     let mut taus = [0.0; 3];
                     let mut ref_taus = [0.0; 3];
                     engine.eval(engine.statistic(), &[&world], &dirs, &mut taus, false);
@@ -82,6 +79,73 @@ proptest! {
                         taus, ref_taus,
                         "{} {:?} {:?} diverged", backend, strategy, null_model
                     );
+                }
+            }
+        }
+    }
+
+    /// (e) One world layout on every generation path: for Membership,
+    /// Blocked and Requery engines, both null models and both
+    /// generators, `generate_world_with`, `generate_world_par` and the
+    /// words inside a `generate_world_window` are the Membership
+    /// engine's bitset, and full audits are identical.
+    #[test]
+    fn every_generation_path_draws_the_same_bitset(
+        outcomes in arb_outcomes(),
+        seed in 0u64..500,
+        ends in (0usize..6, 0usize..6),
+    ) {
+        let regions = RegionSet::regular_grid(outcomes.expanded_bounding_box(), 3, 3);
+        let num_words = outcomes.len().div_ceil(64);
+        let (a, b) = (ends.0.min(num_words), ends.1.min(num_words));
+        let (word_lo, word_hi) = (a.min(b), a.max(b));
+        let strategies = [
+            CountingStrategy::Membership,
+            CountingStrategy::Blocked,
+            CountingStrategy::Requery,
+        ];
+        let engines = strategies.map(|s| ScanEngine::build(&outcomes, &regions, s).unwrap());
+        for null_model in [NullModel::Bernoulli, NullModel::Permutation] {
+            for worldgen in [WorldGen::Scalar, WorldGen::Word] {
+                let reference =
+                    engines[0].generate_world_with(null_model, worldgen, &mut world_rng(seed, 3));
+                for (engine, strategy) in engines.iter().zip(strategies) {
+                    let label = format!("{strategy:?} {null_model:?} {worldgen:?}");
+                    let world =
+                        engine.generate_world_with(null_model, worldgen, &mut world_rng(seed, 3));
+                    prop_assert_eq!(&world, &reference, "with: {}", &label);
+                    let world =
+                        engine.generate_world_par(null_model, worldgen, &mut world_rng(seed, 3));
+                    prop_assert_eq!(&world, &reference, "par: {}", &label);
+                    let window = engine.generate_world_window(
+                        null_model,
+                        worldgen,
+                        &mut world_rng(seed, 3),
+                        word_lo,
+                        word_hi,
+                    );
+                    prop_assert_eq!(
+                        &window.blocks()[word_lo..word_hi],
+                        &reference.blocks()[word_lo..word_hi],
+                        "window {}..{}: {}", word_lo, word_hi, &label
+                    );
+                }
+                let base = AuditConfig::new(0.1)
+                    .with_worlds(19)
+                    .with_seed(seed)
+                    .with_null_model(null_model)
+                    .with_worldgen(worldgen);
+                let expected = Auditor::new(base.with_strategy(strategies[0]))
+                    .audit(&outcomes, &regions)
+                    .unwrap();
+                for strategy in &strategies[1..] {
+                    let mut report = Auditor::new(base.with_strategy(*strategy))
+                        .audit(&outcomes, &regions)
+                        .unwrap();
+                    // The report embeds its config; align the strategy
+                    // knob so the comparison checks the results.
+                    report.config.strategy = expected.config.strategy;
+                    prop_assert_eq!(&report, &expected, "{:?}", strategy);
                 }
             }
         }
