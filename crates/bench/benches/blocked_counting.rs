@@ -13,9 +13,7 @@
 //!
 //! `membership_scalar` reads a membership engine's lists, which hold
 //! the same Morton positions. All three are asserted bit-identical
-//! before timing. The `serve-bench` experiments subcommand measures
-//! the same comparison inside the full serving workload and persists
-//! `BENCH_PR3.json`.
+//! before timing.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

@@ -1,9 +1,8 @@
 //! Serving-layer throughput: batched multi-audit execution over one
 //! shared engine vs rebuilding the engine per request.
 //!
-//! The `serve-bench` experiments subcommand measures the same
-//! comparison at full scale and persists `BENCH_PR2.json`; this group
-//! tracks it under criterion's statistics at a reduced scale.
+//! A reduced-scale criterion group; `perfbench/`'s `grid-batch`
+//! workload measures batched serving end to end.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

@@ -14,10 +14,6 @@
 //!
 //! Every counting strategy stores worlds in the same layout, so one
 //! engine stands for all of them.
-//!
-//! The `serve-bench` experiments subcommand measures the same
-//! comparison inside the full serving workload and persists
-//! `BENCH_PR5.json`.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

@@ -6,11 +6,9 @@
 //! in the `experiments` harness).
 
 use sfdata::lar::{LarConfig, LarDataset};
-use sfdata::synth::SynthConfig;
 use sfgeo::Point;
 use sfindex::BitLabels;
 use sfscan::engine::ScanEngine;
-use sfscan::outcomes::SpatialOutcomes;
 use sfscan::Direction;
 use sfstats::rng::seeded_rng;
 
@@ -19,11 +17,6 @@ use rand::Rng;
 /// Deterministic reduced-scale SynthLAR (10k observations).
 pub fn small_lar() -> LarDataset {
     LarDataset::generate(&LarConfig::small())
-}
-
-/// Deterministic reduced-scale Synth (1k observations).
-pub fn small_synth() -> SpatialOutcomes {
-    SynthConfig::small().generate(7)
 }
 
 /// One world's two-sided `τ` under the engine's default statistic.
@@ -37,16 +30,6 @@ pub fn two_sided_tau(engine: &ScanEngine, labels: &BitLabels) -> f64 {
         false,
     );
     tau[0]
-}
-
-/// Uniform random points with Bernoulli labels, for index benches.
-pub fn random_points(n: usize, rho: f64, seed: u64) -> (Vec<Point>, BitLabels) {
-    let mut rng = seeded_rng(seed);
-    let points: Vec<Point> = (0..n)
-        .map(|_| Point::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)))
-        .collect();
-    let labels = BitLabels::from_fn(n, |_| rng.gen_bool(rho));
-    (points, labels)
 }
 
 /// Clustered points (mixture of tight blobs), for index benches that
@@ -75,13 +58,9 @@ mod tests {
 
     #[test]
     fn fixtures_are_deterministic() {
-        assert_eq!(small_synth(), small_synth());
-        let (p1, l1) = random_points(100, 0.5, 1);
-        let (p2, l2) = random_points(100, 0.5, 1);
-        assert_eq!(p1, p2);
-        assert_eq!(l1, l2);
-        let (c1, _) = clustered_points(100, 5, 2);
-        let (c2, _) = clustered_points(100, 5, 2);
+        let (c1, l1) = clustered_points(100, 5, 2);
+        let (c2, l2) = clustered_points(100, 5, 2);
         assert_eq!(c1, c2);
+        assert_eq!(l1, l2);
     }
 }

@@ -36,10 +36,6 @@ pub struct Options {
     pub kernel: KernelSelect,
     /// Test statistic scoring every region in every world.
     pub statistic: Statistic,
-    /// `serve-bench`: number of queued audit requests.
-    pub requests: usize,
-    /// `serve-bench`: output path for the machine-readable results.
-    pub out: String,
     /// `serve`: JSONL request file (None reads stdin).
     pub input: Option<String>,
     /// `serve`: drain policy — execute a handle's queue as soon as it
@@ -94,8 +90,6 @@ impl Default for Options {
             shards: Shards::Auto,
             kernel: KernelSelect::Auto,
             statistic: Statistic::BernoulliLlr,
-            requests: 24,
-            out: "BENCH_PR9.json".to_string(),
             input: None,
             max_pending: None,
             listen: None,

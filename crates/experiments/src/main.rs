@@ -18,10 +18,8 @@
 //! cargo run --release -p experiments -- fig11     # one-sided "red" regions (B.2)
 //! cargo run --release -p experiments -- fig12     # one-sided "green" regions (B.2)
 //! cargo run --release -p experiments -- complexity# O(M*N*Q) cost model measurements
-//! cargo run --release -p experiments -- serve-bench # batched serving vs rebuild-per-request
-//! cargo run --release -p experiments -- cluster-bench # distributed shards: scaling + faults
 //! cargo run --release -p experiments -- serve     # JSONL request/response loop (AuditService)
-//! cargo run --release -p experiments -- all       # everything above in order
+//! cargo run --release -p experiments -- all       # every figure and `complexity`, in order
 //! ```
 //!
 //! Options: `--quick` (reduced scales for smoke runs), `--seed <u64>`,
@@ -38,8 +36,7 @@
 //! blocked sweeps; every kernel is bit-identical, `auto` picks the
 //! best one the CPU supports), `--statistic
 //! <bernoulli-llr|equal-opp-tpr|mean-residual>` (test statistic
-//! scoring every region in every world). `serve-bench` additionally
-//! takes `--requests <n>` and `--out <path>` (default `BENCH_PR9.json`);
+//! scoring every region in every world).
 //! `serve` takes `--input <path>` (JSONL request envelopes; default
 //! stdin) and `--max-pending <n>` (drain policy; default manual, one
 //! batch at EOF), plus the network modes: `--listen <addr>` hosts the
@@ -55,12 +52,14 @@
 //! `serve --coordinator <addr,addr,…>` routes the in-process loop's
 //! world evaluation through the fault-tolerant coordinator
 //! (`--dispatch-timeout-ms` per span) — bit-identical output by
-//! construction. `cluster-bench` measures healthy scaling and faulted
-//! recovery into `BENCH_PR10.json`. The backend/strategy/mc/worldgen
+//! construction. The backend/strategy/mc/worldgen
 //! values are parsed with the types' `FromStr` impls, so error
 //! messages list the valid values.
+//!
+//! No subcommand writes a file. Serving and per-world cost are
+//! measured by the separate `perfbench/` package (`python3
+//! perfbench/run.py --workload all`; see `perfbench/README.md`).
 
-mod clusterbench;
 mod common;
 mod complexity;
 mod fig1;
@@ -71,7 +70,6 @@ mod fig6;
 mod fig78;
 mod fig9;
 mod serve_cmd;
-mod servebench;
 
 use common::Options;
 
@@ -132,17 +130,6 @@ fn main() {
             "--statistic" => {
                 i += 1;
                 opts.statistic = parse_flag("--statistic", args.get(i));
-            }
-            "--requests" => {
-                i += 1;
-                opts.requests = parse_flag("--requests", args.get(i));
-            }
-            "--out" => {
-                i += 1;
-                opts.out = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("--out needs a path"));
             }
             "--input" => {
                 i += 1;
@@ -247,8 +234,6 @@ fn run(command: &str, opts: &Options) {
         "fig11" => fig5::run_fig11(opts),
         "fig12" => fig5::run_fig12(opts),
         "complexity" => complexity::run(opts),
-        "serve-bench" => servebench::run(opts),
-        "cluster-bench" => clusterbench::run(opts),
         "serve" => serve_cmd::run(opts),
         "all" => {
             for c in [
@@ -265,7 +250,6 @@ fn run(command: &str, opts: &Options) {
                 "fig11",
                 "fig12",
                 "complexity",
-                "serve-bench",
             ] {
                 run(c, opts);
             }
@@ -277,7 +261,7 @@ fn run(command: &str, opts: &Options) {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments <fig1..fig12|complexity|serve-bench|cluster-bench|serve|all> \
+        "usage: experiments <fig1..fig12|complexity|serve|all> \
          [--quick] [--seed N] \
          [--worlds N] [--backend <brute|kdtree|quadtree|rtree|grid>] \
          [--strategy <membership|requery|blocked|auto>] \
@@ -285,7 +269,7 @@ fn die(msg: &str) -> ! {
          [--worldgen <scalar|word>] [--shards <auto|N>] \
          [--kernel <auto|scalar|avx2|avx512|portable>] \
          [--statistic <bernoulli-llr|equal-opp-tpr|mean-residual>] \
-         [--requests N] [--out PATH] [--input PATH] [--max-pending N] \
+         [--input PATH] [--max-pending N] \
          [--listen ADDR] [--connect ADDR] [--net-workers N] \
          [--queue-capacity N] [--deadline-ms N] \
          [--io-timeout-ms N] [--connect-retries N] \

@@ -68,7 +68,7 @@ enum LineOutcome {
 
 /// The benchmark dataset every serve mode hosts (deterministic in
 /// `--seed`/`--quick`, so server and reference transcripts agree).
-pub(crate) fn dataset(opts: &Options) -> (SpatialOutcomes, RegionSet, AuditConfig) {
+fn dataset(opts: &Options) -> (SpatialOutcomes, RegionSet, AuditConfig) {
     let n = if opts.quick { 2_000 } else { 20_000 };
     let outcomes = SynthConfig {
         per_half: n / 2,

@@ -27,9 +27,9 @@
 //!   connection-local ticket numbering starting at 0.
 //!
 //! The load-bearing invariant, asserted by the integration tests and
-//! the serve-bench load generator: **a connection's response
-//! transcript is byte-identical to the in-process
-//! `experiments serve` stdin path for the same request stream.**
+//! the CI socket smoke diff: **a connection's response transcript is
+//! byte-identical to the in-process `experiments serve` stdin path for
+//! the same request stream.**
 //! Reports are bit-identical regardless of batch composition or cache
 //! state (the PR 2/4 engine invariants), rejections reuse the exact
 //! in-process error text, and ticket numbering is connection-local —

@@ -2,7 +2,7 @@
 //! stack: for every index backend, `blocked == membership == requery`
 //! — for the real-world scan and for `ScanEngine::eval`, both with one
 //! direction per call and with the multi-direction batches batched
-//! serving runs on.
+//! serving runs on, and for the shard-partial (`fine`) fold.
 //!
 //! Each engine generates its own worlds, so the property under test is
 //! exactly the serving layer's invariant: per-world labels and `τ`
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use spatial_fairness::index::BitLabels;
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::engine::ScanEngine;
-use spatial_fairness::scan::{CountingStrategy, IndexBackend, NullModel};
+use spatial_fairness::scan::{CountingStrategy, IndexBackend, NullModel, Shards};
 
 /// Arbitrary outcome sets with both classes present.
 fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
@@ -28,10 +28,11 @@ fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
     )
 }
 
-/// One world's `τ` per direction, with the engine's default statistic.
-fn taus(engine: &ScanEngine, world: &BitLabels, dirs: &[Direction]) -> Vec<f64> {
+/// One world's `τ` per direction, with the engine's default statistic;
+/// `fine` selects the shard-partial fold.
+fn taus(engine: &ScanEngine, world: &BitLabels, dirs: &[Direction], fine: bool) -> Vec<f64> {
     let mut out = vec![0.0; dirs.len()];
-    engine.eval(engine.statistic(), &[world], dirs, &mut out, false);
+    engine.eval(engine.statistic(), &[world], dirs, &mut out, fine);
     out
 }
 
@@ -65,6 +66,14 @@ proptest! {
                 CountingStrategy::Requery,
             )
             .unwrap();
+            let sharded = ScanEngine::build_with(
+                &outcomes,
+                &regions,
+                backend,
+                CountingStrategy::Blocked,
+            )
+            .unwrap()
+            .with_shards(Shards::Fixed(3));
             prop_assert_eq!(blocked.real_world(), reference.real_world());
             prop_assert_eq!(requery.real_world(), reference.real_world());
             let real = blocked.scan_real(Direction::TwoSided);
@@ -87,16 +96,18 @@ proptest! {
                 prop_assert_eq!(&ref_world, &blk_world);
                 prop_assert_eq!(&ref_world, &req_world);
 
-                let ref_taus = taus(&reference, &ref_world, &dirs);
-                let blk_taus = taus(&blocked, &blk_world, &dirs);
-                let req_taus = taus(&requery, &req_world, &dirs);
+                let ref_taus = taus(&reference, &ref_world, &dirs, false);
+                let blk_taus = taus(&blocked, &blk_world, &dirs, false);
+                let req_taus = taus(&requery, &req_world, &dirs, false);
+                let fine_taus = taus(&sharded, &blk_world, &dirs, true);
                 prop_assert_eq!(&ref_taus, &blk_taus, "blocked vs membership, {:?}", backend);
                 prop_assert_eq!(&ref_taus, &req_taus, "requery vs membership, {:?}", backend);
+                prop_assert_eq!(&ref_taus, &fine_taus, "shard-partial vs plain, {:?}", backend);
 
                 for &d in &dirs {
                     prop_assert_eq!(
-                        taus(&blocked, &blk_world, &[d]),
-                        taus(&reference, &ref_world, &[d])
+                        taus(&blocked, &blk_world, &[d], false),
+                        taus(&reference, &ref_world, &[d], false)
                     );
                 }
             }
