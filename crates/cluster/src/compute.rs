@@ -23,7 +23,7 @@
 
 use sfindex::BlockedMembership;
 use sfscan::prepared::PreparedAudit;
-use sfscan::{CountingStrategy, NullModel, WorldGen};
+use sfscan::{NullModel, WorldGen};
 use sfstats::rng::world_rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -103,10 +103,9 @@ impl WindowCapacity {
 /// Errors a span request can hit before any counting happens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanError {
-    /// The engine did not resolve to the blocked counting strategy, so
-    /// there is no CSR to clip. Distributed counting requires
-    /// [`CountingStrategy::Blocked`] (or an `Auto` that resolves to
-    /// it).
+    /// The engine counts by requery, so there are no masks to clip.
+    /// Distributed counting requires an engine built from membership
+    /// lists ([`ScanEngine::blocked`](sfscan::engine::ScanEngine::blocked)).
     NotBlocked,
     /// The word window is inverted or exceeds the label words.
     BadWindow { word_lo: usize, word_hi: usize },
@@ -145,13 +144,11 @@ pub struct SpanCounter {
 }
 
 impl SpanCounter {
-    /// Wraps a prepared engine. Fails unless the engine resolved to
-    /// the blocked counting strategy — the only substrate with
-    /// clippable word-window views.
+    /// Wraps a prepared engine. Fails on a requery engine — only
+    /// engines built from membership lists have masks to clip into
+    /// word-window views.
     pub fn new(prepared: Arc<PreparedAudit>) -> Result<Self, SpanError> {
-        if prepared.engine().resolved_strategy() != CountingStrategy::Blocked
-            || prepared.engine().blocked().is_none()
-        {
+        if prepared.engine().blocked().is_none() {
             return Err(SpanError::NotBlocked);
         }
         Ok(SpanCounter {

@@ -15,17 +15,18 @@
 use crate::compute::{SpanCounter, SpanSpec};
 use crate::fault::FaultPlan;
 use crate::wire::{WorkerReply, WorkerRequest, WorkerStats, PROTOCOL_VERSION};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use sfnet::read_bounded_line;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Longest request line a worker accepts, matching the audit server's
-/// bound — anything longer is answered with an error and the
-/// connection closed.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
+/// Longest request line a worker accepts: the audit server's bound,
+/// since both read through [`sfnet::read_bounded_line`] — anything
+/// longer is answered with an error and the connection closed.
+pub const MAX_LINE_BYTES: usize = sfnet::MAX_LINE_BYTES;
 
 /// Poll interval for connection reads (bounds stop-flag latency).
 const READ_POLL: Duration = Duration::from_millis(20);
@@ -177,15 +178,19 @@ fn serve_conn(stream: TcpStream, shared: &WorkerShared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    // A poll timeout keeps a partial line in `line` and comes back
+    // here, so the stop and kill flags are checked at least once per
+    // poll interval even while a client holds a half-sent line.
     let mut line = String::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
-        match read_bounded_line(&mut reader, &mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {}
+        let eof = match read_bounded_line(&mut reader, &mut line) {
+            Ok(0) => true,
+            Ok(_) if line.ends_with('\n') => false,
+            // Partial line: keep accumulating.
+            Ok(_) => continue,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue
             }
@@ -200,58 +205,16 @@ fn serve_conn(stream: TcpStream, shared: &WorkerShared) {
                 return;
             }
             Err(_) => return,
-        }
+        };
+        // An unterminated final line before EOF still gets an answer.
         let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if !serve_line(trimmed, &mut writer, shared) {
+        if !trimmed.is_empty() && !serve_line(trimmed, &mut writer, shared) {
             return;
         }
-    }
-}
-
-/// Reads one `\n`-terminated line, enforcing [`MAX_LINE_BYTES`].
-/// Returns `InvalidData` when the cap is hit mid-line.
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-) -> std::io::Result<usize> {
-    // `read_line` on a capped `Take` would split long lines into two
-    // apparent requests; instead accumulate with the cap checked per
-    // fill so an oversized line is detected, not resynchronized.
-    let mut total = 0usize;
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) => {
-                if total == 0 {
-                    return Err(e);
-                }
-                // Mid-line poll timeout: keep accumulating.
-                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut {
-                    continue;
-                }
-                return Err(e);
-            }
-        };
-        if available.is_empty() {
-            return Ok(total); // EOF (possibly with an unterminated tail)
+        if eof {
+            return;
         }
-        let (used, done) = match available.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (available.len(), false),
-        };
-        if total + used > MAX_LINE_BYTES {
-            reader.consume(used);
-            return Err(std::io::Error::new(ErrorKind::InvalidData, "line too long"));
-        }
-        line.push_str(&String::from_utf8_lossy(&available[..used]));
-        reader.consume(used);
-        total += used;
-        if done {
-            return Ok(total);
-        }
+        line.clear();
     }
 }
 

@@ -542,3 +542,36 @@ fn worker_answers_a_deeply_nested_line_and_keeps_the_connection() {
     }
     assert_eq!(workers[0].stats().errors, 1);
 }
+
+#[test]
+fn shutdown_returns_while_a_client_holds_a_half_sent_line() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+    let prepared = prepared(200);
+    let mut worker = spawn_workers(&prepared, 1, &[]).pop().unwrap();
+    let mut stream = std::net::TcpStream::connect(worker.local_addr()).unwrap();
+    // A hello, then half a request, in one write: once the hello is
+    // answered, the half line sits in the worker's read buffer and the
+    // socket stays open.
+    let hello = WorkerRequest::Hello.to_json();
+    stream
+        .write_all(format!("{hello}\n{{\"op\":").as_bytes())
+        .unwrap();
+    let mut back = String::new();
+    BufReader::new(stream.try_clone().unwrap())
+        .read_line(&mut back)
+        .unwrap();
+    assert!(matches!(
+        WorkerReply::from_json(back.trim()),
+        Ok(WorkerReply::Hello { .. })
+    ));
+    let (done, finished) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        worker.shutdown();
+        let _ = done.send(());
+    });
+    let returned = finished.recv_timeout(Duration::from_secs(2)).is_ok();
+    drop(stream);
+    stopper.join().unwrap();
+    assert!(returned, "shutdown blocked behind a half-sent line");
+}

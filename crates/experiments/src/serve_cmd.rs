@@ -293,6 +293,7 @@ fn run_server(opts: &Options, addr: &str) {
             workers: opts.net_workers.max(1),
             queue_capacity: opts.queue_capacity,
             policy,
+            ..ExecutorConfig::default()
         },
         Arc::new(SystemClock::new()),
     ));

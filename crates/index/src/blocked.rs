@@ -1,8 +1,8 @@
 //! Blocked-bitset world counting: popcnt over the membership CSR.
 //!
 //! The Monte Carlo hot loop recounts `p(R) = Σ labels[id]` per region
-//! per world. [`Membership`] replays each region's sorted id list with
-//! one bitset read per id; this module compiles those lists into
+//! per world. [`Membership`] replays each region's sorted ring with
+//! one bitset read per id; this module compiles those rings into
 //! word-aligned masks over the [`BitLabels`] block array so a world
 //! recount becomes a branch-free sweep of
 //! `(labels_block & mask).count_ones()` — up to 64 ids per popcnt
@@ -10,7 +10,7 @@
 //!
 //! # Representation
 //!
-//! Per region, the sorted member positions are grouped by 64-bit block
+//! Per region, the sorted ring positions are grouped by 64-bit block
 //! and split into two run kinds:
 //!
 //! * **full ranges** `(start_block, len)` — maximal runs of blocks the
@@ -18,10 +18,23 @@
 //! * **partial runs** `(block_index, mask)` — blocks the region covers
 //!   partially; counted as `(block & mask).count_ones()`.
 //!
+//! # Ring masks
+//!
+//! [`BlockedMembership::compile`] takes the containment-delta plan
+//! [`Membership::build`] derived: a region with a parent (`r − 1`,
+//! whose members are a non-empty subset of `r`'s) compiles only its
+//! ring `members(r) \ members(r − 1)`, and every counting method adds
+//! the parent's count to the ring's. Regions are counted in order, so a
+//! parent is always counted before its child; the adds are exact
+//! integers, so every method returns the same full-region `p(R)` the
+//! full lists give. On nested square scans the rings touch a fraction
+//! of the words the full lists do; partitions (grid cells) get no
+//! parents and compile exactly as before.
+//!
 //! # Id layout
 //!
-//! Mask density — member ids per touched word — decides whether the
-//! popcnt sweep beats the scalar gather. Dataset-order ids scatter a
+//! Mask density — ring ids per touched word — is what one popcnt
+//! buys over reading ids one at a time. Dataset-order ids scatter a
 //! compact region's members across the whole bitset; ranking points by
 //! the Morton (Z-order) code of their location ([`morton_layout`])
 //! makes spatially compact regions own dense runs of bit positions
@@ -100,7 +113,8 @@ impl std::fmt::Display for BlockedBuildError {
 impl std::error::Error for BlockedBuildError {}
 
 /// Region membership compiled to word-aligned popcnt runs over the
-/// [`BitLabels`] block array (see the module docs).
+/// [`BitLabels`] block array: one region's runs cover its ring, and a
+/// region with a parent adds the parent's count (see the module docs).
 #[derive(Debug, Clone)]
 pub struct BlockedMembership {
     /// CSR into `full_starts`/`full_lens`: region `r`'s full-word
@@ -113,31 +127,44 @@ pub struct BlockedMembership {
     run_offsets: Vec<u32>,
     run_blocks: Vec<u32>,
     run_masks: Vec<u64>,
-    /// World-invariant `n(R)` (total mask popcount per region).
+    /// Whether region `r − 1` is region `r`'s parent: `r`'s runs then
+    /// hold only its ring, and its count adds the parent's.
+    nested: Vec<bool>,
+    /// World-invariant `n(R)` of the full region (ring plus parent).
     region_n: Vec<u64>,
     num_points: usize,
 }
 
 impl BlockedMembership {
-    /// Compiles a [`Membership`]: bit positions are the ids its lists
-    /// hold, so the masks count the same label bitsets the scalar path
-    /// reads.
+    /// Compiles a [`Membership`] through its containment-delta plan:
+    /// each region's ring ([`Membership::ring`]) becomes its runs and
+    /// its parent ([`Membership::parent`]) is recorded, so counting adds
+    /// the parent's count (see *Ring masks* in the module docs). Bit
+    /// positions are the ids the lists hold, so the masks count the same
+    /// label bitsets the scalar path reads.
     ///
     /// # Errors
-    /// [`BlockedBuildError`] if any member list is unsorted, contains
-    /// duplicates, or references an id `>= num_points` — wrong masks
-    /// are never produced silently.
+    /// [`BlockedBuildError`] if any full member list is unsorted,
+    /// contains duplicates, or references an id `>= num_points` — wrong
+    /// masks are never produced silently.
     pub fn compile(membership: &Membership) -> Result<Self, BlockedBuildError> {
-        Self::from_lists(
-            (0..membership.num_regions()).map(|r| membership.members(r)),
-            membership.num_points(),
-        )
+        let mut b = Self::empty(membership.num_points());
+        for r in 0..membership.num_regions() {
+            validate_list(r, membership.members(r), b.num_points)?;
+            b.push_region(
+                membership.ring(r),
+                membership.parent(r).is_some(),
+                membership.n_of(r),
+            );
+        }
+        Ok(b)
     }
 
-    /// Compiles raw per-region id lists (the low-level entry `compile`
-    /// wraps; exposed for direct/blocked equivalence tests and custom
-    /// pipelines): validates each list, then folds its positions into
-    /// full ranges and partial runs.
+    /// Compiles raw per-region id lists, each into its own full-list
+    /// runs with no parents (the low-level entry; exposed for
+    /// direct/blocked equivalence tests and custom pipelines):
+    /// validates each list, then folds its positions into full ranges
+    /// and partial runs.
     ///
     /// # Errors
     /// See [`BlockedMembership::compile`].
@@ -145,25 +172,31 @@ impl BlockedMembership {
     where
         I: Iterator<Item = &'a [u32]>,
     {
-        let mut b = BlockedMembership {
+        let mut b = Self::empty(num_points);
+        for (region, list) in lists.enumerate() {
+            validate_list(region, list, num_points)?;
+            b.push_region(list, false, list.len() as u64);
+        }
+        Ok(b)
+    }
+
+    fn empty(num_points: usize) -> Self {
+        BlockedMembership {
             full_offsets: vec![0],
             full_starts: Vec::new(),
             full_lens: Vec::new(),
             run_offsets: vec![0],
             run_blocks: Vec::new(),
             run_masks: Vec::new(),
+            nested: Vec::new(),
             region_n: Vec::new(),
             num_points,
-        };
-        for (region, list) in lists.enumerate() {
-            validate_list(region, list, num_points)?;
-            b.push_region(list);
         }
-        Ok(b)
     }
 
-    /// Appends one region's sorted, validated bit positions as runs.
-    fn push_region(&mut self, positions: &[u32]) {
+    /// Appends one region's sorted, validated ring positions as runs,
+    /// with its parent flag and full `n(R)`.
+    fn push_region(&mut self, positions: &[u32], nested: bool, n: u64) {
         // Full ranges may merge only within this region's own runs.
         let full_floor = self.full_starts.len();
         let mut cur_block: Option<u32> = None;
@@ -184,7 +217,8 @@ impl BlockedMembership {
         }
         self.full_offsets.push(self.full_starts.len() as u32);
         self.run_offsets.push(self.run_blocks.len() as u32);
-        self.region_n.push(positions.len() as u64);
+        self.nested.push(nested);
+        self.region_n.push(n);
     }
 
     /// Files one completed `(block, mask)` run: full words extend or
@@ -222,38 +256,28 @@ impl BlockedMembership {
         self.region_n[r]
     }
 
-    /// Counts `p(R)` of region `r` against a label
-    /// bitset: popcnt over full ranges, masked popcnt over partial
-    /// runs. Branch-free over the runs — this is the per-world hot
-    /// loop replacing the scalar id gather.
+    /// Region `r`'s parent: `Some(r − 1)` when `r` was compiled as a
+    /// ring over `r − 1` (see the module docs).
+    pub fn parent(&self, r: usize) -> Option<usize> {
+        self.nested[r].then(|| r - 1)
+    }
+
+    /// The first region of `r`'s parent chain: counting `first..=r`'s
+    /// rings sums to `p(R_r)`.
+    fn chain_start(&self, r: usize) -> usize {
+        let mut q = r;
+        while self.nested[q] {
+            q -= 1;
+        }
+        q
+    }
+
+    /// Counts `p(R)` of region `r` against a label bitset: the rings of
+    /// its parent chain, each as popcnt over full ranges plus masked
+    /// popcnt over partial runs.
     #[inline]
     pub fn count(&self, r: usize, labels: &BitLabels) -> u64 {
-        debug_assert_eq!(
-            labels.len(),
-            self.num_points,
-            "label set length must match the compiled point count"
-        );
-        let blocks = labels.blocks();
-        let mut acc = 0u64;
-        let (fs, fe) = (
-            self.full_offsets[r] as usize,
-            self.full_offsets[r + 1] as usize,
-        );
-        for i in fs..fe {
-            let start = self.full_starts[i] as usize;
-            let len = self.full_lens[i] as usize;
-            for block in &blocks[start..start + len] {
-                acc += block.count_ones() as u64;
-            }
-        }
-        let (s, e) = (
-            self.run_offsets[r] as usize,
-            self.run_offsets[r + 1] as usize,
-        );
-        for i in s..e {
-            acc += (blocks[self.run_blocks[i] as usize] & self.run_masks[i]).count_ones() as u64;
-        }
-        acc
+        self.count_with(r, labels, CountingKernel::Scalar)
     }
 
     /// [`BlockedMembership::count`] with the dense full ranges counted
@@ -265,15 +289,21 @@ impl BlockedMembership {
     /// kernel.
     #[inline]
     pub fn count_with(&self, r: usize, labels: &BitLabels, kernel: CountingKernel) -> u64 {
-        if kernel == CountingKernel::Scalar {
-            return self.count(r, labels);
-        }
         debug_assert_eq!(
             labels.len(),
             self.num_points,
             "label set length must match the compiled point count"
         );
-        let blocks = labels.blocks();
+        (self.chain_start(r)..=r)
+            .map(|q| self.ring_count(q, labels.blocks(), kernel))
+            .sum()
+    }
+
+    /// Counts region `r`'s own runs (its ring) against `blocks`. Branch-
+    /// free over the runs — this is the per-world hot loop replacing the
+    /// scalar id gather.
+    #[inline]
+    fn ring_count(&self, r: usize, blocks: &[u64], kernel: CountingKernel) -> u64 {
         let mut acc = 0u64;
         let (fs, fe) = (
             self.full_offsets[r] as usize,
@@ -315,8 +345,14 @@ impl BlockedMembership {
         );
         out.clear();
         out.reserve(self.num_regions());
+        let blocks = labels.blocks();
+        let mut p = 0u64;
         for r in 0..self.num_regions() {
-            out.push(self.count_with(r, labels, kernel));
+            if !self.nested[r] {
+                p = 0;
+            }
+            p += self.ring_count(r, blocks, kernel);
+            out.push(p);
         }
     }
 
@@ -355,7 +391,9 @@ impl BlockedMembership {
             .zip(out.chunks_mut(MAX_FUSED_WORLDS))
         {
             let mut acc = [0u64; MAX_FUSED_WORLDS];
-            self.count_many_core(r, worlds, kernel, &mut acc[..worlds.len()]);
+            for q in self.chain_start(r)..=r {
+                self.count_many_core(q, worlds, kernel, &mut acc[..worlds.len()]);
+            }
             out.copy_from_slice(&acc[..worlds.len()]);
         }
     }
@@ -387,7 +425,11 @@ impl BlockedMembership {
             let mut acc = [0u64; MAX_FUSED_WORLDS];
             for r in 0..self.num_regions() {
                 let acc = &mut acc[..worlds.len()];
-                acc.fill(0);
+                // A child starts from its parent's counts, still in
+                // `acc` from the previous row.
+                if !self.nested[r] {
+                    acc.fill(0);
+                }
                 self.count_many_core(r, worlds, kernel, acc);
                 out[r * width + offset..r * width + offset + worlds.len()].copy_from_slice(acc);
             }
@@ -395,9 +437,10 @@ impl BlockedMembership {
         }
     }
 
-    /// One fused sweep of region `r` over at most [`MAX_FUSED_WORLDS`]
-    /// pre-validated worlds, accumulating into `acc` (not cleared —
-    /// callers zero it).
+    /// One fused sweep of region `r`'s ring over at most
+    /// [`MAX_FUSED_WORLDS`] pre-validated worlds, accumulating into
+    /// `acc` (not cleared — callers zero it or hold the parent's
+    /// counts in it).
     #[inline]
     fn count_many_core(
         &self,
@@ -448,8 +491,11 @@ impl BlockedMembership {
     /// over a partition of `0..num_label_words()` reproduces the
     /// unsharded count exactly (integer addition, no rounding).
     ///
-    /// The view's `n_of`/`total_ids` are window-local (they sum to the
-    /// parent's across a partition).
+    /// Regions keep their parents: a view's count adds the view's own
+    /// count of the parent, and window-local sums are linear, so the
+    /// partition property holds for ring-compiled regions too. The
+    /// view's `n_of`/`total_ids` are window-local full-region counts
+    /// (they sum to the unclipped ones across a partition).
     ///
     /// # Panics
     /// Panics on an inverted window (`word_lo > word_hi`) or one
@@ -465,18 +511,12 @@ impl BlockedMembership {
             self.num_label_words()
         );
         let (lo, hi) = (word_lo as u64, word_hi as u64);
-        let mut clipped = BlockedMembership {
-            full_offsets: vec![0],
-            full_starts: Vec::new(),
-            full_lens: Vec::new(),
-            run_offsets: vec![0],
-            run_blocks: Vec::new(),
-            run_masks: Vec::new(),
-            region_n: Vec::new(),
-            num_points: self.num_points,
-        };
+        let mut clipped = Self::empty(self.num_points);
         for r in 0..self.num_regions() {
-            let mut n = 0u64;
+            let mut n = match self.parent(r) {
+                Some(p) => clipped.region_n[p],
+                None => 0,
+            };
             let (fs, fe) = (
                 self.full_offsets[r] as usize,
                 self.full_offsets[r + 1] as usize,
@@ -504,35 +544,36 @@ impl BlockedMembership {
             }
             clipped.full_offsets.push(clipped.full_starts.len() as u32);
             clipped.run_offsets.push(clipped.run_blocks.len() as u32);
+            clipped.nested.push(self.nested[r]);
             clipped.region_n.push(n);
         }
         clipped
     }
 
-    /// Total member ids across all regions (`Σ n(R)`).
+    /// Total member ids across all regions (`Σ n(R)` of the full
+    /// regions, whatever their parents).
     pub fn total_ids(&self) -> u64 {
         self.region_n.iter().sum()
     }
 
-    /// Words the counting sweep touches per world: full blocks plus
-    /// partial runs.
+    /// Words one counting sweep reads per world: the full blocks plus
+    /// partial runs of every region's ring.
     pub fn touched_words(&self) -> u64 {
         self.full_lens.iter().map(|&l| l as u64).sum::<u64>() + self.run_masks.len() as u64
     }
 
-    /// Measured mask density: member ids per touched word, in
-    /// `[1, 64]` (0 for empty memberships). The scalar gather costs
-    /// one read per id; the blocked sweep one AND+popcnt per word — so
-    /// this ratio is the expected speedup of blocked over scalar
-    /// counting, and what the scan layer's `CountingStrategy::Auto`
-    /// upgrade rule decides on.
+    /// Measured mask density: ring ids per ring word, in `[1, 64]` (0
+    /// for empty memberships). Gathering the ring ids costs one read
+    /// per id; the sweep one AND+popcnt per ring word — so this ratio
+    /// bounds what the masks save per world.
     pub fn ids_per_word(&self) -> f64 {
         let words = self.touched_words();
         if words == 0 {
-            0.0
-        } else {
-            self.total_ids() as f64 / words as f64
+            return 0.0;
         }
+        let full_ids = 64 * self.full_lens.iter().map(|&l| l as u64).sum::<u64>();
+        let run_ids: u64 = self.run_masks.iter().map(|m| m.count_ones() as u64).sum();
+        (full_ids + run_ids) as f64 / words as f64
     }
 }
 

@@ -23,7 +23,7 @@
 //!   Monte Carlo loop cheap: `n(R)` never changes across worlds, so
 //!   each world only recounts `p(R)` against a fresh label bitset —
 //!   and a nested region only its ring, adding its parent's count.
-//! * [`BlockedMembership`] — the membership lists compiled into
+//! * [`BlockedMembership`] — the membership rings compiled into
 //!   word-aligned `(block, mask)` popcnt runs over the [`BitLabels`]
 //!   block array (with a Morton-order id layout, [`morton_layout`],
 //!   that packs compact regions into dense masks), turning the

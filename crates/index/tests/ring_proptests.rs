@@ -1,11 +1,15 @@
 //! Containment-delta counting: the ring sweep behind
-//! [`Membership::count_all_into`] must give every region the count its
+//! [`Membership::count_all_into`], and the ring-compiled masks of
+//! [`BlockedMembership::compile`], must give every region the count its
 //! full member list gives, on region families that nest, repeat, empty
 //! out, shrink, and interleave with partitions.
 
 use proptest::prelude::*;
 use sfgeo::{Circle, Point, Rect, Region};
-use sfindex::{BitLabels, KdTree, Membership};
+use sfindex::{
+    shard_word_bounds, BitLabels, BlockedMembership, CountingKernel, KdTree, Membership,
+    MAX_FUSED_WORLDS,
+};
 use std::collections::HashSet;
 
 /// One run of consecutive regions in a generated family.
@@ -124,5 +128,101 @@ proptest! {
                 prop_assert_eq!(p, mem.count(r, &world).p, "region {}", r);
             }
         }
+    }
+
+    #[test]
+    fn ring_masks_count_full_regions(
+        points in prop::collection::vec(((-50.0..50.0f64), (-50.0..50.0f64)), 0..300),
+        pieces in prop::collection::vec(arb_piece(), 1..8),
+        worlds in prop::collection::vec(
+            prop::collection::vec(any::<bool>(), 300),
+            MAX_FUSED_WORLDS + 1,
+        ),
+        cuts in prop::collection::vec(any::<u16>(), 0..5),
+    ) {
+        let n = points.len();
+        let points: Vec<Point> = points.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+        let regions = regions_of(&pieces);
+        let kd = KdTree::build(points, BitLabels::zeros(n));
+        let mem = Membership::build(&kd, n, &regions);
+        let masks = BlockedMembership::compile(&mem).unwrap();
+        let lists = BlockedMembership::from_lists((0..regions.len()).map(|r| mem.members(r)), n)
+            .unwrap();
+
+        // Rings never read more words than full lists; n(R) and its
+        // total keep their full-region meaning.
+        prop_assert!(masks.touched_words() <= lists.touched_words());
+        prop_assert_eq!(masks.total_ids(), lists.total_ids());
+        for r in 0..regions.len() {
+            prop_assert_eq!(masks.parent(r), mem.parent(r), "region {}", r);
+            prop_assert_eq!(masks.n_of(r), mem.n_of(r), "region {}", r);
+        }
+
+        let worlds: Vec<BitLabels> = worlds.iter().map(|w| BitLabels::from_bools(&w[..n])).collect();
+        // The oracle: each full member list, gathered id by id.
+        let expected: Vec<Vec<u64>> = worlds
+            .iter()
+            .map(|world| (0..regions.len()).map(|r| world.count_at(mem.members(r))).collect())
+            .collect();
+        let kernels: Vec<CountingKernel> =
+            CountingKernel::ALL.into_iter().filter(|k| k.is_supported()).collect();
+        let mut out = Vec::new();
+        for (world, want) in worlds.iter().zip(&expected) {
+            for (r, &p) in want.iter().enumerate() {
+                prop_assert_eq!(masks.count(r, world), p, "region {}", r);
+                for &kernel in &kernels {
+                    prop_assert_eq!(masks.count_with(r, world, kernel), p, "{} {}", kernel, r);
+                }
+            }
+            for &kernel in &kernels {
+                masks.count_all_into_with(world, kernel, &mut out);
+                prop_assert_eq!(&out, want, "{}", kernel);
+            }
+        }
+        // Fused widths 1..=9 cross the MAX_FUSED_WORLDS sweep boundary.
+        for width in 1..=worlds.len() {
+            let refs: Vec<&BitLabels> = worlds[..width].iter().collect();
+            for &kernel in &kernels {
+                masks.count_all_many_into(&refs, kernel, &mut out);
+                let mut one = vec![0u64; width];
+                for r in 0..regions.len() {
+                    masks.count_many_into(r, &refs, kernel, &mut one);
+                    for w in 0..width {
+                        prop_assert_eq!(out[r * width + w], expected[w][r], "width {} region {}", width, r);
+                        prop_assert_eq!(one[w], expected[w][r], "width {} region {}", width, r);
+                    }
+                }
+            }
+        }
+
+        // Views clipped over a random word partition sum to the
+        // unclipped counts and n(R).
+        let words = masks.num_label_words();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize % (words + 1)).collect();
+        bounds.extend([0, words]);
+        bounds.sort_unstable();
+        let views: Vec<BlockedMembership> =
+            bounds.windows(2).map(|w| masks.clip_to_words(w[0], w[1])).collect();
+        let refs: Vec<&BitLabels> = worlds.iter().collect();
+        let mut summed = vec![0u64; regions.len() * refs.len()];
+        for view in &views {
+            view.count_all_many_into(&refs, CountingKernel::Scalar, &mut out);
+            for (acc, &p) in summed.iter_mut().zip(&out) {
+                *acc += p;
+            }
+        }
+        for r in 0..regions.len() {
+            let n_sum: u64 = views.iter().map(|v| v.n_of(r)).sum();
+            prop_assert_eq!(n_sum, mem.n_of(r), "region {}", r);
+            for (w, world) in worlds.iter().enumerate() {
+                let p_sum: u64 = views.iter().map(|v| v.count(r, world)).sum();
+                prop_assert_eq!(p_sum, expected[w][r], "region {} world {}", r, w);
+                prop_assert_eq!(summed[r * refs.len() + w], expected[w][r]);
+            }
+        }
+        // The even shard windows are one such partition.
+        let shards = shard_word_bounds(words, 3);
+        let total: u64 = shards.iter().map(|&(lo, hi)| masks.clip_to_words(lo, hi).total_ids()).sum();
+        prop_assert_eq!(total, masks.total_ids());
     }
 }

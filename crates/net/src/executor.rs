@@ -54,6 +54,10 @@ pub struct ExecutorConfig {
     /// is measured in [`Clock`] units (microseconds under the server's
     /// [`SystemClock`](crate::SystemClock)).
     pub policy: DrainPolicy,
+    /// Per-session bound on the world cache's resident τ-buffer bytes
+    /// ([`WorldCache::with_capacity_bytes`]). Defaults to 64 MiB, about
+    /// 8,000 cached 999-world single-direction audits.
+    pub cache_capacity_bytes: usize,
 }
 
 impl Default for ExecutorConfig {
@@ -62,6 +66,7 @@ impl Default for ExecutorConfig {
             workers: 2,
             queue_capacity: None,
             policy: DrainPolicy::Manual,
+            cache_capacity_bytes: 64 << 20,
         }
     }
 }
@@ -240,7 +245,9 @@ impl NetExecutor {
         let handle = DatasetHandle(state.sessions.len() as u64);
         state.sessions.push(SessionSlot {
             prepared,
-            cache: Arc::new(Mutex::new(WorldCache::new())),
+            cache: Arc::new(Mutex::new(WorldCache::with_capacity_bytes(
+                self.inner.config.cache_capacity_bytes,
+            ))),
             pending: VecDeque::new(),
             pending_since: None,
             ready: VecDeque::new(),

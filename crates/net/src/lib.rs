@@ -62,7 +62,7 @@ mod server;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use executor::{ConnDriver, ExecutorConfig, NetExecutor, ResponseSink};
-pub use server::{write_line, AuditTcpServer, MAX_LINE_BYTES};
+pub use server::{read_bounded_line, write_line, AuditTcpServer, MAX_LINE_BYTES};
 
 #[cfg(test)]
 mod tests {
@@ -105,6 +105,7 @@ mod tests {
                 workers: 0,
                 queue_capacity: capacity,
                 policy,
+                ..ExecutorConfig::default()
             },
             Arc::clone(&clock) as Arc<dyn Clock>,
         );
@@ -156,6 +157,39 @@ mod tests {
         // from the session's world cache, invisibly.
         assert_eq!(first.report, second.report);
         assert_eq!(executor.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn session_world_cache_stays_under_its_cap() {
+        // One 99-world audit caches under 2.4 KB of τ rows, so 200
+        // distinct seeds would hold hundreds of KB unbounded.
+        let cap = 8 << 10;
+        let executor = NetExecutor::new(
+            ExecutorConfig {
+                workers: 0,
+                cache_capacity_bytes: cap,
+                ..ExecutorConfig::default()
+            },
+            Arc::new(ManualClock::new()) as Arc<dyn Clock>,
+        );
+        executor
+            .register(&outcomes(400, 3), &grid(), base())
+            .unwrap();
+        let mut conn = ConnDriver::new();
+        for seed in 0..200 {
+            conn.handle_line(&executor, &line_for(0, request(seed)));
+            executor.flush();
+            let resident = executor.cache_stats().resident_bytes;
+            assert!(resident > 0, "seed {seed}: the latest audit is cached");
+            assert!(resident <= cap as u64, "seed {seed}: {resident} > {cap}");
+        }
+        assert!(executor.cache_stats().evictions > 0);
+        // The latest seed still fits under the cap: its repeat replays.
+        let hits = executor.stats().cache_hits;
+        conn.handle_line(&executor, &line_for(0, request(199)));
+        executor.flush();
+        assert_eq!(executor.stats().cache_hits, hits + 1);
+        assert_eq!(conn.finish(), 201);
     }
 
     #[test]
@@ -265,6 +299,7 @@ mod tests {
                 workers: 0,
                 queue_capacity: None,
                 policy: DrainPolicy::MaxPending(1),
+                ..ExecutorConfig::default()
             },
             Arc::new(ManualClock::new()) as Arc<dyn Clock>,
         );
@@ -314,6 +349,7 @@ mod tests {
                 workers: 2,
                 queue_capacity: None,
                 policy: DrainPolicy::Manual,
+                ..ExecutorConfig::default()
             },
             clock as Arc<dyn Clock>,
         );

@@ -265,10 +265,13 @@ fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &A
 /// client streaming one endless line errors with `InvalidData` the
 /// moment the cap is crossed instead of growing the buffer without
 /// bound inside a single `read_line` call.
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-) -> std::io::Result<usize> {
+///
+/// A poll timeout returns: `Ok(n)` with the bytes that arrived before
+/// it, or the timeout error if none did. Either way `line` keeps the
+/// partial line, and the caller checks its stop flags before calling
+/// again — a client that sends half a line and goes quiet cannot pin
+/// the caller inside this function. A complete line ends with `\n`.
+pub fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut String) -> std::io::Result<usize> {
     let mut appended = 0usize;
     loop {
         let available = match reader.fill_buf() {

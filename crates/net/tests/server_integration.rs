@@ -132,6 +132,7 @@ fn immediate_server(regions: &RegionSet) -> AuditTcpServer {
             workers: 1,
             queue_capacity: None,
             policy: DrainPolicy::MaxPending(1),
+            ..ExecutorConfig::default()
         },
     )
 }
@@ -185,6 +186,7 @@ fn socket_responses_are_byte_identical_to_the_inprocess_path() {
         workers: 2,
         queue_capacity: None,
         policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
     });
     let addr = server.local_addr();
 
@@ -218,6 +220,7 @@ fn overload_is_rejected_with_busy_envelopes_not_unbounded_queuing() {
         workers: 1,
         queue_capacity: Some(1),
         policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
     });
     let lines = vec![
         line_for(0, request(1)),
@@ -252,6 +255,7 @@ fn deadline_fires_under_the_timer_thread_without_test_sleeps() {
             workers: 2,
             queue_capacity: None,
             policy: DrainPolicy::Deadline(1_000),
+            ..ExecutorConfig::default()
         },
         Arc::clone(&clock) as Arc<dyn Clock>,
     ));
@@ -314,6 +318,7 @@ fn oversized_line_is_rejected_with_a_typed_envelope_and_the_connection_closes() 
         workers: 1,
         queue_capacity: None,
         policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
     });
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
 
@@ -359,6 +364,7 @@ fn stats_probe_lines_are_answered_inline_without_burning_tickets() {
         workers: 1,
         queue_capacity: None,
         policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
     });
     let lines = vec![
         String::from(r#"{"stats":true}"#),
@@ -408,6 +414,7 @@ fn graceful_shutdown_answers_every_accepted_ticket() {
         workers: 2,
         queue_capacity: None,
         policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
     });
     let addr = server.local_addr();
     let executor = Arc::clone(server.executor());

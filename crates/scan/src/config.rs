@@ -27,31 +27,35 @@ pub enum NullModel {
 /// How per-world region counts are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CountingStrategy {
-    /// Materialise each region's member ids once; every world only
-    /// recounts positives against a fresh label bitset (fast; memory
-    /// proportional to total membership).
+    /// Materialise each region's member ids (and the rings of nested
+    /// regions) once; every world only recounts positives against a
+    /// fresh label bitset (fast; memory proportional to total
+    /// membership). Worlds are counted by sweeping the rings compiled
+    /// into word-aligned masks, exactly as under
+    /// [`CountingStrategy::Blocked`], which the engine reports as its
+    /// resolved strategy.
     #[default]
     Membership,
     /// Re-run a spatial range query per region per world (no extra
     /// memory; slower). Exists mainly as the ablation baseline proving
     /// the membership path is an optimisation, not a semantic change.
     Requery,
-    /// Compile the member-id lists into word-aligned `(block, mask)`
-    /// popcnt runs over the label bitset's block array, laid out in
-    /// Morton id order so compact regions own dense masks
+    /// Membership lists whose rings are compiled into word-aligned
+    /// `(block, mask)` popcnt runs over the label bitset's block array,
+    /// laid out in Morton id order so compact regions own dense masks
     /// ([`sfindex::BlockedMembership`]). The per-world recount becomes
     /// a branch-free masked-popcount sweep — up to 64 ids per
-    /// instruction instead of one bitset read per id. Counts are
+    /// instruction instead of one bitset read per id — with each nested
+    /// region adding its parent's count. Engines build the same
+    /// structure for [`CountingStrategy::Membership`]; the two names
+    /// differ only in the strategy a report echoes. Counts are
     /// bit-identical to the other strategies.
     Blocked,
     /// Measure the membership density `Σ n(R)` against its `M·N` worst
     /// case at build time and pick: [`CountingStrategy::Membership`]
     /// while the id lists stay cheap, [`CountingStrategy::Requery`]
     /// once materialising them would approach the dense extreme (see
-    /// `ScanEngine`'s docs for the exact rule) — and when the
-    /// membership path wins, upgrade to [`CountingStrategy::Blocked`]
-    /// if the measured mask density clears the popcnt break-even.
-    /// Counts are identical in every case — this knob only trades
+    /// `ScanEngine`'s docs for the exact rule). Counts are identical in every case — this knob only trades
     /// memory against per-world constant factors.
     Auto,
 }

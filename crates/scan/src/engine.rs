@@ -25,8 +25,8 @@
 //! of bit positions. [`ScanEngine::from_index`] enumerates each
 //! region's members once, through a view of the substrate that reports
 //! every member as its position: membership lists and rings hold
-//! positions, [`CountingStrategy::Blocked`] compiles them into
-//! word-aligned `(block, mask)` popcnt runs
+//! positions, the masks compiled from the rings are word-aligned
+//! `(block, mask)` popcnt runs over them
 //! ([`sfindex::BlockedMembership`]), and requery engines recount worlds
 //! through the same view. The real labels are laid out once, at build
 //! ([`ScanEngine::real_world`]).
@@ -52,15 +52,16 @@
 //! [`Membership::build`] finds region `r − 1`'s sorted member list to
 //! be a non-empty subset of region `r`'s (one merge per region at
 //! prepare time, no geometry), `r − 1` becomes `r`'s parent and `r`
-//! stores the ring `members(r) \ members(r − 1)`. The membership arm
-//! of [`ScanEngine::eval`] then counts every world as `p(r) =
-//! p(parent) + Σ labels[ring(r)]` in region order: on the paper's 100
-//! centres × 20 sides over the small SynthLAR that reads 22,901 ids a
-//! world instead of 306,981. Grid cells and other partitions get no
-//! parents and read their full lists as before. The adds are exact
-//! integers, so every `τ` is bit-identical; [`ScanEngine::scan_real`]
-//! keeps counting the full lists, which makes it an independent check
-//! on the ring sweep.
+//! stores the ring `members(r) \ members(r − 1)`. [`ScanEngine::eval`]
+//! then counts every world as `p(r) = p(parent) + count(ring(r))` in
+//! region order, sweeping each ring's masks (see *Counting
+//! representation*): on the paper's 100 centres × 20 sides over the
+//! small SynthLAR the rings hold 22,901 ids in 2,497 mask words, against
+//! 306,981 ids in the full lists. Grid cells and other partitions get no
+//! parents and count their full lists as before. The
+//! adds are exact integers, so every `τ` is bit-identical;
+//! [`ScanEngine::scan_real`] keeps counting the full lists, which makes
+//! it an independent check on the sweep.
 //!
 //! # Exact τ fold
 //!
@@ -81,28 +82,38 @@
 //! [`ScanEngine::scan_real_with`] still runs; the `fold_oracle`
 //! property tests pin the two against each other.
 //!
-//! # Auto counting strategy
+//! # Counting representation
+//!
+//! Every engine built from membership lists —
+//! [`CountingStrategy::Membership`], [`CountingStrategy::Blocked`] and
+//! Auto's membership leg — counts worlds through one structure: the
+//! masks [`BlockedMembership::compile`] builds from the [`Membership`]
+//! rings, each ring as word-aligned popcnt runs and each region adding
+//! its parent's count. [`ScanEngine::eval`] sweeps them one batch of
+//! worlds at a time, loading each `(block, mask)` pair once for the
+//! whole batch. On the 16×16 grid over 20,000 points a sweep reads 571
+//! mask words instead of 20,000 ids. The fused sweep of a full batch
+//! beats gathering the same ring ids world by world on every family
+//! the `blocked_counting` bench measures, down to one id per mask word.
 //!
 //! [`CountingStrategy::Auto`] resolves Membership vs Requery from the
-//! measured membership density at build time: with `M` regions over
-//! `N` points, materialised id lists hold `Σ n(R)` of the `M·N`
-//! possible entries (4 bytes each). Auto picks Membership while that
-//! stays cheap (`Σ n(R) ≤ 2^26` ids, i.e. 256 MiB) and falls back to
-//! Requery when the lists grow past the cap *or* past half the dense
-//! `M·N` extreme on large inputs — the regime where replaying ids
-//! loses its cache advantage and the memory bill dominates. When
-//! Membership wins, Auto additionally compiles the blocked masks and
-//! upgrades to [`CountingStrategy::Blocked`] if the measured mask
-//! density (member ids per touched word) clears
-//! [`AUTO_BLOCKED_MIN_IDS_PER_WORD`] — below that, the masks are so
-//! sparse the popcnt sweep degenerates to one word per id and the
-//! scalar gather is just as good.
+//! measured membership density: with `M` regions over `N` points,
+//! materialised id lists hold `Σ n(R)` of the `M·N` possible entries
+//! (4 bytes each). Auto picks Membership while that stays cheap
+//! (`Σ n(R) ≤ 2^26` ids, i.e. 256 MiB) and falls back to Requery when
+//! the lists grow past the cap *or* past half the dense `M·N` extreme on
+//! large inputs — the regime where the lists lose their cache advantage
+//! and the memory bill dominates.
+//!
+//! [`ScanEngine::resolved_strategy`] reports `Blocked` for every
+//! engine built from lists, all of which answer
+//! [`ScanEngine::membership`] and [`ScanEngine::blocked`].
 //!
 //! # Sharded counting
 //!
-//! [`ScanEngine::with_shards`] partitions a blocked engine's
+//! [`ScanEngine::with_shards`] partitions a mask-sweeping engine's
 //! label-word axis into contiguous shards, each owning a clipped view
-//! of the membership CSR; [`ScanEngine::eval`] with `fine` set fans a
+//! of the masks; [`ScanEngine::eval`] with `fine` set fans a
 //! batch's recount across the shards and sums exact integer partials,
 //! and the chunked `Word` generator fills label chunks in parallel
 //! ([`ScanEngine::generate_world_par`]). Every `τ` is bit-identical to
@@ -152,13 +163,6 @@ const AUTO_DENSITY_CAP: f64 = 0.5;
 /// materialized lists fit in cache).
 const AUTO_SMALL_INPUT_IDS: u64 = 1 << 22;
 
-/// Mask-density floor for [`CountingStrategy::Auto`] to upgrade a
-/// membership engine to blocked counting: with fewer member ids per
-/// touched word than this, the masked-popcount sweep reads about as
-/// many words as the scalar gather reads ids and the compilation buys
-/// nothing.
-pub const AUTO_BLOCKED_MIN_IDS_PER_WORD: f64 = 4.0;
-
 /// Largest capacity (in ids) the per-thread Fisher–Yates scratch
 /// keeps between worlds: 2^22 ids = 16 MiB per worker thread. Audits
 /// beyond this size re-allocate per world rather than pinning the
@@ -190,11 +194,14 @@ pub struct RealScan {
 /// The per-world counting structure actually in effect after strategy
 /// resolution.
 enum Counting {
-    /// Scalar sweep of the membership rings (each region's count is
-    /// its parent's plus its ring's).
-    Membership(Membership),
-    /// Masked-popcount sweep over blocked runs.
-    Blocked(Box<BlockedMembership>),
+    /// Membership lists and rings, plus the masks compiled from the
+    /// rings that every world is counted through (see *Counting
+    /// representation* in the module docs). The full lists serve
+    /// [`ScanEngine::scan_real`].
+    Lists {
+        membership: Membership,
+        masks: Box<BlockedMembership>,
+    },
     /// Range query per region per world.
     Requery,
 }
@@ -212,20 +219,18 @@ pub struct ScanEngine<I: CountingSubstrate = Substrate> {
     to_pos: Vec<u32>,
     /// The real labels in the world layout.
     real_world: BitLabels,
-    /// The strategy actually in effect (`Auto` is resolved at build).
-    resolved_strategy: CountingStrategy,
-    /// Clipped per-shard counting views over the blocked compilation
+    /// Clipped per-shard counting views over the swept masks
     /// ([`BlockedMembership::clip_to_words`]), tiling the label-word
-    /// axis. Empty when unsharded (non-blocked counting, or a shard
-    /// count that resolved to 1) — see [`ScanEngine::with_shards`].
+    /// axis. Empty when unsharded (a requery engine, or a shard count
+    /// that resolved to 1) — see [`ScanEngine::with_shards`].
     shard_views: Vec<BlockedMembership>,
     /// The `(word_lo, word_hi)` window of each entry in `shard_views`.
     shard_bounds: Vec<(usize, usize)>,
-    /// The popcount kernel the blocked sweeps run on — resolved from a
+    /// The popcount kernel the mask sweeps run on — resolved from a
     /// [`KernelSelect`] at build (default `Auto`, the best kernel the
     /// CPU supports). Every kernel produces bit-identical counts, so
-    /// this is a pure performance knob; non-blocked strategies ignore
-    /// it (they have no dense word ranges to popcount).
+    /// this is a pure performance knob; requery engines ignore it
+    /// (they have no masks to popcount).
     kernel: CountingKernel,
     /// The engine's *default* per-region test statistic, used by
     /// [`ScanEngine::scan_real`]. [`ScanEngine::eval`] and
@@ -237,8 +242,8 @@ pub struct ScanEngine<I: CountingSubstrate = Substrate> {
 
 impl ScanEngine<Substrate> {
     /// Builds the engine over the default backend
-    /// ([`IndexBackend::KdTree`]): spatial index, membership lists or
-    /// blocked masks (when the strategy asks for them),
+    /// ([`IndexBackend::KdTree`]): spatial index, membership lists,
+    /// rings and masks (unless the strategy is requery),
     /// world-invariant `n(R)`.
     ///
     /// # Errors
@@ -302,8 +307,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         // Morton layout the generators write.
         let to_pos = morton_layout(outcomes.points());
         let positions = Positions::new(&index, &to_pos);
-        // World-invariant n(R). The Membership/Blocked paths read it
-        // from the lists they build anyway; Requery/Auto measure it
+        // World-invariant n(R). The list-building paths read it from
+        // the lists they build anyway; Requery/Auto measure it
         // with one range-count query per region (for Auto that
         // measurement IS the membership density the resolution rule
         // decides on).
@@ -317,48 +322,37 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             validate_membership_unique(&m, &to_pos)?;
             Ok(m)
         };
-        let compile_blocked = |m: &Membership| -> Result<Box<BlockedMembership>, ScanError> {
-            BlockedMembership::compile(m).map(Box::new).map_err(|e| {
+        let lists = |membership: Membership| -> Result<Counting, ScanError> {
+            let masks = BlockedMembership::compile(&membership).map_err(|e| {
                 ScanError::MembershipIntegrity {
                     reason: e.to_string(),
                 }
+            })?;
+            Ok(Counting::Lists {
+                membership,
+                masks: Box::new(masks),
             })
         };
-        let (resolved_strategy, counting, region_n) = match strategy {
-            CountingStrategy::Membership => {
+        let (counting, region_n) = match strategy {
+            CountingStrategy::Membership | CountingStrategy::Blocked => {
                 let m = build_membership()?;
                 let region_n = membership_region_n(&m);
-                (
-                    CountingStrategy::Membership,
-                    Counting::Membership(m),
-                    region_n,
-                )
-            }
-            CountingStrategy::Blocked => {
-                let m = build_membership()?;
-                let region_n = membership_region_n(&m);
-                let blocked = compile_blocked(&m)?;
-                (
-                    CountingStrategy::Blocked,
-                    Counting::Blocked(blocked),
-                    region_n,
-                )
+                (lists(m)?, region_n)
             }
             CountingStrategy::Requery => {
                 let region_n = count_region_n(&index);
                 validate_count_integrity(&positions, &region_vec, &region_n)?;
-                (CountingStrategy::Requery, Counting::Requery, region_n)
+                (Counting::Requery, region_n)
             }
             CountingStrategy::Auto => {
                 let region_n = count_region_n(&index);
                 let total_ids: u64 = region_n.iter().sum();
-                let resolved = resolve_strategy(
+                match resolve_strategy(
                     strategy,
                     total_ids,
                     region_vec.len() as u64,
                     outcomes.len() as u64,
-                );
-                match resolved {
+                ) {
                     CountingStrategy::Membership => {
                         let m = build_membership()?;
                         // The aggregate counts that drove the density
@@ -377,23 +371,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
                                 enumerated_n: enumerated_n[r],
                             });
                         }
-                        // The blocked upgrade: compile the masks and
-                        // keep them only if the measured density says
-                        // the popcnt sweep beats the scalar gather.
-                        let blocked = compile_blocked(&m)?;
-                        if blocked.ids_per_word() >= AUTO_BLOCKED_MIN_IDS_PER_WORD {
-                            (
-                                CountingStrategy::Blocked,
-                                Counting::Blocked(blocked),
-                                region_n,
-                            )
-                        } else {
-                            (resolved, Counting::Membership(m), region_n)
-                        }
+                        (lists(m)?, region_n)
                     }
                     _ => {
                         validate_count_integrity(&positions, &region_vec, &region_n)?;
-                        (resolved, Counting::Requery, region_n)
+                        (Counting::Requery, region_n)
                     }
                 }
             }
@@ -413,7 +395,6 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             p_total: outcomes.positives(),
             to_pos,
             real_world,
-            resolved_strategy,
             shard_views: Vec::new(),
             shard_bounds: Vec::new(),
             kernel: KernelSelect::Auto.resolve(),
@@ -421,18 +402,16 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         })
     }
 
-    /// Partitions this engine's blocked counting structures into
-    /// contiguous label-word shards (see [`Shards`]): each shard owns
-    /// a clipped view of the membership CSR, and [`ScanEngine::eval`]
-    /// with `fine` set sums per-shard popcnt partials in parallel.
-    /// Only blocked-resolved engines have a word axis to shard; for
-    /// other strategies — or when the count resolves to 1 — this is a
-    /// no-op and the engine keeps the unsharded sweep. Results are
-    /// bit-identical for every value.
+    /// Partitions this engine's masks into contiguous label-word
+    /// shards (see [`Shards`]): each shard owns a clipped view of the
+    /// masks, and [`ScanEngine::eval`] with `fine` set sums per-shard
+    /// popcnt partials in parallel. Requery engines have no word axis
+    /// to shard; for them — or when the count resolves to 1 — this is
+    /// a no-op. Results are bit-identical for every value.
     pub fn with_shards(mut self, shards: Shards) -> Self {
         self.shard_views.clear();
         self.shard_bounds.clear();
-        if let Counting::Blocked(b) = &self.counting {
+        if let Some(b) = self.blocked() {
             let num_words = b.num_label_words();
             let k = shards.resolve(num_words);
             if k > 1 {
@@ -447,13 +426,13 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self
     }
 
-    /// Selects the popcount kernel the blocked counting sweeps run on
-    /// (see [`KernelSelect`]): `Auto` resolves to the best kernel the
-    /// CPU supports (verified by a build-time probe against the scalar
+    /// Selects the popcount kernel the mask sweeps run on (see
+    /// [`KernelSelect`]): `Auto` resolves to the best kernel the CPU
+    /// supports (verified by a build-time probe against the scalar
     /// reference), explicit SIMD selections degrade down the ladder
     /// when the feature is missing. Counts are exact integers under
     /// every kernel, so every selection is bit-identical — this knob
-    /// moves only throughput. No-op for non-blocked strategies.
+    /// moves only throughput. No-op for requery engines.
     pub fn with_kernel(mut self, select: KernelSelect) -> Self {
         self.kernel = select.resolve();
         self
@@ -522,36 +501,39 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self.region_n.iter().sum()
     }
 
-    /// The strategy in effect after resolving
-    /// [`CountingStrategy::Auto`] (never `Auto` itself).
+    /// The counting path in effect after resolving
+    /// [`CountingStrategy::Auto`]: `Blocked` for every engine built
+    /// from membership lists (they all sweep masks), `Requery`
+    /// otherwise.
     pub fn resolved_strategy(&self) -> CountingStrategy {
-        self.resolved_strategy
+        match &self.counting {
+            Counting::Lists { .. } => CountingStrategy::Blocked,
+            Counting::Requery => CountingStrategy::Requery,
+        }
     }
 
-    /// Measured mask density of the blocked compilation (member ids
-    /// per touched word), when this engine counts via blocked masks.
-    /// This is the number the Auto upgrade rule compared against
-    /// [`AUTO_BLOCKED_MIN_IDS_PER_WORD`].
+    /// Measured density of the swept masks (ring ids per ring word),
+    /// for engines built from membership lists.
     pub fn blocked_ids_per_word(&self) -> Option<f64> {
         self.blocked().map(BlockedMembership::ids_per_word)
     }
 
-    /// The membership lists and rings this engine sweeps per world,
-    /// when the resolved strategy is [`CountingStrategy::Membership`].
-    /// They hold world-layout positions, not point ids.
+    /// The membership lists and rings of every engine built from
+    /// membership lists (every strategy but requery). They hold
+    /// world-layout positions, not point ids.
     pub fn membership(&self) -> Option<&Membership> {
         match &self.counting {
-            Counting::Membership(m) => Some(m),
-            _ => None,
+            Counting::Lists { membership, .. } => Some(membership),
+            Counting::Requery => None,
         }
     }
 
-    /// The blocked mask compilation this engine sweeps per world, when
-    /// the resolved strategy is [`CountingStrategy::Blocked`].
+    /// The ring-compiled masks this engine sweeps per world, for every
+    /// engine built from membership lists.
     pub fn blocked(&self) -> Option<&BlockedMembership> {
         match &self.counting {
-            Counting::Blocked(b) => Some(b),
-            _ => None,
+            Counting::Lists { masks, .. } => Some(masks),
+            Counting::Requery => None,
         }
     }
 
@@ -576,15 +558,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// Scans the real world with an explicit statistic: per-region
     /// counts, scores, and `τ = max score`.
     pub fn scan_real_with(&self, statistic: Statistic, direction: Direction) -> RealScan {
+        // Full member lists, never rings or masks: this pass is the
+        // independent check on the per-world sweep.
         let counts: Vec<CountPair> = match &self.counting {
-            Counting::Membership(m) => (0..self.regions.len())
-                .map(|r| m.count(r, &self.real_world))
-                .collect(),
-            Counting::Blocked(b) => (0..self.regions.len())
-                .map(|r| CountPair {
-                    n: b.n_of(r),
-                    p: b.count(r, &self.real_world),
-                })
+            Counting::Lists { membership, .. } => (0..self.regions.len())
+                .map(|r| membership.count(r, &self.real_world))
                 .collect(),
             Counting::Requery => self.regions.iter().map(|r| self.index.count(r)).collect(),
         };
@@ -844,17 +822,16 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// pass serves every direction. How the matrix is filled depends
     /// on the counting strategy:
     ///
-    /// * blocked engines count all `W` worlds per CSR pass
+    /// * engines built from membership lists count all `W` worlds per
+    ///   pass over the ring masks
     ///   ([`BlockedMembership::count_all_many_into`]): each run's
     ///   `(block, mask)` pair is loaded once and ANDed against every
     ///   world's block. With `fine` set on an engine with more than one
     ///   shard, one rayon task per shard runs that sweep over its
     ///   clipped CSR view and the exact integer partials are summed in
-    ///   shard order;
-    /// * membership engines sweep world by world through
-    ///   [`Membership::count_all_into`], each region's count its
-    ///   parent's plus its ring (see *Containment-delta counting* in
-    ///   the module docs);
+    ///   shard order. Each region's count is its parent's count plus
+    ///   its ring's (see *Containment-delta counting* in the module
+    ///   docs);
     /// * requery engines query world by world.
     ///
     /// `fine` is the work-splitter's axis flag (see
@@ -898,7 +875,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         let width = worlds.len();
         let mut counts = vec![0u64; self.region_n.len() * width];
         match &self.counting {
-            Counting::Blocked(_) if fine && self.shard_views.len() > 1 => {
+            Counting::Lists { .. } if fine && self.shard_views.len() > 1 => {
                 let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
                     .into_par_iter()
                     .map(|s| {
@@ -913,15 +890,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
                     }
                 }
             }
-            Counting::Blocked(b) => b.count_all_many_into(worlds, self.kernel, &mut counts),
-            Counting::Membership(m) => {
-                let mut one = Vec::with_capacity(self.region_n.len());
-                for (w, labels) in worlds.iter().enumerate() {
-                    m.count_all_into(labels, &mut one);
-                    for (r, &p) in one.iter().enumerate() {
-                        counts[r * width + w] = p;
-                    }
-                }
+            Counting::Lists { masks, .. } => {
+                masks.count_all_many_into(worlds, self.kernel, &mut counts)
             }
             Counting::Requery => {
                 for (w, labels) in worlds.iter().enumerate() {
@@ -1140,10 +1110,8 @@ fn validate_count_integrity<I: PointVisit>(
     Ok(())
 }
 
-/// Resolves [`CountingStrategy::Auto`]'s membership-vs-requery leg
-/// from the measured membership density (see the module docs for the
-/// rule and rationale; the blocked upgrade happens afterwards, once
-/// the masks exist to measure).
+/// Resolves [`CountingStrategy::Auto`] from the measured membership
+/// density (see the module docs for the rule and rationale).
 fn resolve_strategy(
     requested: CountingStrategy,
     total_ids: u64,
@@ -1288,17 +1256,18 @@ mod tests {
         assert_eq!(e.resolved_strategy(), CountingStrategy::Blocked);
         assert_eq!(e.total_membership_ids(), 100);
         assert!(
-            e.blocked_ids_per_word().unwrap() >= AUTO_BLOCKED_MIN_IDS_PER_WORD,
+            e.blocked_ids_per_word().unwrap() >= 4.0,
             "density {:?}",
             e.blocked_ids_per_word()
         );
     }
 
     #[test]
-    fn auto_keeps_membership_when_masks_are_sparse() {
-        // One-point regions: every mask holds a single bit, so the
-        // popcnt sweep cannot beat the scalar gather and Auto stays on
-        // membership replay.
+    fn auto_sweeps_masks_even_when_sparse() {
+        // One-point regions: every mask holds a single bit. A fused
+        // batch sweep still reads no more than the id gather did, so
+        // Auto's membership pick sweeps these masks too, and counts
+        // them exactly.
         let o = outcomes();
         let singles = RegionSet::from_regions(
             o.points()
@@ -1308,8 +1277,13 @@ mod tests {
                 .collect(),
         );
         let e = ScanEngine::build(&o, &singles, CountingStrategy::Auto).unwrap();
-        assert_eq!(e.resolved_strategy(), CountingStrategy::Membership);
-        assert!(e.blocked_ids_per_word().is_none());
+        assert_eq!(e.resolved_strategy(), CountingStrategy::Blocked);
+        assert_eq!(e.blocked_ids_per_word(), Some(1.0));
+        let oracle = ScanEngine::build(&o, &singles, CountingStrategy::Requery).unwrap();
+        for d in [Direction::TwoSided, Direction::Low] {
+            let want = tau(&oracle, oracle.real_world(), d).to_bits();
+            assert_eq!(tau(&e, e.real_world(), d).to_bits(), want, "{d}");
+        }
     }
 
     #[test]
@@ -1726,14 +1700,20 @@ mod tests {
 
     #[test]
     fn sharding_is_a_noop_off_the_blocked_path() {
+        // Requery engines have no masks, so no word axis to shard.
         let o = outcomes();
-        for strategy in [CountingStrategy::Membership, CountingStrategy::Requery] {
-            let e = ScanEngine::build(&o, &region_set(), strategy)
-                .unwrap()
-                .with_shards(Shards::Fixed(4));
-            assert_eq!(e.num_shards(), 1, "{strategy:?}");
-            assert!(e.shard_bounds().is_empty());
-        }
+        let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Requery)
+            .unwrap()
+            .with_shards(Shards::Fixed(4));
+        assert!(e.blocked().is_none());
+        assert_eq!(e.num_shards(), 1);
+        assert!(e.shard_bounds().is_empty());
+        // A membership engine sweeps masks, so it shards like a
+        // blocked one.
+        let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Membership)
+            .unwrap()
+            .with_shards(Shards::Fixed(4));
+        assert_eq!(e.num_shards(), 2);
         // Resolving to a single shard keeps the unsharded sweep too.
         let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Blocked)
             .unwrap()

@@ -35,12 +35,13 @@
 //!   [`sfindex::CountingSubstrate`] (brute force, kd-tree, quadtree,
 //!   R-tree, or uniform grid — selected at runtime via
 //!   [`config::AuditConfig::backend`], all bit-identical) and the fast
-//!   membership-based Monte Carlo world evaluation, including the
-//!   blocked popcnt path ([`config::CountingStrategy::Blocked`],
-//!   masked popcounts over a Morton-blocked membership CSR).
-//!   [`config::CountingStrategy::Auto`] resolves Membership vs Requery
-//!   counting from the measured membership density `Σ n(R)` vs `M·N`,
-//!   then upgrades to Blocked when the compiled masks are dense.
+//!   membership-based Monte Carlo world evaluation: membership lists,
+//!   the rings of nested regions, and masked popcounts over the
+//!   Morton-blocked ring masks, which every engine built from
+//!   membership lists sweeps. [`config::CountingStrategy::Auto`]
+//!   resolves Membership vs
+//!   Requery counting from the measured membership density `Σ n(R)` vs
+//!   `M·N`.
 //! * [`audit`] — the [`audit::Auditor`] driver tying it together.
 //!   With [`config::McStrategy::EarlyStop`], the Monte Carlo
 //!   calibration evaluates worlds in batches and stops at the first

@@ -1,7 +1,8 @@
 //! Containment-delta counting end to end: nested square and circle
-//! families, whose membership engines count every world through rings,
-//! must audit bit-identically to blocked counting and to requery (which
-//! never builds membership lists), under both world generators.
+//! families, whose membership engines count every world through
+//! ring-compiled masks, must audit bit-identically to blocked counting
+//! and to requery (which never builds membership lists), under both
+//! world generators, however dense or sparse the masks are.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -50,7 +51,8 @@ fn families() -> [(&'static str, RegionSet); 2] {
 fn nested_families_audit_identically_through_rings() {
     let o = outcomes(2500, 7);
     for (name, regions) in families() {
-        // The membership engine really counts through rings here.
+        // The membership engine's rings hold under a third of the
+        // listed ids, and the masks it sweeps are compiled from them.
         let engine = ScanEngine::build(&o, &regions, CountingStrategy::Membership).unwrap();
         let m = engine.membership().unwrap();
         let full: u64 = (0..m.num_regions()).map(|r| m.n_of(r)).sum();
@@ -58,6 +60,11 @@ fn nested_families_audit_identically_through_rings() {
             (m.total_ids() as u64) * 3 < full,
             "{name}: {} sweep ids vs {full} listed",
             m.total_ids()
+        );
+        let masks = engine.blocked().unwrap();
+        assert!(
+            (0..m.num_regions()).any(|r| masks.parent(r).is_some()),
+            "{name}"
         );
         for worldgen in [WorldGen::Scalar, WorldGen::Word] {
             for (direction, null_model) in [
@@ -86,6 +93,72 @@ fn nested_families_audit_identically_through_rings() {
                     assert_eq!(rings.findings, other.findings, "{what}");
                 }
             }
+        }
+    }
+}
+
+/// A membership-requested engine sweeps ring-compiled masks — dense or
+/// sparse, nested or not — and audits bit-identically to requery (which
+/// builds no lists, rings or masks).
+#[test]
+fn membership_engines_sweep_ring_masks_and_match_requery() {
+    let o = outcomes(2500, 7);
+    let [(_, squares), (_, circles)] = families();
+    let grid = RegionSet::regular_grid(o.expanded_bounding_box(), 16, 16);
+    let singles = RegionSet::from_regions(
+        o.points()
+            .iter()
+            .step_by(50)
+            .map(|p| Rect::square(*p, 1e-6).into())
+            .collect(),
+    );
+    // Small nested squares around scattered points: a few ids per ring,
+    // spread over the layout.
+    let tiny_sides: Vec<f64> = (1..=6).map(|i| i as f64 * 0.004).collect();
+    let sparse_squares = RegionSet::squares(
+        o.points().iter().step_by(100).copied().collect(),
+        &tiny_sides,
+    );
+    for (name, regions, nested, dense) in [
+        ("squares", squares, true, true),
+        ("circles", circles, true, true),
+        ("grid", grid, false, true),
+        ("singles", singles, false, false),
+        ("sparse squares", sparse_squares, true, false),
+    ] {
+        let engine = ScanEngine::build(&o, &regions, CountingStrategy::Membership).unwrap();
+        assert!(engine.membership().is_some(), "{name}");
+        assert_eq!(
+            engine.resolved_strategy(),
+            CountingStrategy::Blocked,
+            "{name}"
+        );
+        let masks = engine.blocked().unwrap();
+        let has_parents = (0..regions.len()).any(|r| masks.parent(r).is_some());
+        assert_eq!(has_parents, nested, "{name}");
+        // Sparse families read under four ring ids per mask word.
+        let density = masks.ids_per_word();
+        assert_eq!(density >= 4.0, dense, "{name}: {density} ids per word");
+        for worldgen in [WorldGen::Scalar, WorldGen::Word] {
+            let base = AuditConfig::new(0.05)
+                .with_worlds(99)
+                .with_seed(17)
+                .with_worldgen(worldgen);
+            let audit = |strategy| {
+                Auditor::new(base.with_strategy(strategy))
+                    .audit(&o, &regions)
+                    .unwrap()
+            };
+            let (swept, oracle) = (
+                audit(CountingStrategy::Membership),
+                audit(CountingStrategy::Requery),
+            );
+            let what = format!("{name} {worldgen:?}");
+            let bits = |s: &[f64]| s.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(swept.tau.to_bits(), oracle.tau.to_bits(), "{what}");
+            assert_eq!(swept.p_value.to_bits(), oracle.p_value.to_bits(), "{what}");
+            assert_eq!(bits(&swept.simulated), bits(&oracle.simulated), "{what}");
+            assert_eq!(swept.findings, oracle.findings, "{what}");
         }
     }
 }
