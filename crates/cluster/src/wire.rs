@@ -15,11 +15,11 @@
 //! one; a count reply's `counts` array is region-major
 //! (`counts[r * count + k]` = region `r` under world `first + k`) and
 //! `p_partials[k]` is world `first + k`'s positive total within the
-//! word window. Field order is fixed (the vendored serializer emits
-//! object keys in construction order), so replies are byte-stable —
+//! word window. Field order is fixed (the vendored writer emits object
+//! keys in the order they are written), so replies are byte-stable —
 //! the property the fault-injection transcripts diff against.
 
-use serde::{self, Deserialize, Serialize, Value};
+use serde::{self, Deserialize, Serialize, Value, Writer};
 use sfscan::{NullModel, WorldGen};
 
 /// Protocol version advertised in [`HelloReply`]; bumped on any wire
@@ -62,32 +62,25 @@ pub struct CountRequest {
 }
 
 impl Serialize for WorkerRequest {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
         match self {
-            WorkerRequest::Hello => Value::Object(vec![(
-                String::from("op"),
-                Value::Str(String::from("hello")),
-            )]),
-            WorkerRequest::Stats => Value::Object(vec![(
-                String::from("op"),
-                Value::Str(String::from("stats")),
-            )]),
-            WorkerRequest::Shutdown => Value::Object(vec![(
-                String::from("op"),
-                Value::Str(String::from("shutdown")),
-            )]),
-            WorkerRequest::Count(c) => Value::Object(vec![
-                (String::from("op"), Value::Str(String::from("count"))),
-                (String::from("id"), Value::U64(c.id)),
-                (String::from("null_model"), c.null_model.to_value()),
-                (String::from("seed"), Value::U64(c.seed)),
-                (String::from("worldgen"), c.worldgen.to_value()),
-                (String::from("first"), Value::U64(c.first)),
-                (String::from("count"), Value::U64(c.count)),
-                (String::from("word_lo"), Value::U64(c.word_lo)),
-                (String::from("word_hi"), Value::U64(c.word_hi)),
-            ]),
+            WorkerRequest::Hello => w.field("op", "hello"),
+            WorkerRequest::Stats => w.field("op", "stats"),
+            WorkerRequest::Shutdown => w.field("op", "shutdown"),
+            WorkerRequest::Count(c) => {
+                w.field("op", "count");
+                w.field("id", &c.id);
+                w.field("null_model", &c.null_model);
+                w.field("seed", &c.seed);
+                w.field("worldgen", &c.worldgen);
+                w.field("first", &c.first);
+                w.field("count", &c.count);
+                w.field("word_lo", &c.word_lo);
+                w.field("word_hi", &c.word_hi);
+            }
         }
+        w.end_object();
     }
 }
 
@@ -175,48 +168,44 @@ pub enum WorkerReply {
 }
 
 impl Serialize for WorkerReply {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
         match self {
             WorkerReply::Hello {
                 version,
                 num_points,
                 num_regions,
                 num_words,
-            } => Value::Object(vec![
-                (String::from("ok"), Value::Bool(true)),
-                (String::from("op"), Value::Str(String::from("hello"))),
-                (String::from("version"), Value::U64(*version)),
-                (String::from("num_points"), Value::U64(*num_points)),
-                (String::from("num_regions"), Value::U64(*num_regions)),
-                (String::from("num_words"), Value::U64(*num_words)),
-            ]),
+            } => {
+                w.field("ok", &true);
+                w.field("op", "hello");
+                w.field("version", version);
+                w.field("num_points", num_points);
+                w.field("num_regions", num_regions);
+                w.field("num_words", num_words);
+            }
             WorkerReply::Count {
                 id,
                 counts,
                 p_partials,
-            } => Value::Object(vec![
-                (String::from("ok"), Value::Bool(true)),
-                (String::from("id"), Value::U64(*id)),
-                (String::from("counts"), counts.to_value()),
-                (String::from("p_partials"), p_partials.to_value()),
-            ]),
-            WorkerReply::Stats(stats) => Value::Object(vec![
-                (String::from("ok"), Value::Bool(true)),
-                (String::from("op"), Value::Str(String::from("stats"))),
-                (String::from("stats"), stats.to_value()),
-            ]),
-            WorkerReply::Err { id, error } => Value::Object(vec![
-                (String::from("ok"), Value::Bool(false)),
-                (
-                    String::from("id"),
-                    match id {
-                        Some(id) => Value::U64(*id),
-                        None => Value::Null,
-                    },
-                ),
-                (String::from("error"), Value::Str(error.clone())),
-            ]),
+            } => {
+                w.field("ok", &true);
+                w.field("id", id);
+                w.field("counts", counts);
+                w.field("p_partials", p_partials);
+            }
+            WorkerReply::Stats(stats) => {
+                w.field("ok", &true);
+                w.field("op", "stats");
+                w.field("stats", stats);
+            }
+            WorkerReply::Err { id, error } => {
+                w.field("ok", &false);
+                w.field("id", id);
+                w.field("error", error);
+            }
         }
+        w.end_object();
     }
 }
 

@@ -49,7 +49,7 @@ use sfnet::{write_line, AuditTcpServer, ExecutorConfig, NetExecutor, SystemClock
 use sfscan::outcomes::SpatialOutcomes;
 use sfscan::prepared::{PreparedAudit, WorldEvaluator};
 use sfscan::{AuditConfig, CountingStrategy, RegionSet};
-use sfserve::{AuditService, DrainPolicy, ResponseEnvelope, SubmitError, Ticket};
+use sfserve::{AuditService, DrainPolicy, RequestLine, ResponseEnvelope, SubmitError, Ticket};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -236,11 +236,15 @@ fn read_lines(reader: impl BufRead, service: &mut AuditService) -> Vec<LineOutco
         if line.trim().is_empty() {
             continue;
         }
-        if sfserve::is_stats_request(line.trim()) {
-            outcomes.push(LineOutcome::Stats);
-            continue;
-        }
-        outcomes.push(match service.submit_json(&line) {
+        let submitted = match RequestLine::decode(&line) {
+            Ok(RequestLine::Stats) => {
+                outcomes.push(LineOutcome::Stats);
+                continue;
+            }
+            Ok(RequestLine::Submit(envelope)) => service.submit_envelope(envelope),
+            Err(error) => Err(error),
+        };
+        outcomes.push(match submitted {
             Ok(ticket) => LineOutcome::Submitted(ticket),
             Err(e) => {
                 eprintln!("[serve] line {}: rejected: {e}", i + 1);

@@ -242,8 +242,8 @@ impl std::str::FromStr for KernelSelect {
 // case-insensitively. The knob rides inside `AuditConfig` (absent on
 // pre-kernel payloads, which decode as `Auto` — see the config serde).
 impl Serialize for KernelSelect {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.name());
     }
 }
 
@@ -594,8 +594,8 @@ mod tests {
     #[test]
     fn serde_roundtrip_via_names() {
         for select in KernelSelect::ALL {
-            let value = select.to_value();
-            assert_eq!(KernelSelect::from_value(&value).unwrap(), select);
+            let json = serde_json::to_string(&select).unwrap();
+            assert_eq!(serde_json::from_str::<KernelSelect>(&json).unwrap(), select);
         }
         let err = KernelSelect::from_value(&serde::Value::U64(3)).unwrap_err();
         assert!(err.message.contains("string"));

@@ -30,7 +30,7 @@ use sfscan::prepared::{AuditRequest, PreparedAudit};
 use sfscan::worldcache::{CacheStats, WorldCache};
 use sfscan::{AuditConfig, RegionSet, ScanError, SpatialOutcomes};
 use sfserve::{
-    AuditResponse, DatasetHandle, DrainPolicy, LatencyHistogram, RequestEnvelope, ResponseEnvelope,
+    AuditResponse, DatasetHandle, DrainPolicy, LatencyHistogram, RequestLine, ResponseEnvelope,
     ServerStats, SubmitError, Ticket,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -320,30 +320,6 @@ impl NetExecutor {
         Ok(())
     }
 
-    /// Decodes one JSONL request line and submits it, mirroring
-    /// [`sfserve::AuditService::submit_json`]'s malformed-line
-    /// handling (same error text, for byte-identical rejection
-    /// envelopes).
-    pub fn submit_json(
-        &self,
-        line: &str,
-        sink: &Arc<ResponseSink>,
-        seq: u64,
-        wire_ticket: Ticket,
-    ) -> Result<(), SubmitError> {
-        let envelope = RequestEnvelope::from_json(line).map_err(|e| SubmitError::Malformed {
-            reason: e.to_string(),
-        })?;
-        self.submit(
-            envelope.handle,
-            envelope.request,
-            envelope.geojson,
-            sink,
-            seq,
-            wire_ticket,
-        )
-    }
-
     /// Advances the executor clock to `now` (monotonic) and promotes
     /// every session whose [`DrainPolicy::Deadline`] has expired. The
     /// server's timer thread calls this; tests call it directly with a
@@ -523,6 +499,19 @@ fn execute_batch(inner: &Arc<Inner>, idx: usize, batch: Vec<Job>) {
         prepared.run_batch_cached(&requests, &mut cache)
     };
     let drained_at = inner.clock.now();
+    {
+        // Account before delivering, so a client that has read a
+        // response always finds it in the stats.
+        let mut state = inner.state.lock().unwrap();
+        state.clock_now = state.clock_now.max(drained_at);
+        let now = state.clock_now;
+        state.stats.absorb(&batch_stats);
+        for job in &batch {
+            state
+                .drain_latency
+                .record(now.saturating_sub(job.submitted_at));
+        }
+    }
 
     // Render and deliver outside the state lock — serialisation is the
     // expensive part of small responses.
@@ -538,14 +527,6 @@ fn execute_batch(inner: &Arc<Inner>, idx: usize, batch: Vec<Job>) {
     }
 
     let mut state = inner.state.lock().unwrap();
-    state.clock_now = state.clock_now.max(drained_at);
-    let now = state.clock_now;
-    state.stats.absorb(&batch_stats);
-    for job in &batch {
-        state
-            .drain_latency
-            .record(now.saturating_sub(job.submitted_at));
-    }
     state.sessions[idx].executing -= batch.len();
     state.stats.queue_depth = state.queue_depth();
     inner.idle_cv.notify_all();
@@ -660,16 +641,27 @@ impl ConnDriver {
         }
         let seq = self.seq;
         self.seq += 1;
-        if sfserve::is_stats_request(trimmed) {
-            // The metrics probe is answered inline — no queue, no
-            // ticket, so it can never trip backpressure or shift the
-            // connection's ticket numbering.
-            let envelope =
-                ResponseEnvelope::stats_snapshot(executor.stats(), executor.cache_stats());
-            self.sink.push(seq, envelope.to_json());
-            return true;
-        }
-        match executor.submit_json(trimmed, &self.sink, seq, Ticket(self.accepted)) {
+        let submitted = match RequestLine::decode(trimmed) {
+            Ok(RequestLine::Stats) => {
+                // The metrics probe is answered inline — no queue, no
+                // ticket, so it can never trip backpressure or shift
+                // the connection's ticket numbering.
+                let envelope =
+                    ResponseEnvelope::stats_snapshot(executor.stats(), executor.cache_stats());
+                self.sink.push(seq, envelope.to_json());
+                return true;
+            }
+            Ok(RequestLine::Submit(envelope)) => executor.submit(
+                envelope.handle,
+                envelope.request,
+                envelope.geojson,
+                &self.sink,
+                seq,
+                Ticket(self.accepted),
+            ),
+            Err(error) => Err(error),
+        };
+        match submitted {
             Ok(()) => self.accepted += 1,
             Err(error) => {
                 self.sink

@@ -72,7 +72,8 @@ mod tests {
     use sfgeo::{Point, Rect};
     use sfscan::{AuditConfig, AuditRequest, RegionSet, SpatialOutcomes};
     use sfserve::{
-        DrainPolicy, ErrorCode, RequestEnvelope, ResponseEnvelope, SubmitError, Ticket, WireStatus,
+        DrainPolicy, ErrorCode, RequestEnvelope, RequestLine, ResponseEnvelope, SubmitError,
+        Ticket, WireStatus,
     };
     use std::sync::Arc;
 
@@ -250,8 +251,18 @@ mod tests {
     fn unknown_handle_is_a_typed_rejection() {
         let (executor, _) = stepped(DrainPolicy::Manual, None);
         let sink = ResponseSink::new();
+        let Ok(RequestLine::Submit(envelope)) = RequestLine::decode(&request_line(7)) else {
+            panic!("a request line decodes");
+        };
         let err = executor
-            .submit_json(&request_line(7), &sink, 0, Ticket(0))
+            .submit(
+                envelope.handle,
+                envelope.request,
+                envelope.geojson,
+                &sink,
+                0,
+                Ticket(0),
+            )
             .unwrap_err();
         assert_eq!(err, SubmitError::UnknownHandle(sfserve::DatasetHandle(7)));
         let env = ResponseEnvelope::rejected(&err);

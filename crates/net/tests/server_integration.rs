@@ -356,6 +356,72 @@ fn oversized_line_is_rejected_with_a_typed_envelope_and_the_connection_closes() 
 }
 
 #[test]
+fn hostile_mix_gets_exactly_one_typed_reply_per_line_in_order() {
+    // One connection carries a valid request, the metrics probe and
+    // every kind of hostile line the decoder has to survive. Each
+    // non-blank line gets one typed reply, in input order, and the
+    // whole exchange stays fast even in a debug build: the 900 KB
+    // string is parsed in linear time.
+    let server = live_server(ExecutorConfig {
+        workers: 1,
+        queue_capacity: None,
+        policy: DrainPolicy::MaxPending(1),
+        ..ExecutorConfig::default()
+    });
+    let huge_string = format!(
+        "{{\"handle\":0,\"request\":\"{}\"}}",
+        "é".repeat(150_000) + &"x".repeat(600_000)
+    );
+    assert!(huge_string.len() > 880_000 && huge_string.len() < MAX_LINE_BYTES);
+    let too_many_worlds =
+        line_for(0, request(1)).replace("\"worlds\":99", "\"worlds\":1000000000000");
+    assert!(too_many_worlds.contains("1000000000000"));
+    let lines = vec![
+        line_for(0, request(1)),
+        String::from("{\"stats\":true}"),
+        String::from("not json"),
+        "[".repeat(800_000),
+        huge_string,
+        line_for(7, request(1)),
+        too_many_worlds,
+        String::new(),
+    ];
+    let start = Instant::now();
+    let transcript = roundtrip(server.local_addr(), &lines);
+    let elapsed = start.elapsed();
+
+    let expected: [(WireStatus, Option<ErrorCode>); 7] = [
+        (WireStatus::Ready, None),
+        (WireStatus::Stats, None),
+        (WireStatus::Rejected, Some(ErrorCode::Malformed)),
+        (WireStatus::Rejected, Some(ErrorCode::Malformed)),
+        (WireStatus::Rejected, Some(ErrorCode::Malformed)),
+        (WireStatus::Rejected, Some(ErrorCode::UnknownHandle)),
+        (WireStatus::Rejected, Some(ErrorCode::InvalidRequest)),
+    ];
+    assert_eq!(
+        transcript.len(),
+        expected.len(),
+        "one reply per non-blank line"
+    );
+    for (i, (line, (status, code))) in transcript.iter().zip(expected).enumerate() {
+        let envelope = ResponseEnvelope::from_json(line)
+            .unwrap_or_else(|e| panic!("reply {i} is not an envelope ({e}): {line:.200}"));
+        assert_eq!(
+            (envelope.status, envelope.code),
+            (status, code),
+            "reply {i}"
+        );
+    }
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the hostile mix took {elapsed:?}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.requests_served, 1);
+}
+
+#[test]
 fn stats_probe_lines_are_answered_inline_without_burning_tickets() {
     // `{"stats":true}` probes interleave with a real request; each
     // probe is answered in input order with a snapshot envelope, and

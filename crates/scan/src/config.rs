@@ -211,10 +211,10 @@ impl std::str::FromStr for Shards {
 }
 
 impl Serialize for Shards {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer) {
         match self {
-            Shards::Auto => serde::Value::Str(String::from("auto")),
-            Shards::Fixed(k) => serde::Value::U64(*k as u64),
+            Shards::Auto => w.str("auto"),
+            Shards::Fixed(k) => w.u64(*k as u64),
         }
     }
 }
@@ -304,25 +304,24 @@ pub struct AuditConfig {
 // Bernoulli-LLR config serializes byte-identically to the
 // pre-statistic wire format.
 impl Serialize for AuditConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (String::from("alpha"), self.alpha.to_value()),
-            (String::from("worlds"), self.worlds.to_value()),
-            (String::from("seed"), self.seed.to_value()),
-            (String::from("direction"), self.direction.to_value()),
-            (String::from("null_model"), self.null_model.to_value()),
-            (String::from("strategy"), self.strategy.to_value()),
-            (String::from("backend"), self.backend.to_value()),
-            (String::from("mc_strategy"), self.mc_strategy.to_value()),
-            (String::from("worldgen"), self.worldgen.to_value()),
-            (String::from("shards"), self.shards.to_value()),
-            (String::from("kernel"), self.kernel.to_value()),
-        ];
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("alpha", &self.alpha);
+        w.field("worlds", &self.worlds);
+        w.field("seed", &self.seed);
+        w.field("direction", &self.direction);
+        w.field("null_model", &self.null_model);
+        w.field("strategy", &self.strategy);
+        w.field("backend", &self.backend);
+        w.field("mc_strategy", &self.mc_strategy);
+        w.field("worldgen", &self.worldgen);
+        w.field("shards", &self.shards);
+        w.field("kernel", &self.kernel);
         if self.statistic != Statistic::BernoulliLlr {
-            fields.push((String::from("statistic"), self.statistic.to_value()));
+            w.field("statistic", &self.statistic);
         }
-        fields.push((String::from("parallel"), self.parallel.to_value()));
-        serde::Value::Object(fields)
+        w.field("parallel", &self.parallel);
+        w.end_object();
     }
 }
 

@@ -94,20 +94,19 @@ pub struct AuditRequest {
 // *omitted when default*, so a Bernoulli-LLR request serializes
 // byte-identically to the pre-statistic wire format.
 impl Serialize for AuditRequest {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (String::from("alpha"), self.alpha.to_value()),
-            (String::from("worlds"), self.worlds.to_value()),
-            (String::from("seed"), self.seed.to_value()),
-            (String::from("direction"), self.direction.to_value()),
-            (String::from("null_model"), self.null_model.to_value()),
-            (String::from("mc_strategy"), self.mc_strategy.to_value()),
-            (String::from("worldgen"), self.worldgen.to_value()),
-        ];
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("alpha", &self.alpha);
+        w.field("worlds", &self.worlds);
+        w.field("seed", &self.seed);
+        w.field("direction", &self.direction);
+        w.field("null_model", &self.null_model);
+        w.field("mc_strategy", &self.mc_strategy);
+        w.field("worldgen", &self.worldgen);
         if self.statistic != Statistic::BernoulliLlr {
-            fields.push((String::from("statistic"), self.statistic.to_value()));
+            w.field("statistic", &self.statistic);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 

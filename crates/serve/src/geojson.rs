@@ -16,7 +16,7 @@
 //! [`RequestEnvelope::geojson`](crate::RequestEnvelope::geojson) flag)
 //! and never stores it.
 
-use serde::{Serialize, Value};
+use serde::Value;
 use sfgeo::{Point, Region};
 use sfscan::AuditReport;
 
@@ -41,13 +41,16 @@ pub fn findings_feature_collection(report: &AuditReport) -> String {
                 (
                     "properties",
                     obj(vec![
-                        ("index", (f.index as u64).to_value()),
-                        ("center_id", f.center_id.map(|c| c as u64).to_value()),
-                        ("n", f.n.to_value()),
-                        ("p", f.p.to_value()),
-                        ("rate", f.rate.to_value()),
-                        ("llr", f.llr.to_value()),
-                        ("p_value", report.p_value.to_value()),
+                        ("index", Value::U64(f.index as u64)),
+                        (
+                            "center_id",
+                            f.center_id.map_or(Value::Null, |c| Value::U64(c as u64)),
+                        ),
+                        ("n", Value::U64(f.n)),
+                        ("p", Value::U64(f.p)),
+                        ("rate", Value::F64(f.rate)),
+                        ("llr", Value::F64(f.llr)),
+                        ("p_value", Value::F64(report.p_value)),
                         (
                             "statistic",
                             Value::Str(report.config.statistic.name().into()),
@@ -91,7 +94,7 @@ fn polygon(region: &Region) -> Value {
     }
     let positions: Vec<Value> = ring
         .iter()
-        .map(|p| Value::Array(vec![p.x.to_value(), p.y.to_value()]))
+        .map(|p| Value::Array(vec![Value::F64(p.x), Value::F64(p.y)]))
         .collect();
     obj(vec![
         ("type", Value::Str("Polygon".into())),

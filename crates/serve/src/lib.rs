@@ -82,7 +82,7 @@ pub use service::{
     SubmitError, Ticket,
 };
 pub use sfscan::worldcache::CacheStats;
-pub use wire::{is_stats_request, ErrorCode, RequestEnvelope, ResponseEnvelope, WireStatus};
+pub use wire::{ErrorCode, RequestEnvelope, RequestLine, ResponseEnvelope, WireStatus};
 
 #[cfg(test)]
 mod tests {
@@ -705,14 +705,39 @@ mod tests {
 
     #[test]
     fn stats_probe_lines_are_recognised_and_nothing_else_is() {
-        assert!(is_stats_request(r#"{"stats":true}"#));
-        assert!(is_stats_request(r#" {"stats": true, "extra": 1} "#.trim()));
+        let is_stats = |line: &str| matches!(RequestLine::decode(line), Ok(RequestLine::Stats));
+        assert!(is_stats(r#"{"stats":true}"#));
+        assert!(is_stats(r#" {"stats": true, "extra": 1} "#));
         // Anything that is not exactly `"stats": true` is a normal line.
-        assert!(!is_stats_request(r#"{"stats":false}"#));
-        assert!(!is_stats_request(r#"{"stats":1}"#));
-        assert!(!is_stats_request(r#"{"handle":0}"#));
-        assert!(!is_stats_request("not json"));
-        assert!(!is_stats_request(""));
+        assert!(!is_stats(r#"{"stats":false}"#));
+        assert!(!is_stats(r#"{"stats":1}"#));
+        assert!(!is_stats(r#"{"handle":0}"#));
+        assert!(!is_stats("not json"));
+        assert!(!is_stats(""));
+    }
+
+    #[test]
+    fn decoded_lines_reject_with_the_submit_json_text() {
+        let (mut service, handle, _) = service_with(100, 3);
+        let valid = RequestEnvelope::new(handle, sfscan::AuditRequest::new(0.05).with_worlds(9))
+            .with_geojson();
+        assert_eq!(
+            RequestLine::decode(&valid.to_json()),
+            Ok(RequestLine::Submit(valid))
+        );
+        for line in [
+            "not json",
+            "  {\"handle\": 0}",
+            "{\"stats\": false}",
+            "[1,2",
+            &"[".repeat(800_000),
+        ] {
+            assert_eq!(
+                RequestLine::decode(line).unwrap_err(),
+                service.submit_json(line).unwrap_err(),
+                "{line:.40}"
+            );
+        }
     }
 
     #[test]

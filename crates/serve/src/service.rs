@@ -19,8 +19,8 @@ pub struct DatasetHandle(pub u64);
 // The vendored serde derive shim only handles braced structs; a bare
 // numeric encoding is the right wire format for an id anyway.
 impl Serialize for DatasetHandle {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.u64(self.0);
     }
 }
 
@@ -44,8 +44,8 @@ impl std::fmt::Display for DatasetHandle {
 pub struct Ticket(pub u64);
 
 impl Serialize for Ticket {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.u64(self.0);
     }
 }
 

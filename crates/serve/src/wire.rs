@@ -31,15 +31,37 @@ use sfscan::prepared::AuditRequest;
 use sfscan::worldcache::CacheStats;
 use sfscan::AuditReport;
 
-/// Whether a JSONL request line is the metrics probe
-/// `{"stats": true}` rather than an audit submission. The probe is
-/// answered inline with a [`ResponseEnvelope::stats_snapshot`] line —
-/// it never reaches a queue, so scraping metrics can never trip
-/// backpressure or perturb a transcript's ticket numbering.
-pub fn is_stats_request(line: &str) -> bool {
-    match serde_json::from_str::<serde::Value>(line) {
-        Ok(value) => matches!(value.get("stats"), Some(serde::Value::Bool(true))),
-        Err(_) => false,
+/// One decoded JSONL request line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RequestLine {
+    /// The metrics probe `{"stats": true}`. It is answered inline with
+    /// a [`ResponseEnvelope::stats_snapshot`] line and never reaches a
+    /// queue, so scraping metrics can never trip backpressure or
+    /// perturb a transcript's ticket numbering.
+    Stats,
+    /// An audit submission.
+    Submit(RequestEnvelope),
+}
+
+impl RequestLine {
+    /// Parses a line once, then classifies it: an object whose
+    /// `"stats"` is `true` is the probe, anything else must decode as
+    /// a [`RequestEnvelope`].
+    ///
+    /// # Errors
+    /// [`SubmitError::Malformed`] carrying the decoder's complaint
+    /// (the same text [`AuditService::submit_json`] reports).
+    pub fn decode(line: &str) -> Result<RequestLine, SubmitError> {
+        let malformed = |e: serde::Error| SubmitError::Malformed {
+            reason: e.to_string(),
+        };
+        let value = serde_json::parse_value(line).map_err(malformed)?;
+        if matches!(value.get("stats"), Some(serde::Value::Bool(true))) {
+            return Ok(RequestLine::Stats);
+        }
+        RequestEnvelope::from_value(&value)
+            .map(RequestLine::Submit)
+            .map_err(malformed)
     }
 }
 
@@ -88,15 +110,14 @@ impl RequestEnvelope {
 }
 
 impl Serialize for RequestEnvelope {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (String::from("handle"), self.handle.to_value()),
-            (String::from("request"), self.request.to_value()),
-        ];
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("handle", &self.handle);
+        w.field("request", &self.request);
         if self.geojson {
-            fields.push((String::from("geojson"), self.geojson.to_value()));
+            w.field("geojson", &true);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
@@ -155,8 +176,8 @@ impl std::fmt::Display for WireStatus {
 }
 
 impl Serialize for WireStatus {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.as_str());
     }
 }
 
@@ -228,8 +249,8 @@ impl std::fmt::Display for ErrorCode {
 }
 
 impl Serialize for ErrorCode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.as_str());
     }
 }
 
@@ -390,26 +411,25 @@ impl ResponseEnvelope {
 }
 
 impl Serialize for ResponseEnvelope {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (String::from("ticket"), self.ticket.to_value()),
-            (String::from("status"), self.status.to_value()),
-            (String::from("report"), self.report.to_value()),
-            (String::from("error"), self.error.to_value()),
-        ];
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("ticket", &self.ticket);
+        w.field("status", &self.status);
+        w.field("report", &self.report);
+        w.field("error", &self.error);
         if let Some(code) = &self.code {
-            fields.push((String::from("code"), code.to_value()));
+            w.field("code", code);
         }
         if let Some(geojson) = &self.geojson {
-            fields.push((String::from("geojson"), geojson.to_value()));
+            w.field("geojson", geojson);
         }
         if let Some(stats) = &self.stats {
-            fields.push((String::from("stats"), stats.to_value()));
+            w.field("stats", stats);
         }
         if let Some(cache) = &self.cache {
-            fields.push((String::from("cache"), cache.to_value()));
+            w.field("cache", cache);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 
@@ -469,6 +489,15 @@ impl AuditService {
         let envelope = RequestEnvelope::from_json(line).map_err(|e| SubmitError::Malformed {
             reason: e.to_string(),
         })?;
+        self.submit_envelope(envelope)
+    }
+
+    /// Submits a decoded [`RequestEnvelope`], remembering its ticket
+    /// for a GeoJSON rendering when the envelope asks for one.
+    ///
+    /// # Errors
+    /// Whatever [`AuditService::submit`] returns.
+    pub fn submit_envelope(&mut self, envelope: RequestEnvelope) -> Result<Ticket, SubmitError> {
         let ticket = self.submit(envelope.handle, envelope.request)?;
         if envelope.geojson {
             self.mark_geojson(ticket);

@@ -155,8 +155,8 @@ impl std::str::FromStr for Statistic {
 // The wire form is the kebab token itself, shared with the CLI, so a
 // transcript grep for "equal-opp-tpr" finds both.
 impl Serialize for Statistic {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(String::from(self.name()))
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(self.name());
     }
 }
 
