@@ -209,7 +209,7 @@ impl std::fmt::Display for DispatchError {
 }
 
 /// The coordinator (see module docs). Plugs into
-/// [`AuditService::set_evaluator`](sfserve::AuditService) or directly
+/// `sfserve::AuditService::with_evaluator` or directly
 /// into [`PreparedAudit::run_batch_cached_with`].
 pub struct DistributedEvaluator {
     counter: SpanCounter,

@@ -181,14 +181,14 @@ fn serve_conn(stream: TcpStream, shared: &WorkerShared) {
     // A poll timeout keeps a partial line in `line` and comes back
     // here, so the stop and kill flags are checked at least once per
     // poll interval even while a client holds a half-sent line.
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) || shared.killed.load(Ordering::SeqCst) {
             return;
         }
         let eof = match read_bounded_line(&mut reader, &mut line) {
             Ok(0) => true,
-            Ok(_) if line.ends_with('\n') => false,
+            Ok(_) if line.ends_with(b"\n") => false,
             // Partial line: keep accumulating.
             Ok(_) => continue,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -207,7 +207,8 @@ fn serve_conn(stream: TcpStream, shared: &WorkerShared) {
             Err(_) => return,
         };
         // An unterminated final line before EOF still gets an answer.
-        let trimmed = line.trim();
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if !trimmed.is_empty() && !serve_line(trimmed, &mut writer, shared) {
             return;
         }

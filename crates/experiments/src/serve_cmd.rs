@@ -142,9 +142,11 @@ fn run_inprocess(opts: &Options) {
             evaluator.shard_bounds(),
             opts.dispatch_timeout_ms
         );
-        service.set_evaluator(Some(evaluator.clone() as Arc<dyn WorldEvaluator>));
         evaluator
     });
+    if let Some(evaluator) = &evaluator {
+        service = service.with_evaluator(evaluator.clone() as Arc<dyn WorldEvaluator>);
+    }
     let handle = service
         .register(&outcomes, &regions, base)
         .expect("the synthetic benchmark dataset is auditable");
@@ -228,11 +230,33 @@ fn run_inprocess(opts: &Options) {
     }
 }
 
+/// The input's lines without their `\n` or `\r\n` (as
+/// [`BufRead::lines`] strips them), each decoded lossily: bytes
+/// that are not UTF-8 become U+FFFD, so such a line reaches the decoder
+/// and gets a typed `malformed` rejection, as it does over TCP, instead
+/// of aborting the stream.
+fn lossy_lines(mut reader: impl BufRead) -> impl Iterator<Item = String> {
+    let mut buf = Vec::new();
+    std::iter::from_fn(move || {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                let line = match buf.strip_suffix(b"\n") {
+                    Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                    None => &buf,
+                };
+                Some(String::from_utf8_lossy(line).into_owned())
+            }
+            Err(e) => panic!("cannot read request line: {e}"),
+        }
+    })
+}
+
 /// Feeds every input line to the service, recording each line's fate.
 fn read_lines(reader: impl BufRead, service: &mut AuditService) -> Vec<LineOutcome> {
     let mut outcomes = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.unwrap_or_else(|e| panic!("cannot read request line {}: {e}", i + 1));
+    for (i, line) in lossy_lines(reader).enumerate() {
         if line.trim().is_empty() {
             continue;
         }
@@ -376,18 +400,11 @@ fn run_client(opts: &Options, addr: &str) {
         Some(path) => {
             let file = std::fs::File::open(path)
                 .unwrap_or_else(|e| panic!("cannot open --input {path}: {e}"));
-            std::io::BufReader::new(file)
-                .lines()
-                .map(|l| l.expect("readable input"))
-                .collect()
+            lossy_lines(std::io::BufReader::new(file)).collect()
         }
         None => {
             eprintln!("[serve] reading JSONL requests from stdin");
-            std::io::stdin()
-                .lock()
-                .lines()
-                .map(|l| l.unwrap())
-                .collect()
+            lossy_lines(std::io::stdin().lock()).collect()
         }
     };
     let io_timeout = Duration::from_millis(opts.io_timeout_ms.max(1));

@@ -1,22 +1,19 @@
-//! The concurrent executor: bounded per-session queues feeding a
-//! worker pool over `Arc<PreparedAudit>`.
+//! The concurrent executor: a worker pool over the shared session core.
 //!
-//! This is [`sfserve::AuditService`]'s serving model re-hosted for
-//! real concurrency. Sessions keep the same shape — one prepared
-//! engine plus one cross-batch [`WorldCache`] each, handles assigned
-//! `0, 1, …` in registration order — but submissions arrive from many
-//! connection threads, batches execute on a pool of workers, and the
-//! [`DrainPolicy`] clock is driven by a timer thread reading an
-//! injected [`Clock`](crate::Clock) instead of explicit test ticks.
+//! [`NetExecutor`] is a `Mutex` around the [`SessionTable`] that the
+//! in-process [`sfserve::AuditService`] also owns, plus what concurrency
+//! needs: worker threads that run claimed batches, two condvars, each
+//! connection's [`ResponseSink`], and an injected [`Clock`](crate::Clock)
+//! that supplies `now`. Handles, the per-session engine and
+//! [`WorldCache`], the queues, the [`DrainPolicy`], the `Busy` cap and
+//! the round-robin claim all come from the table.
 //!
-//! Three properties carry over unchanged, and the integration tests
-//! assert all of them:
+//! Three properties follow, and the integration tests assert all of
+//! them:
 //!
-//! * **bit-identity** — a batch runs through
-//!   [`PreparedAudit::run_batch_cached`], whose reports are
-//!   bit-identical regardless of batch composition or cache state, so
-//!   *how* the executor groups concurrent traffic can never change a
-//!   single response byte;
+//! * **bit-identity** — a batch's reports are bit-identical regardless
+//!   of batch composition or cache state, so *how* the executor groups
+//!   concurrent traffic can never change a single response byte;
 //! * **backpressure** — each session's outstanding (queued or
 //!   executing) requests are capped; a submission over the cap is
 //!   rejected with [`SubmitError::Busy`] and nothing is queued,
@@ -26,15 +23,16 @@
 //!   rather than starving them.
 
 use crate::clock::Clock;
-use sfscan::prepared::{AuditRequest, PreparedAudit};
+use sfscan::prepared::PreparedAudit;
 use sfscan::worldcache::{CacheStats, WorldCache};
 use sfscan::{AuditConfig, RegionSet, ScanError, SpatialOutcomes};
 use sfserve::{
-    AuditResponse, DatasetHandle, DrainPolicy, LatencyHistogram, RequestLine, ResponseEnvelope,
-    ServerStats, SubmitError, Ticket,
+    total_cache_stats, AuditResponse, Batch, DatasetHandle, DrainPolicy, RequestEnvelope,
+    RequestLine, ResponseEnvelope, ServerStats, SessionTable, SubmitError, Ticket,
 };
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Executor knobs. `Default` is a manual-drain executor with two
 /// workers and no queue bound — the permissive configuration the unit
@@ -71,123 +69,41 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// One accepted submission travelling through the executor.
-struct Job {
+/// Where one accepted job's response line goes.
+struct Delivery {
     /// Connection-local ticket for the response line.
-    wire_ticket: Ticket,
-    request: AuditRequest,
-    geojson: bool,
-    /// Clock reading at acceptance — the latency sample's start.
-    submitted_at: u64,
-    /// Where the response line goes.
+    ticket: Ticket,
     sink: Arc<ResponseSink>,
     /// The line's position in its connection's output order.
     seq: u64,
 }
 
-/// One registered dataset inside the executor.
-struct SessionSlot {
-    /// Shared with every worker that claims this session's batches.
-    prepared: Arc<PreparedAudit>,
-    /// The session's cross-batch world cache; a worker holds the lock
-    /// for the duration of one batch.
-    cache: Arc<Mutex<WorldCache>>,
-    /// Accepted, not yet runnable under the drain policy.
-    pending: VecDeque<Job>,
-    /// Clock reading of the oldest pending submission (deadline base).
-    pending_since: Option<u64>,
-    /// Runnable, waiting for a worker.
-    ready: VecDeque<Job>,
-    /// Jobs currently executing on workers.
-    executing: usize,
-}
-
-impl SessionSlot {
-    fn outstanding(&self) -> usize {
-        self.pending.len() + self.ready.len() + self.executing
-    }
-}
-
-/// Mutable executor state behind the one lock.
-struct State {
-    sessions: Vec<SessionSlot>,
-    /// Next session index a worker's claim scan starts from.
-    rr_cursor: usize,
-    stats: ServerStats,
-    /// Submission→drain latencies; folded into `stats` when read.
-    drain_latency: LatencyHistogram,
-    /// Monotonic clock high-water mark (deadlines compare against it).
-    clock_now: u64,
-    shutdown: bool,
-}
-
-impl State {
-    fn queue_depth(&self) -> u64 {
-        self.sessions
-            .iter()
-            .map(|s| (s.pending.len() + s.ready.len()) as u64)
-            .sum()
-    }
-
-    fn jobs_outstanding(&self) -> usize {
-        self.sessions.iter().map(SessionSlot::outstanding).sum()
-    }
-
-    fn has_ready(&self) -> bool {
-        self.sessions.iter().any(|s| !s.ready.is_empty())
-    }
-
-    /// Moves a session's pending queue to its ready queue.
-    fn promote(&mut self, idx: usize) {
-        let slot = &mut self.sessions[idx];
-        slot.pending_since = None;
-        while let Some(job) = slot.pending.pop_front() {
-            slot.ready.push_back(job);
-        }
-    }
-
-    /// Promotes every session whose deadline has expired at `now`.
-    fn promote_expired(&mut self, ticks: u64) {
-        let now = self.clock_now;
-        for idx in 0..self.sessions.len() {
-            if self.sessions[idx]
-                .pending_since
-                .is_some_and(|since| now.saturating_sub(since) >= ticks)
-            {
-                self.promote(idx);
-            }
-        }
-    }
-
-    /// Claims the next ready batch round-robin: the scan starts at
-    /// `rr_cursor`, takes the first session with ready work
-    /// (the *whole* ready queue, as one batch), and leaves the cursor
-    /// just past it so the next claim looks at the following session
-    /// first.
-    fn claim(&mut self) -> Option<(usize, Vec<Job>)> {
-        let n = self.sessions.len();
-        for probe in 0..n {
-            let idx = (self.rr_cursor + probe) % n;
-            if !self.sessions[idx].ready.is_empty() {
-                self.rr_cursor = (idx + 1) % n;
-                let slot = &mut self.sessions[idx];
-                let batch: Vec<Job> = slot.ready.drain(..).collect();
-                slot.executing += batch.len();
-                return Some((idx, batch));
-            }
-        }
-        None
-    }
-}
+const POISONED: &str = "a thread panicked while holding the session table";
 
 struct Inner {
-    state: Mutex<State>,
+    table: Mutex<SessionTable<Delivery>>,
+    /// Set under the table lock, so a worker that found nothing to
+    /// claim cannot miss it between its check and its wait.
+    shutdown: AtomicBool,
     /// Wakes workers when ready work appears (or shutdown starts).
     work_cv: Condvar,
     /// Wakes flush/shutdown waiters when jobs complete.
     idle_cv: Condvar,
     clock: Arc<dyn Clock>,
     config: ExecutorConfig,
+}
+
+impl Inner {
+    fn table(&self) -> MutexGuard<'_, SessionTable<Delivery>> {
+        self.table.lock().expect(POISONED)
+    }
+
+    /// Wakes the workers when the table has a batch to claim.
+    fn wake_if_ready(&self, table: &SessionTable<Delivery>) {
+        if table.has_ready() {
+            self.work_cv.notify_all();
+        }
+    }
 }
 
 /// The concurrent serving executor. Cheap to share (`Arc` inside);
@@ -203,14 +119,8 @@ impl NetExecutor {
     /// [`NetExecutor::run_pending_batch`]).
     pub fn new(config: ExecutorConfig, clock: Arc<dyn Clock>) -> Self {
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                sessions: Vec::new(),
-                rr_cursor: 0,
-                stats: ServerStats::default(),
-                drain_latency: LatencyHistogram::new(),
-                clock_now: clock.now(),
-                shutdown: false,
-            }),
+            table: Mutex::new(SessionTable::new(config.policy, config.queue_capacity)),
+            shutdown: AtomicBool::new(false),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             clock,
@@ -241,24 +151,13 @@ impl NetExecutor {
 
     /// Registers an already-prepared engine.
     pub fn register_prepared(&self, prepared: Arc<PreparedAudit>) -> DatasetHandle {
-        let mut state = self.inner.state.lock().unwrap();
-        let handle = DatasetHandle(state.sessions.len() as u64);
-        state.sessions.push(SessionSlot {
-            prepared,
-            cache: Arc::new(Mutex::new(WorldCache::with_capacity_bytes(
-                self.inner.config.cache_capacity_bytes,
-            ))),
-            pending: VecDeque::new(),
-            pending_since: None,
-            ready: VecDeque::new(),
-            executing: 0,
-        });
-        handle
+        let cache = WorldCache::with_capacity_bytes(self.inner.config.cache_capacity_bytes);
+        self.inner.table().register(prepared, cache)
     }
 
-    /// Submits one request. On acceptance the eventual response line
-    /// is delivered to `sink` at position `seq`, carrying
-    /// `wire_ticket` — connection-local numbering, so a connection's
+    /// Submits one decoded request line. On acceptance the eventual
+    /// response line is delivered to `sink` at position `seq`, carrying
+    /// `ticket` — connection-local numbering, so a connection's
     /// transcript matches the in-process JSONL path byte for byte.
     ///
     /// # Errors
@@ -267,56 +166,20 @@ impl NetExecutor {
     /// [`SubmitError::Busy`]. Nothing is queued on any error.
     pub fn submit(
         &self,
-        handle: DatasetHandle,
-        request: AuditRequest,
-        geojson: bool,
+        envelope: RequestEnvelope,
         sink: &Arc<ResponseSink>,
         seq: u64,
-        wire_ticket: Ticket,
+        ticket: Ticket,
     ) -> Result<(), SubmitError> {
-        request.validate()?;
-        let now = self.inner.clock.now();
-        let mut state = self.inner.state.lock().unwrap();
-        state.clock_now = state.clock_now.max(now);
-        let idx = handle.0 as usize;
-        if idx >= state.sessions.len() {
-            return Err(SubmitError::UnknownHandle(handle));
-        }
-        if let Some(capacity) = self.inner.config.queue_capacity {
-            let pending = state.sessions[idx].outstanding();
-            if pending >= capacity {
-                return Err(SubmitError::Busy { pending, capacity });
-            }
-        }
-        let submitted_at = state.clock_now;
-        let slot = &mut state.sessions[idx];
-        slot.pending.push_back(Job {
-            wire_ticket,
-            request,
-            geojson,
-            submitted_at,
+        let delivery = Delivery {
+            ticket,
             sink: Arc::clone(sink),
             seq,
-        });
-        slot.pending_since.get_or_insert(submitted_at);
-        match self.inner.config.policy {
-            DrainPolicy::MaxPending(limit) => {
-                if state.sessions[idx].pending.len() >= limit.max(1) {
-                    state.promote(idx);
-                    self.inner.work_cv.notify_all();
-                }
-            }
-            DrainPolicy::Deadline(ticks) => {
-                // A submission also advances the clock; an already
-                // expired session runs without waiting for the timer.
-                state.promote_expired(ticks);
-                if state.has_ready() {
-                    self.inner.work_cv.notify_all();
-                }
-            }
-            DrainPolicy::Manual => {}
-        }
-        state.stats.queue_depth = state.queue_depth();
+        };
+        let now = self.inner.clock.now();
+        let mut table = self.inner.table();
+        table.submit(envelope, delivery, now)?;
+        self.inner.wake_if_ready(&table);
         Ok(())
     }
 
@@ -325,15 +188,9 @@ impl NetExecutor {
     /// server's timer thread calls this; tests call it directly with a
     /// [`ManualClock`](crate::ManualClock) reading.
     pub fn tick(&self, now: u64) {
-        let mut state = self.inner.state.lock().unwrap();
-        state.clock_now = state.clock_now.max(now);
-        if let DrainPolicy::Deadline(ticks) = self.inner.config.policy {
-            state.promote_expired(ticks);
-            if state.has_ready() {
-                self.inner.work_cv.notify_all();
-            }
-        }
-        state.stats.queue_depth = state.queue_depth();
+        let mut table = self.inner.table();
+        table.advance(now);
+        self.inner.wake_if_ready(&table);
     }
 
     /// [`NetExecutor::tick`] at the injected clock's current reading.
@@ -345,14 +202,8 @@ impl NetExecutor {
     /// pending, ready, or executing jobs) — the EOF drain. With
     /// `workers == 0` the calling thread executes the batches itself.
     pub fn flush(&self) {
-        {
-            let mut state = self.inner.state.lock().unwrap();
-            for idx in 0..state.sessions.len() {
-                state.promote(idx);
-            }
-            state.stats.queue_depth = state.queue_depth();
-            self.inner.work_cv.notify_all();
-        }
+        self.inner.table().promote_all();
+        self.inner.work_cv.notify_all();
         if self.inner.config.workers == 0 {
             while self.run_pending_batch() {}
         }
@@ -361,9 +212,9 @@ impl NetExecutor {
 
     /// Blocks until no job is pending, ready, or executing.
     pub fn wait_idle(&self) {
-        let mut state = self.inner.state.lock().unwrap();
-        while state.jobs_outstanding() > 0 {
-            state = self.inner.idle_cv.wait(state).unwrap();
+        let mut table = self.inner.table();
+        while table.outstanding() > 0 {
+            table = self.inner.idle_cv.wait(table).expect(POISONED);
         }
     }
 
@@ -372,17 +223,10 @@ impl NetExecutor {
     /// loop's body made public, so `workers == 0` tests step the
     /// executor deterministically and observe the round-robin order.
     pub fn run_pending_batch(&self) -> bool {
-        let claimed = {
-            let mut state = self.inner.state.lock().unwrap();
-            let claimed = state.claim();
-            if claimed.is_some() {
-                state.stats.queue_depth = state.queue_depth();
-            }
-            claimed
-        };
+        let claimed = self.inner.table().claim();
         match claimed {
-            Some((idx, batch)) => {
-                execute_batch(&self.inner, idx, batch);
+            Some(batch) => {
+                execute_batch(&self.inner, batch);
                 true
             }
             None => false,
@@ -391,39 +235,22 @@ impl NetExecutor {
 
     /// A snapshot of the cumulative serving statistics.
     pub fn stats(&self) -> ServerStats {
-        let state = self.inner.state.lock().unwrap();
-        state.stats.with_drain_latency(&state.drain_latency)
+        self.inner.table().stats()
     }
 
     /// World-cache accounting summed across every session — the
-    /// `cache` half of the wire's `{"stats": true}` snapshot.
+    /// `cache` half of the wire's `{"stats": true}` snapshot. The cache
+    /// locks are taken outside the table lock: workers hold a cache
+    /// lock for a whole batch, and holding both would stall every
+    /// submission behind the slowest batch.
     pub fn cache_stats(&self) -> CacheStats {
-        let caches: Vec<Arc<Mutex<WorldCache>>> = {
-            let state = self.inner.state.lock().unwrap();
-            state
-                .sessions
-                .iter()
-                .map(|s| Arc::clone(&s.cache))
-                .collect()
-        };
-        let mut total = CacheStats::default();
-        // Cache locks are taken outside the state lock (workers hold a
-        // cache lock for a whole batch; holding both would stall every
-        // submission behind the slowest batch).
-        for cache in caches {
-            total.absorb(cache.lock().unwrap().stats());
-        }
-        total
+        let caches = self.inner.table().caches();
+        total_cache_stats(&caches)
     }
 
     /// Queued-but-unexecuted requests across all sessions.
     pub fn pending_total(&self) -> usize {
-        let state = self.inner.state.lock().unwrap();
-        state
-            .sessions
-            .iter()
-            .map(|s| s.pending.len() + s.ready.len())
-            .sum()
+        self.inner.table().queue_depth()
     }
 
     /// Graceful stop: drains every queued job (so no accepted ticket
@@ -433,11 +260,9 @@ impl NetExecutor {
     /// execute them — the server never submits after shutdown.
     pub fn shutdown(&self) -> ServerStats {
         {
-            let mut state = self.inner.state.lock().unwrap();
-            for idx in 0..state.sessions.len() {
-                state.promote(idx);
-            }
-            state.shutdown = true;
+            let mut table = self.inner.table();
+            table.promote_all();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
             self.inner.work_cv.notify_all();
         }
         if self.inner.config.workers == 0 {
@@ -465,70 +290,48 @@ impl Drop for NetExecutor {
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let claimed = {
-            let mut state = inner.state.lock().unwrap();
+            let mut table = inner.table();
             loop {
-                if let Some(claimed) = state.claim() {
-                    state.stats.queue_depth = state.queue_depth();
-                    break Some(claimed);
+                if let Some(batch) = table.claim() {
+                    break Some(batch);
                 }
-                if state.shutdown {
+                if inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                state = inner.work_cv.wait(state).unwrap();
+                table = inner.work_cv.wait(table).expect(POISONED);
             }
         };
         match claimed {
-            Some((idx, batch)) => execute_batch(inner, idx, batch),
+            Some(batch) => execute_batch(inner, batch),
             None => return,
         }
     }
 }
 
-/// Runs one claimed batch: engine + cache from the session slot,
-/// responses delivered to each job's sink, accounting folded into the
-/// shared stats.
-fn execute_batch(inner: &Arc<Inner>, idx: usize, batch: Vec<Job>) {
-    let (prepared, cache) = {
-        let state = inner.state.lock().unwrap();
-        let slot = &state.sessions[idx];
-        (Arc::clone(&slot.prepared), Arc::clone(&slot.cache))
-    };
-    let requests: Vec<AuditRequest> = batch.iter().map(|j| j.request).collect();
-    let (reports, batch_stats) = {
-        let mut cache = cache.lock().unwrap();
-        prepared.run_batch_cached(&requests, &mut cache)
-    };
+/// Runs one claimed batch, accounts it, delivers each job's response
+/// line to its sink, then releases the jobs.
+fn execute_batch(inner: &Arc<Inner>, batch: Batch<Delivery>) {
+    let (reports, stats) = batch.run(None);
+    // Account before delivering, so a client that has read a response
+    // always finds it in the stats.
     let drained_at = inner.clock.now();
-    {
-        // Account before delivering, so a client that has read a
-        // response always finds it in the stats.
-        let mut state = inner.state.lock().unwrap();
-        state.clock_now = state.clock_now.max(drained_at);
-        let now = state.clock_now;
-        state.stats.absorb(&batch_stats);
-        for job in &batch {
-            state
-                .drain_latency
-                .record(now.saturating_sub(job.submitted_at));
-        }
-    }
+    inner.table().account(&batch, &stats, drained_at);
 
-    // Render and deliver outside the state lock — serialisation is the
+    // Render and deliver outside the table lock — serialisation is the
     // expensive part of small responses.
-    for (job, report) in batch.iter().zip(reports) {
+    let (handle, jobs) = (batch.handle, batch.jobs.len());
+    for (job, report) in batch.jobs.into_iter().zip(reports) {
         let mut envelope = ResponseEnvelope::ready(AuditResponse {
-            ticket: job.wire_ticket,
+            ticket: job.payload.ticket,
             report,
         });
         if job.geojson {
             envelope = envelope.with_geojson_findings();
         }
-        job.sink.push(job.seq, envelope.to_json());
+        job.payload.sink.push(job.payload.seq, envelope.to_json());
     }
 
-    let mut state = inner.state.lock().unwrap();
-    state.sessions[idx].executing -= batch.len();
-    state.stats.queue_depth = state.queue_depth();
+    inner.table().release(handle, jobs);
     inner.idle_cv.notify_all();
 }
 
@@ -651,14 +454,9 @@ impl ConnDriver {
                 self.sink.push(seq, envelope.to_json());
                 return true;
             }
-            Ok(RequestLine::Submit(envelope)) => executor.submit(
-                envelope.handle,
-                envelope.request,
-                envelope.geojson,
-                &self.sink,
-                seq,
-                Ticket(self.accepted),
-            ),
+            Ok(RequestLine::Submit(envelope)) => {
+                executor.submit(envelope, &self.sink, seq, Ticket(self.accepted))
+            }
             Err(error) => Err(error),
         };
         match submitted {

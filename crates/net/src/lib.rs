@@ -6,13 +6,15 @@
 //! ran concurrently. This crate adds both, from the standard library
 //! alone (std::net + threads; no async runtime, no new dependencies):
 //!
-//! * [`NetExecutor`] — the concurrent executor: per-session bounded
-//!   queues in front of a worker pool sharing each session's
-//!   `Arc<PreparedAudit>`, round-robin session claiming for fairness,
+//! * [`NetExecutor`] — the concurrent executor: the in-process
+//!   service's [`SessionTable`](sfserve::SessionTable) behind a mutex,
+//!   in front of a worker pool sharing each session's
+//!   `Arc<PreparedAudit>`. The table supplies round-robin session
+//!   claiming for fairness,
 //!   [`SubmitError::Busy`](sfserve::SubmitError::Busy) backpressure
 //!   when a queue is full, and
-//!   [`DrainPolicy`](sfserve::DrainPolicy) semantics driven by an
-//!   injected [`Clock`];
+//!   [`DrainPolicy`](sfserve::DrainPolicy) semantics; the executor
+//!   drives them with an injected [`Clock`];
 //! * [`AuditTcpServer`] — the TCP front end: an accept loop spawning a
 //!   reader/writer thread pair per connection, newline-delimited
 //!   [`RequestEnvelope`](sfserve::RequestEnvelope) /
@@ -254,16 +256,7 @@ mod tests {
         let Ok(RequestLine::Submit(envelope)) = RequestLine::decode(&request_line(7)) else {
             panic!("a request line decodes");
         };
-        let err = executor
-            .submit(
-                envelope.handle,
-                envelope.request,
-                envelope.geojson,
-                &sink,
-                0,
-                Ticket(0),
-            )
-            .unwrap_err();
+        let err = executor.submit(envelope, &sink, 0, Ticket(0)).unwrap_err();
         assert_eq!(err, SubmitError::UnknownHandle(sfserve::DatasetHandle(7)));
         let env = ResponseEnvelope::rejected(&err);
         assert_eq!(env.code, Some(ErrorCode::UnknownHandle));

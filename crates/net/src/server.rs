@@ -98,7 +98,22 @@ impl AuditTcpServer {
                     let shutdown = Arc::clone(&shutdown);
                     let handle =
                         std::thread::spawn(move || serve_connection(stream, &executor, &shutdown));
-                    conns.lock().unwrap().push(handle);
+                    // Join the connections that have closed since the
+                    // last accept, so a long-lived server holds one
+                    // handle per live connection, not one per
+                    // connection ever accepted.
+                    let mut conns = conns
+                        .lock()
+                        .expect("no thread panics holding the connection list");
+                    let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(&mut *conns)
+                        .into_iter()
+                        .partition(|h| h.is_finished());
+                    *conns = live;
+                    conns.push(handle);
+                    drop(conns);
+                    for handle in finished {
+                        let _ = handle.join();
+                    }
                 }
             })
         };
@@ -217,13 +232,13 @@ fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &A
     // [`MAX_LINE_BYTES`] cap trips and the connection is rejected.
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         match read_bounded_line(&mut reader, &mut line) {
             Ok(0) => break, // EOF: client half-closed its write side.
             Ok(_) => {
-                if line.ends_with('\n') {
-                    driver.handle_line(executor, &line);
+                if line.ends_with(b"\n") {
+                    driver.handle_line(executor, &String::from_utf8_lossy(&line));
                     line.clear();
                 }
                 // No newline yet: a partial final line; keep reading.
@@ -248,7 +263,7 @@ fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &A
     }
     if !line.is_empty() {
         // Final line without a trailing newline still gets an answer.
-        driver.handle_line(executor, &line);
+        driver.handle_line(executor, &String::from_utf8_lossy(&line));
     }
 
     // EOF drain, exactly like the stdin path: everything queued runs,
@@ -258,20 +273,24 @@ fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &A
     let _ = writer_handle.join();
 }
 
-/// Appends to `line` until a newline, EOF, poll timeout, or the
-/// [`MAX_LINE_BYTES`] cap. Mirrors `BufRead::read_line`'s contract
+/// Appends raw bytes to `line` until a newline, EOF, poll timeout, or
+/// the [`MAX_LINE_BYTES`] cap. Mirrors `BufRead::read_until`'s contract
 /// (returns bytes appended this call, `0` at EOF, partial data
 /// survives a timeout) but checks the cap per buffer fill, so a
 /// client streaming one endless line errors with `InvalidData` the
 /// moment the cap is crossed instead of growing the buffer without
-/// bound inside a single `read_line` call.
+/// bound inside a single `read_until` call.
 ///
 /// A poll timeout returns: `Ok(n)` with the bytes that arrived before
 /// it, or the timeout error if none did. Either way `line` keeps the
 /// partial line, and the caller checks its stop flags before calling
 /// again — a client that sends half a line and goes quiet cannot pin
 /// the caller inside this function. A complete line ends with `\n`.
-pub fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut String) -> std::io::Result<usize> {
+///
+/// The caller decodes the line once it is complete (or at EOF), so a
+/// multi-byte character split across two buffer fills, or across a
+/// timeout, survives intact.
+pub fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<usize> {
     let mut appended = 0usize;
     loop {
         let available = match reader.fill_buf() {
@@ -296,11 +315,62 @@ pub fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut String) -> std::
             reader.consume(used);
             return Err(std::io::Error::new(ErrorKind::InvalidData, "line too long"));
         }
-        line.push_str(&String::from_utf8_lossy(&available[..used]));
+        line.extend_from_slice(&available[..used]);
         reader.consume(used);
         appended += used;
         if done {
             return Ok(appended);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ExecutorConfig, SystemClock};
+    use std::io::Read;
+
+    #[test]
+    fn a_character_split_across_buffer_fills_reads_back_intact() {
+        let text = "{\"x\":\"é\"}\n";
+        // Seven bytes per fill splits the two bytes of `é`.
+        let mut reader = BufReader::with_capacity(7, text.as_bytes());
+        let mut line = Vec::new();
+        assert_eq!(
+            read_bounded_line(&mut reader, &mut line).unwrap(),
+            text.len()
+        );
+        assert_eq!(String::from_utf8_lossy(&line), text);
+    }
+
+    #[test]
+    fn closed_connections_are_joined_at_the_next_accept() {
+        let executor = Arc::new(NetExecutor::new(
+            ExecutorConfig::default(),
+            Arc::new(SystemClock::new()),
+        ));
+        let server = AuditTcpServer::bind("127.0.0.1:0", executor, Duration::from_millis(5))
+            .expect("loopback bind");
+        let all_finished = || {
+            let conns = server.conns.lock().unwrap();
+            conns.iter().all(|h| h.is_finished())
+        };
+        for round in 0..50 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            write_line(&mut stream, String::from("{\"stats\":true}")).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            assert!(reply.contains("\"status\":\"stats\""), "{reply}");
+            drop(stream);
+            // No connection is live now; only the one just accepted may
+            // still be held, and the next accept reaps it.
+            let retained = server.conns.lock().unwrap().len();
+            assert!(retained <= 1, "round {round}: {retained} handles retained");
+            let waited = std::time::Instant::now();
+            while !all_finished() && waited.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
 }

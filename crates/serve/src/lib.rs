@@ -28,6 +28,10 @@
 //!   costs **zero** new simulated worlds, and every resumed result is
 //!   **bit-identical** to a cold run by construction
 //!   ([`sfscan::WorldCache`]).
+//! * **One session core** — sessions, queues, drain policies and batch
+//!   accounting live in [`SessionTable`], which the `sfnet` executor
+//!   shares: the service runs each batch the table releases on the
+//!   calling thread, the executor on a worker pool.
 //! * **Wire envelopes** — [`RequestEnvelope`] / [`ResponseEnvelope`]
 //!   JSONL lines over the existing serde layer, so the service drops
 //!   into any byte transport (`experiments serve` is the reference
@@ -73,14 +77,16 @@
 mod geojson;
 mod histogram;
 mod service;
+mod sessions;
 mod wire;
 
 pub use geojson::{findings_feature_collection, CIRCLE_SEGMENTS};
 pub use histogram::LatencyHistogram;
 pub use service::{
-    percentile, AuditResponse, AuditService, DatasetHandle, DrainPolicy, ServerStats, Status,
-    SubmitError, Ticket,
+    percentile, AuditResponse, AuditService, DatasetHandle, ServerStats, Status, SubmitError,
+    Ticket,
 };
+pub use sessions::{total_cache_stats, Batch, DrainPolicy, Job, SessionTable};
 pub use sfscan::worldcache::CacheStats;
 pub use wire::{ErrorCode, RequestEnvelope, RequestLine, ResponseEnvelope, WireStatus};
 
@@ -169,8 +175,7 @@ mod tests {
         let mut service = AuditService::new();
         let h1 = service.register(&o1, &grid(), base()).unwrap();
         let h2 = service.register(&o2, &grid(), base()).unwrap();
-        assert_eq!(service.handles(), vec![h1, h2]);
-        assert_ne!(h1, h2);
+        assert_eq!((h1, h2), (DatasetHandle(0), DatasetHandle(1)));
         let request = service.default_request(h1).unwrap();
         let t1 = service.submit(h1, request).unwrap();
         let t2 = service.submit(h2, request).unwrap();
@@ -214,7 +219,6 @@ mod tests {
     #[test]
     fn manual_policy_runs_nothing_until_flush() {
         let (mut service, handle, _) = service_with(300, 5);
-        assert_eq!(service.policy(), DrainPolicy::Manual);
         let t = service
             .submit(handle, service.default_request(handle).unwrap())
             .unwrap();
@@ -227,8 +231,8 @@ mod tests {
 
     #[test]
     fn max_pending_policy_executes_on_the_nth_submission() {
-        let (mut service, handle, _) = service_with(400, 6);
-        service.set_policy(DrainPolicy::MaxPending(3));
+        let (service, handle, _) = service_with(400, 6);
+        let mut service = service.with_policy(DrainPolicy::MaxPending(3));
         let request = service.default_request(handle).unwrap();
         let t1 = service.submit(handle, request).unwrap();
         let t2 = service
@@ -248,19 +252,24 @@ mod tests {
 
     #[test]
     fn deadline_policy_fires_on_tick_not_before() {
-        let (mut service, handle, _) = service_with(400, 7);
-        service.set_policy(DrainPolicy::Deadline(10));
+        let (service, handle, _) = service_with(400, 7);
+        let mut service = service.with_policy(DrainPolicy::Deadline(10));
+        let request = service.default_request(handle).unwrap();
         service.tick(100);
-        let t = service
-            .submit(handle, service.default_request(handle).unwrap())
-            .unwrap();
+        let t = service.submit(handle, request).unwrap();
         assert_eq!(service.tick(105), 0, "deadline not reached");
         assert!(service.poll(t).is_queued());
         assert_eq!(service.tick(110), 1, "10 ticks after submission");
         assert!(service.poll(t).is_ready());
-        // The clock is monotonic: going backwards is ignored.
+        // The clock is monotonic: going backwards is ignored, so a
+        // submission after tick(50) is still stamped 110 and waits for
+        // 120.
         service.tick(50);
-        assert_eq!(service.clock(), 110);
+        let late = service.submit(handle, request.with_seed(8)).unwrap();
+        assert_eq!(service.tick(119), 0);
+        assert_eq!(service.tick(120), 1);
+        assert!(service.poll(late).is_ready());
+        assert_eq!(service.stats().drain_p99, 10, "latency counts in ticks");
     }
 
     #[test]
@@ -294,7 +303,6 @@ mod tests {
         // One 99-world single-direction class costs 99 × 8 bytes; cap
         // the cache so only two classes fit.
         let mut service = AuditService::new().with_cache_capacity_bytes(2 * 99 * 8);
-        assert_eq!(service.cache_capacity_bytes(), Some(1584));
         let handle = service.register(&o, &grid(), base()).unwrap();
         let request = service.default_request(handle).unwrap();
         for seed in [1u64, 2, 3] {
@@ -317,8 +325,6 @@ mod tests {
             before + 99,
             "evicted seed 1 re-simulates"
         );
-        // An uncapped service still reports None.
-        assert_eq!(AuditService::new().cache_capacity_bytes(), None);
         // Worldgen knob rides through the service unchanged and stays
         // bit-identical to the standalone auditor.
         let word = request.with_worldgen(WorldGen::Word);
@@ -409,26 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn take_ready_returns_submission_order() {
-        let (mut service, handle, _) = service_with(400, 10);
-        let request = service.default_request(handle).unwrap();
-        let tickets = [
-            service.submit(handle, request).unwrap(),
-            service
-                .submit(handle, request.with_direction(Direction::High))
-                .unwrap(),
-            service.submit(handle, request.with_seed(9)).unwrap(),
-        ];
-        service.flush();
-        let responses = service.take_ready();
-        assert_eq!(
-            responses.iter().map(|r| r.ticket).collect::<Vec<_>>(),
-            tickets
-        );
-        assert_eq!(service.ready_total(), 0);
-    }
-
-    #[test]
     fn stats_display_is_the_summary_line() {
         let (mut service, handle, _) = service_with(700, 11);
         let request = service.default_request(handle).unwrap();
@@ -441,9 +427,58 @@ mod tests {
         service.flush();
         let line = service.stats().to_string();
         assert!(line.starts_with("requests=3"), "{line}");
-        for token in ["worlds: unique=", "shared=", "saved=", "cache_hits=1"] {
+        for token in [
+            "worlds: unique=",
+            "shared=",
+            "saved=",
+            "cache_hits=1",
+            "queue_depth=0",
+            "drain_latency: p50=",
+            "p99=",
+            "(n=3)",
+        ] {
             assert!(line.contains(token), "{line}");
         }
+    }
+
+    #[test]
+    fn the_busy_cap_counts_pending_ready_and_executing_jobs() {
+        let prepared = std::sync::Arc::new(
+            sfscan::PreparedAudit::prepare(&outcomes(300, 15), &grid(), base()).unwrap(),
+        );
+        let request = sfscan::AuditRequest::from_config(&base());
+        let mut table = SessionTable::new(DrainPolicy::Manual, Some(2));
+        let handle = table.register(prepared.clone(), sfscan::WorldCache::new());
+        let submit = |table: &mut SessionTable<u64>, id| {
+            table.submit(RequestEnvelope::new(handle, request), id, 0)
+        };
+        submit(&mut table, 0).unwrap();
+        submit(&mut table, 1).unwrap();
+        let busy = SubmitError::Busy {
+            pending: 2,
+            capacity: 2,
+        };
+        assert_eq!(submit(&mut table, 2), Err(busy.clone()), "two pending");
+        table.promote_all();
+        assert_eq!(submit(&mut table, 2), Err(busy.clone()), "two ready");
+        let batch = table.claim().expect("a ready batch");
+        assert_eq!(batch.jobs.len(), 2);
+        assert_eq!(submit(&mut table, 2), Err(busy), "two executing");
+        assert_eq!((table.queue_depth(), table.outstanding()), (0, 2));
+        table.release(batch.handle, batch.jobs.len());
+        submit(&mut table, 2).unwrap();
+        assert_eq!(table.outstanding(), 1, "rejections queued nothing");
+
+        // Capacity 0 is not floored: every submission is refused.
+        let mut closed = SessionTable::<u64>::new(DrainPolicy::Manual, Some(0));
+        let handle = closed.register(prepared, sfscan::WorldCache::new());
+        assert_eq!(
+            closed.submit(RequestEnvelope::new(handle, request), 0, 0),
+            Err(SubmitError::Busy {
+                pending: 0,
+                capacity: 0
+            })
+        );
     }
 
     #[test]
@@ -570,52 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_capacity_rejects_with_busy_and_recovers_after_drain() {
-        let (service, handle, _) = service_with(600, 15);
-        let mut service = service.with_queue_capacity(2);
-        assert_eq!(service.queue_capacity(), Some(2));
-        let request = service.default_request(handle).unwrap();
-
-        let a = service.submit(handle, request).unwrap();
-        let b = service
-            .submit(handle, request.with_direction(Direction::High))
-            .unwrap();
-        // Third submission hits the cap: typed Busy, nothing queued,
-        // no ticket burned.
-        let err = service
-            .submit(handle, request.with_direction(Direction::Low))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SubmitError::Busy {
-                pending: 2,
-                capacity: 2
-            }
-        );
-        assert_eq!(service.pending_total(), 2);
-        assert_eq!(service.stats().queue_depth, 2);
-
-        // Draining frees the queue; the retry is accepted with the
-        // next consecutive ticket (the busy rejection consumed none).
-        service.flush();
-        assert_eq!(service.stats().queue_depth, 0);
-        let c = service
-            .submit(handle, request.with_direction(Direction::Low))
-            .unwrap();
-        assert_eq!(c.0, b.0 + 1);
-        service.flush();
-        for t in [a, b, c] {
-            assert!(service.poll(t).is_ready(), "{t}");
-        }
-
-        // The drain-latency summary is on the stats line for scrapers.
-        let line = service.stats().to_string();
-        for token in ["queue_depth=0", "drain_latency: p50=", "p99=", "(n=3)"] {
-            assert!(line.contains(token), "{line}");
-        }
-    }
-
-    #[test]
     fn percentile_is_nearest_rank_on_sorted_samples() {
         assert_eq!(percentile(&[], 0.5), 0);
         assert_eq!(percentile(&[7], 0.5), 7);
@@ -649,58 +638,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(percentile(&all_equal, q), 4);
         }
-    }
-
-    #[test]
-    fn busy_envelope_round_trips_under_capacity_zero_and_one() {
-        let o = outcomes(300, 9);
-        // Capacity 0 floors to 1 (a queue that can accept nothing
-        // would deadlock every client), so one submission lands and
-        // the second bounces with the typed wire shape, not a panic.
-        let mut shedder = AuditService::new().with_queue_capacity(0);
-        assert_eq!(shedder.queue_capacity(), Some(1), "capacity 0 floors to 1");
-        let h = shedder.register(&o, &grid(), base()).unwrap();
-        let request = shedder.default_request(h).unwrap();
-        shedder.submit(h, request).unwrap();
-        let err = shedder.submit(h, request).unwrap_err();
-        assert_eq!(
-            err,
-            SubmitError::Busy {
-                pending: 1,
-                capacity: 1
-            }
-        );
-        let envelope = ResponseEnvelope::rejected(&err);
-        assert_eq!(envelope.status, WireStatus::Busy);
-        assert_eq!(envelope.code, Some(ErrorCode::Busy));
-        assert_eq!(envelope.ticket, None);
-        let line = envelope.to_json();
-        assert!(line.contains("\"status\":\"busy\""), "{line}");
-        assert_eq!(ResponseEnvelope::from_json(&line).unwrap(), envelope);
-
-        // Capacity 1: one accepted, the second bounces with the
-        // pending/capacity the client needs for its retry policy; the
-        // busy() shorthand renders the identical envelope.
-        let mut single = AuditService::new().with_queue_capacity(1);
-        let h = single.register(&o, &grid(), base()).unwrap();
-        let request = single.default_request(h).unwrap();
-        let ticket = single.submit(h, request).unwrap();
-        let err = single.submit(h, request).unwrap_err();
-        assert_eq!(
-            err,
-            SubmitError::Busy {
-                pending: 1,
-                capacity: 1
-            }
-        );
-        let envelope = ResponseEnvelope::rejected(&err);
-        assert_eq!(envelope, ResponseEnvelope::busy(1, 1));
-        let back = ResponseEnvelope::from_json(&envelope.to_json()).unwrap();
-        assert_eq!(back, envelope);
-        assert_eq!(back.status, WireStatus::Busy);
-        // The accepted ticket still drains normally after the shed.
-        single.flush();
-        assert!(single.poll(ticket).is_ready());
     }
 
     #[test]
@@ -792,18 +729,20 @@ mod tests {
 
         let t_plain = service.submit_json(&plain.to_json()).unwrap();
         let t_flagged = service.submit_json(&flagged.to_json()).unwrap();
+        // The flag travels with the job: readable while queued, after
+        // the drain, and gone with the taken response.
         assert!(!service.geojson_requested(t_plain));
         assert!(service.geojson_requested(t_flagged));
-        // The query consumed the mark; re-arm it the way a direct
-        // submit caller would.
-        service.mark_geojson(t_flagged);
         service.flush();
+        assert!(service.geojson_requested(t_flagged));
 
         let plain_out = ResponseEnvelope::ready(service.take(t_plain).unwrap());
         let mut flagged_out = ResponseEnvelope::ready(service.take(t_flagged).unwrap());
-        if service.geojson_requested(t_flagged) {
-            flagged_out = flagged_out.with_geojson_findings();
-        }
+        flagged_out = flagged_out.with_geojson_findings();
+        assert!(
+            !service.geojson_requested(t_flagged),
+            "taken tickets vanish"
+        );
         // Identical audits; only the presentation differs.
         assert_eq!(plain_out.report, flagged_out.report);
         assert_eq!(plain_out.geojson, None);

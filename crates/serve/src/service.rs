@@ -1,12 +1,15 @@
-//! The v2 serving surface: a multi-dataset [`AuditService`] with
-//! ticketed submission, drain policies, and cross-batch world caching.
+//! The in-process serving surface: a multi-dataset [`AuditService`]
+//! with ticketed submission, drain policies, and cross-batch world
+//! caching, over the shared [`SessionTable`] core.
 
-use crate::histogram::{nearest_rank, LatencyHistogram};
+use crate::histogram::nearest_rank;
+use crate::sessions::{total_cache_stats, DrainPolicy, Job, SessionTable};
+use crate::wire::RequestEnvelope;
 use serde::{Deserialize, Serialize};
-use sfscan::prepared::{AuditRequest, BatchStats, ExecutionPlan, PreparedAudit, WorldEvaluator};
+use sfscan::prepared::{AuditRequest, ExecutionPlan, PreparedAudit, WorldEvaluator};
 use sfscan::worldcache::{CacheStats, WorldCache};
 use sfscan::{AuditConfig, AuditReport, RegionSet, ScanError, SpatialOutcomes};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Opaque id of a registered dataset session, unique per service
@@ -137,9 +140,8 @@ pub enum SubmitError {
     },
     /// The session's bounded submission queue is full — the
     /// backpressure signal. The request was NOT queued; the client
-    /// should retry after a drain. Produced only by services with a
-    /// queue cap ([`AuditService::with_queue_capacity`]) and by the
-    /// bounded per-session queues of the `sfnet` executor.
+    /// should retry after a drain. Produced by a [`SessionTable`] with
+    /// a queue capacity, as the `sfnet` executor configures.
     Busy {
         /// Outstanding (queued or executing) requests at rejection.
         pending: usize,
@@ -185,32 +187,10 @@ impl From<ScanError> for SubmitError {
     }
 }
 
-/// When queued requests are executed.
-///
-/// Policies are driven by the *service clock* — an explicit `u64`
-/// tick counter advanced only by [`AuditService::tick`], never by
-/// wall-clock reads — so batching behaviour is deterministic and
-/// testable. [`AuditService::flush`] is always available as the
-/// manual escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainPolicy {
-    /// Nothing runs until [`AuditService::flush`] (or
-    /// [`AuditService::flush_handle`]) is called.
-    #[default]
-    Manual,
-    /// A handle's queue executes as soon as it holds this many
-    /// requests (checked at submission; `MaxPending(1)` serves every
-    /// request immediately).
-    MaxPending(usize),
-    /// A handle's queue executes on the first [`AuditService::tick`]
-    /// at least this many ticks after its oldest pending submission.
-    Deadline(u64),
-}
-
 /// Cumulative serving statistics across every executed batch, every
 /// handle. Counters are `u64` end-to-end — absorbed from
-/// [`BatchStats`] without a single cast — and the [`Display`] form is
-/// the one-line summary `experiments serve` prints.
+/// [`BatchStats`](sfscan::BatchStats) without a single cast — and the
+/// [`Display`] form is the one-line summary `experiments serve` prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Requests served over the service's lifetime.
@@ -228,25 +208,25 @@ pub struct ServerStats {
     pub lane_worlds: u64,
     /// Worlds the per-request budgets allowed in total.
     pub budget_total: u64,
-    /// Queued-but-unexecuted requests at the last submit/drain event —
-    /// a gauge, not a counter (the backpressure signal the load
+    /// Accepted requests no batch has claimed yet, when the stats were
+    /// read — a gauge, not a counter (the backpressure signal the load
     /// generator scrapes).
     pub queue_depth: u64,
     /// Median submission→drain latency across served requests. Units
-    /// are whatever clock drives the service: deterministic
-    /// [`AuditService::tick`] ticks in-process, microseconds under the
-    /// `sfnet` executor's wall clock. Read from a fixed-size
-    /// [`LatencyHistogram`] when the stats are read, so memory stays
-    /// bounded however many requests are served: exact below
-    /// [`LatencyHistogram::EXACT_BELOW`] (1,024), within
-    /// [`LatencyHistogram::RELATIVE_ERROR`] (1/128) of the exact
-    /// nearest-rank value above it.
+    /// are the `now` the front end passes to its [`SessionTable`]:
+    /// deterministic [`AuditService::tick`] ticks in-process,
+    /// microseconds under the `sfnet` executor's wall clock. Read from
+    /// a fixed-size [`LatencyHistogram`](crate::LatencyHistogram) when
+    /// the stats are read, so memory stays bounded however many
+    /// requests are served: exact below
+    /// [`EXACT_BELOW`](crate::LatencyHistogram::EXACT_BELOW) (1,024),
+    /// within [`RELATIVE_ERROR`](crate::LatencyHistogram::RELATIVE_ERROR)
+    /// (1/128) of the exact nearest-rank value above it.
     pub drain_p50: u64,
     /// 99th-percentile submission→drain latency (same units and
     /// precision as [`ServerStats::drain_p50`]).
     pub drain_p99: u64,
-    /// Latency samples behind the percentiles (== requests served
-    /// through the latency-tracked path).
+    /// Latency samples behind the percentiles (== requests served).
     pub drain_samples: u64,
 }
 
@@ -262,29 +242,6 @@ impl ServerStats {
     /// Worlds early stopping saved across all batches.
     pub fn worlds_saved(&self) -> u64 {
         self.budget_total.saturating_sub(self.lane_worlds)
-    }
-
-    /// Folds one executed batch's accounting into the cumulative
-    /// counters. Public so the `sfnet` executor shares the exact
-    /// mapping (and therefore the exact summary line) with the
-    /// in-process service.
-    pub fn absorb(&mut self, batch: &BatchStats) {
-        self.requests_served += batch.requests;
-        self.batches += 1;
-        self.unique_worlds += batch.unique_worlds;
-        self.worlds_replayed += batch.worlds_replayed;
-        self.cache_hits += batch.cache_hits;
-        self.lane_worlds += batch.lane_worlds;
-        self.budget_total += batch.budget_total;
-    }
-
-    /// These counters with the drain-latency fields read from
-    /// `latency`.
-    pub fn with_drain_latency(mut self, latency: &LatencyHistogram) -> Self {
-        self.drain_p50 = latency.percentile(0.50);
-        self.drain_p99 = latency.percentile(0.99);
-        self.drain_samples = latency.samples();
-        self
     }
 }
 
@@ -312,27 +269,13 @@ impl std::fmt::Display for ServerStats {
 
 /// Nearest-rank percentile over an ascending-sorted sample set (`q` in
 /// `[0, 1]`); 0 on an empty set. The exact reference
-/// [`LatencyHistogram::percentile`] is tested against.
+/// [`LatencyHistogram::percentile`](crate::LatencyHistogram::percentile)
+/// is tested against.
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     sorted[nearest_rank(sorted.len() as u64, q) as usize - 1]
-}
-
-/// One registered dataset: its prepared engine, its pending queue, and
-/// its cross-batch world cache.
-#[derive(Debug)]
-struct Session {
-    handle: DatasetHandle,
-    prepared: PreparedAudit,
-    cache: WorldCache,
-    /// Pending requests with the clock value each was submitted at
-    /// (the drain-latency sample recorded when the batch executes).
-    queue: Vec<(Ticket, AuditRequest, u64)>,
-    /// Clock time of the oldest pending submission (None when empty);
-    /// drives [`DrainPolicy::Deadline`].
-    queued_since: Option<u64>,
 }
 
 /// The audit serving surface: many registered datasets behind one
@@ -353,29 +296,21 @@ struct Session {
 ///   [`WorldCache`]; repeat or extended requests replay cached
 ///   τ-streams and simulate only the un-cached suffix,
 ///   **bit-identical** to a cold run by construction.
+///
+/// Sessions, queues, policy and accounting live in a [`SessionTable`],
+/// the core the `sfnet` executor shares; the service adds tickets, the
+/// completed responses, and runs each batch the table releases on the
+/// calling thread, at once.
 #[derive(Debug, Default)]
 pub struct AuditService {
-    sessions: Vec<Session>,
-    /// Executed responses awaiting [`AuditService::take`], keyed by
-    /// ticket id (BTreeMap so iteration is submission order).
-    completed: BTreeMap<u64, AuditResponse>,
-    next_handle: u64,
+    sessions: SessionTable<Ticket>,
+    /// Executed responses awaiting [`AuditService::take`], with their
+    /// request's GeoJSON flag, keyed by ticket id.
+    completed: BTreeMap<u64, (AuditResponse, bool)>,
     next_ticket: u64,
-    clock: u64,
-    policy: DrainPolicy,
     /// Per-session world-cache byte cap applied at registration
     /// (`None` = unbounded caches).
     cache_capacity_bytes: Option<usize>,
-    /// Per-session pending-queue cap (`None` = unbounded; submissions
-    /// beyond it are rejected with [`SubmitError::Busy`]).
-    queue_capacity: Option<usize>,
-    /// Submission→drain latencies in service-clock ticks.
-    drain_latency: LatencyHistogram,
-    /// Tickets whose wire request asked for GeoJSON findings on the
-    /// response ([`RequestEnvelope::geojson`](crate::RequestEnvelope)).
-    /// Presentation state only — execution and reports are unaffected.
-    geojson_tickets: BTreeSet<u64>,
-    stats: ServerStats,
     /// Optional world-evaluation backend (e.g. a distributed shard
     /// coordinator) threaded into every drain; `None` simulates
     /// in-process. The [`WorldEvaluator`] contract makes either path
@@ -391,7 +326,7 @@ impl AuditService {
 
     /// Sets the drain policy at construction.
     pub fn with_policy(mut self, policy: DrainPolicy) -> Self {
-        self.policy = policy;
+        self.sessions.set_policy(policy);
         self
     }
 
@@ -405,61 +340,13 @@ impl AuditService {
         self
     }
 
-    /// The per-session world-cache byte cap (`None` = unbounded).
-    pub fn cache_capacity_bytes(&self) -> Option<usize> {
-        self.cache_capacity_bytes
-    }
-
-    /// Bounds every session's pending queue at `requests`: a submission
-    /// that would exceed it is rejected with [`SubmitError::Busy`]
-    /// instead of queueing without limit — the in-process version of
-    /// the `sfnet` executor's backpressure. Floored at 1.
-    pub fn with_queue_capacity(mut self, requests: usize) -> Self {
-        self.queue_capacity = Some(requests.max(1));
-        self
-    }
-
-    /// The per-session pending-queue cap (`None` = unbounded).
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
-    /// Installs a world-evaluation backend (builder form). See
-    /// [`AuditService::set_evaluator`].
+    /// Routes the world simulation of every drain through `evaluator`
+    /// (e.g. a distributed shard coordinator) instead of the in-process
+    /// engine. The [`WorldEvaluator`] contract keeps responses
+    /// bit-identical either way.
     pub fn with_evaluator(mut self, evaluator: Arc<dyn WorldEvaluator>) -> Self {
         self.evaluator = Some(evaluator);
         self
-    }
-
-    /// Installs (or, with `None`, removes) a world-evaluation backend.
-    /// Every subsequent drain routes world simulation through it —
-    /// e.g. a distributed shard coordinator — instead of the
-    /// in-process engine. The [`WorldEvaluator`] contract guarantees
-    /// responses stay bit-identical either way.
-    pub fn set_evaluator(&mut self, evaluator: Option<Arc<dyn WorldEvaluator>>) {
-        self.evaluator = evaluator;
-    }
-
-    /// The installed world-evaluation backend, if any.
-    pub fn evaluator(&self) -> Option<&Arc<dyn WorldEvaluator>> {
-        self.evaluator.as_ref()
-    }
-
-    /// The active drain policy.
-    pub fn policy(&self) -> DrainPolicy {
-        self.policy
-    }
-
-    /// Replaces the drain policy. Takes effect from the next
-    /// submission/tick; already-queued requests are not retroactively
-    /// executed until an event (submit, tick, flush) triggers them.
-    pub fn set_policy(&mut self, policy: DrainPolicy) {
-        self.policy = policy;
-    }
-
-    /// The service clock (last value passed to [`AuditService::tick`]).
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Registers a dataset session: prepares the serving engine from
@@ -482,19 +369,11 @@ impl AuditService {
 
     /// Registers an already-prepared engine as a session.
     pub fn register_prepared(&mut self, prepared: PreparedAudit) -> DatasetHandle {
-        let handle = DatasetHandle(self.next_handle);
-        self.next_handle += 1;
-        self.sessions.push(Session {
-            handle,
-            prepared,
-            cache: match self.cache_capacity_bytes {
-                Some(bytes) => WorldCache::with_capacity_bytes(bytes),
-                None => WorldCache::new(),
-            },
-            queue: Vec::new(),
-            queued_since: None,
-        });
-        handle
+        let cache = match self.cache_capacity_bytes {
+            Some(bytes) => WorldCache::with_capacity_bytes(bytes),
+            None => WorldCache::new(),
+        };
+        self.sessions.register(Arc::new(prepared), cache)
     }
 
     /// Evicts a session: its engine, pending queue, and world cache
@@ -506,45 +385,41 @@ impl AuditService {
     /// [`SubmitError::UnknownHandle`] if nothing is registered under
     /// the handle.
     pub fn unregister(&mut self, handle: DatasetHandle) -> Result<CacheStats, SubmitError> {
-        let idx = self.session_index(handle)?;
-        let session = self.sessions.remove(idx);
-        Ok(*session.cache.stats())
-    }
-
-    /// Handles of the registered sessions, in registration order.
-    pub fn handles(&self) -> Vec<DatasetHandle> {
-        self.sessions.iter().map(|s| s.handle).collect()
+        let session = self
+            .sessions
+            .unregister(handle)
+            .ok_or(SubmitError::UnknownHandle(handle))?;
+        let stats = *session.cache().stats();
+        Ok(stats)
     }
 
     /// The prepared engine behind a handle.
     pub fn prepared(&self, handle: DatasetHandle) -> Option<&PreparedAudit> {
-        self.session(handle).map(|s| &s.prepared)
+        self.sessions.session(handle).map(|s| s.prepared())
     }
 
     /// A request with a handle's per-request defaults.
     pub fn default_request(&self, handle: DatasetHandle) -> Option<AuditRequest> {
-        self.session(handle)
-            .map(|s| AuditRequest::from_config(s.prepared.base_config()))
+        self.prepared(handle)
+            .map(|p| AuditRequest::from_config(p.base_config()))
     }
 
     /// A handle's cumulative world-cache accounting.
     pub fn cache_stats(&self, handle: DatasetHandle) -> Option<CacheStats> {
-        self.session(handle).map(|s| *s.cache.stats())
+        let session = self.sessions.session(handle)?;
+        Some(*session.cache().stats())
     }
 
     /// World-cache accounting summed across every registered session —
     /// the `cache` half of the wire's `{"stats": true}` snapshot.
     pub fn cache_stats_total(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for session in &self.sessions {
-            total.absorb(session.cache.stats());
-        }
-        total
+        total_cache_stats(&self.sessions.caches())
     }
 
     /// Worlds currently cached for a handle (across its world classes).
     pub fn cached_worlds(&self, handle: DatasetHandle) -> Option<usize> {
-        self.session(handle).map(|s| s.cache.cached_worlds())
+        let session = self.sessions.session(handle)?;
+        Some(session.cache().cached_worlds())
     }
 
     /// Validates and queues a request against a session; returns its
@@ -557,48 +432,36 @@ impl AuditService {
     /// * [`SubmitError::InvalidRequest`] — invalid knobs, rejected
     ///   *before* queueing so a bad request can never take an already
     ///   queued batch down with it.
-    /// * [`SubmitError::Busy`] — the session queue is at its
-    ///   [`AuditService::with_queue_capacity`] cap; nothing was queued
-    ///   and no ticket was consumed.
     pub fn submit(
         &mut self,
         handle: DatasetHandle,
         request: AuditRequest,
     ) -> Result<Ticket, SubmitError> {
-        request.validate()?;
-        let idx = self.session_index(handle)?;
-        if let Some(capacity) = self.queue_capacity {
-            let pending = self.sessions[idx].queue.len();
-            if pending >= capacity {
-                return Err(SubmitError::Busy { pending, capacity });
-            }
-        }
+        self.submit_envelope(RequestEnvelope::new(handle, request))
+    }
+
+    /// [`AuditService::submit`] for a decoded wire envelope: the
+    /// envelope's GeoJSON flag travels with the job
+    /// ([`AuditService::geojson_requested`]).
+    ///
+    /// # Errors
+    /// As [`AuditService::submit`].
+    pub fn submit_envelope(&mut self, envelope: RequestEnvelope) -> Result<Ticket, SubmitError> {
         let ticket = Ticket(self.next_ticket);
+        let now = self.sessions.now();
+        self.sessions.submit(envelope, ticket, now)?;
         self.next_ticket += 1;
-        let clock = self.clock;
-        let session = &mut self.sessions[idx];
-        session.queue.push((ticket, request, clock));
-        session.queued_since.get_or_insert(clock);
-        self.stats.queue_depth = self.pending_total() as u64;
-        if let DrainPolicy::MaxPending(limit) = self.policy {
-            if self.sessions[idx].queue.len() >= limit.max(1) {
-                self.run_session_batch(idx);
-            }
-        }
+        self.run_ready();
         Ok(ticket)
     }
 
     /// Where a ticket stands. The `Ready` response is a clone; claim
     /// it with [`AuditService::take`].
     pub fn poll(&self, ticket: Ticket) -> Status {
-        if let Some(response) = self.completed.get(&ticket.0) {
+        if let Some((response, _)) = self.completed.get(&ticket.0) {
             return Status::Ready(response.clone());
         }
-        let queued = self
-            .sessions
-            .iter()
-            .any(|s| s.queue.iter().any(|(t, _, _)| *t == ticket));
-        if queued {
+        if self.queued().any(|job| job.payload == ticket) {
             Status::Queued
         } else {
             Status::Unknown
@@ -608,38 +471,31 @@ impl AuditService {
     /// Claims a ready response, freeing its slot. `None` if the ticket
     /// is not ready (still queued, never issued, or already taken).
     pub fn take(&mut self, ticket: Ticket) -> Option<AuditResponse> {
-        self.completed.remove(&ticket.0)
+        self.completed
+            .remove(&ticket.0)
+            .map(|(response, _)| response)
     }
 
-    /// Remembers that `ticket`'s response should carry GeoJSON
-    /// findings. [`AuditService::submit_json`] calls this for
-    /// envelopes with the `geojson` flag; direct [`AuditService::submit`]
-    /// callers can opt in explicitly.
-    pub fn mark_geojson(&mut self, ticket: Ticket) {
-        self.geojson_tickets.insert(ticket.0);
-    }
-
-    /// Whether `ticket`'s request asked for GeoJSON findings. Clears
-    /// the mark — the serving loop asks exactly once, when it renders
-    /// the response line.
-    pub fn geojson_requested(&mut self, ticket: Ticket) -> bool {
-        self.geojson_tickets.remove(&ticket.0)
-    }
-
-    /// Claims every ready response, in ticket (= submission) order.
-    pub fn take_ready(&mut self) -> Vec<AuditResponse> {
-        let completed = std::mem::take(&mut self.completed);
-        completed.into_values().collect()
+    /// Whether `ticket`'s request asked for GeoJSON findings on its
+    /// response ([`RequestEnvelope::geojson`]); `false` once the ticket
+    /// is taken or unknown.
+    pub fn geojson_requested(&self, ticket: Ticket) -> bool {
+        match self.completed.get(&ticket.0) {
+            Some(&(_, geojson)) => geojson,
+            None => self
+                .queued()
+                .any(|job| job.payload == ticket && job.geojson),
+        }
     }
 
     /// Number of queued, not-yet-executed requests under a handle.
     pub fn pending(&self, handle: DatasetHandle) -> Option<usize> {
-        self.session(handle).map(|s| s.queue.len())
+        self.sessions.session(handle).map(|s| s.queued().count())
     }
 
     /// Queued requests across every session.
     pub fn pending_total(&self) -> usize {
-        self.sessions.iter().map(|s| s.queue.len()).sum()
+        self.sessions.queue_depth()
     }
 
     /// Executed responses awaiting [`AuditService::take`].
@@ -650,8 +506,10 @@ impl AuditService {
     /// The execution plan a handle's current queue would run as — for
     /// introspection; the queue is untouched.
     pub fn plan(&self, handle: DatasetHandle) -> Option<ExecutionPlan> {
-        self.session(handle)
-            .map(|s| ExecutionPlan::new(s.queue.iter().map(|(_, r, _)| *r).collect()))
+        let session = self.sessions.session(handle)?;
+        Some(ExecutionPlan::new(
+            session.queued().map(|job| job.request).collect(),
+        ))
     }
 
     /// Advances the service clock to `now` (monotonic: a smaller value
@@ -659,91 +517,45 @@ impl AuditService {
     /// whose [`DrainPolicy::Deadline`] has expired. Returns the number
     /// of requests executed.
     pub fn tick(&mut self, now: u64) -> usize {
-        self.clock = self.clock.max(now);
-        let DrainPolicy::Deadline(ticks) = self.policy else {
-            return 0;
-        };
-        let clock = self.clock;
-        let expired: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.queued_since
-                    .is_some_and(|since| clock.saturating_sub(since) >= ticks)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        expired
-            .into_iter()
-            .map(|idx| self.run_session_batch(idx))
-            .sum()
+        self.sessions.advance(now);
+        self.run_ready()
     }
 
     /// Executes every pending queue right now, regardless of policy —
     /// the manual escape hatch. Returns the number of requests
     /// executed.
     pub fn flush(&mut self) -> usize {
-        (0..self.sessions.len())
-            .map(|idx| self.run_session_batch(idx))
-            .sum()
+        self.sessions.promote_all();
+        self.run_ready()
     }
 
-    /// Executes one handle's pending queue right now. Returns the
-    /// number of requests executed.
-    ///
-    /// # Errors
-    /// [`SubmitError::UnknownHandle`] if nothing is registered under
-    /// the handle.
-    pub fn flush_handle(&mut self, handle: DatasetHandle) -> Result<usize, SubmitError> {
-        let idx = self.session_index(handle)?;
-        Ok(self.run_session_batch(idx))
-    }
-
-    /// Cumulative serving statistics.
+    /// Cumulative serving statistics. Drain latencies count in
+    /// [`AuditService::tick`] units.
     pub fn stats(&self) -> ServerStats {
-        self.stats.with_drain_latency(&self.drain_latency)
+        self.sessions.stats()
     }
 
-    fn session(&self, handle: DatasetHandle) -> Option<&Session> {
-        self.sessions.iter().find(|s| s.handle == handle)
+    fn queued(&self) -> impl Iterator<Item = &Job<Ticket>> {
+        self.sessions.sessions().flat_map(|s| s.queued())
     }
 
-    fn session_index(&self, handle: DatasetHandle) -> Result<usize, SubmitError> {
-        self.sessions
-            .iter()
-            .position(|s| s.handle == handle)
-            .ok_or(SubmitError::UnknownHandle(handle))
-    }
-
-    /// Plans and executes one session's queue as a single batch,
-    /// resuming from (and extending) the session's world cache;
-    /// responses land in the completed map.
-    fn run_session_batch(&mut self, idx: usize) -> usize {
-        let session = &mut self.sessions[idx];
-        if session.queue.is_empty() {
-            return 0;
+    /// Runs every batch the table has ready, each resuming from (and
+    /// extending) its session's world cache; responses land in the
+    /// completed map. Returns the number of requests executed.
+    fn run_ready(&mut self) -> usize {
+        let mut served = 0;
+        while let Some(batch) = self.sessions.claim() {
+            let (reports, stats) = batch.run(self.evaluator.as_deref());
+            let now = self.sessions.now();
+            self.sessions.account(&batch, &stats, now);
+            self.sessions.release(batch.handle, batch.jobs.len());
+            served += batch.jobs.len();
+            for (job, report) in batch.jobs.into_iter().zip(reports) {
+                let ticket = job.payload;
+                let response = AuditResponse { ticket, report };
+                self.completed.insert(ticket.0, (response, job.geojson));
+            }
         }
-        let queued = std::mem::take(&mut session.queue);
-        session.queued_since = None;
-        let requests: Vec<AuditRequest> = queued.iter().map(|(_, r, _)| *r).collect();
-        let evaluator = self.evaluator.clone();
-        let (reports, batch) = session.prepared.run_batch_cached_with(
-            &requests,
-            &mut session.cache,
-            evaluator.as_deref(),
-        );
-        self.stats.absorb(&batch);
-        let clock = self.clock;
-        for (_, _, at) in &queued {
-            self.drain_latency.record(clock.saturating_sub(*at));
-        }
-        let served = queued.len();
-        for ((ticket, _, _), report) in queued.into_iter().zip(reports) {
-            self.completed
-                .insert(ticket.0, AuditResponse { ticket, report });
-        }
-        self.stats.queue_depth = self.pending_total() as u64;
         served
     }
 }

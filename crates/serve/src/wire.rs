@@ -473,12 +473,8 @@ impl Deserialize for ResponseEnvelope {
 }
 
 impl AuditService {
-    /// Decodes one [`RequestEnvelope`] JSONL line and submits it.
-    ///
-    /// When the envelope sets its `geojson` flag, the assigned ticket
-    /// is remembered so the serving loop can attach the findings
-    /// rendering to the eventual response
-    /// ([`AuditService::geojson_requested`]).
+    /// Decodes one [`RequestEnvelope`] JSONL line and submits it
+    /// ([`AuditService::submit_envelope`]).
     ///
     /// # Errors
     /// [`SubmitError::Malformed`] when the line does not decode;
@@ -490,18 +486,5 @@ impl AuditService {
             reason: e.to_string(),
         })?;
         self.submit_envelope(envelope)
-    }
-
-    /// Submits a decoded [`RequestEnvelope`], remembering its ticket
-    /// for a GeoJSON rendering when the envelope asks for one.
-    ///
-    /// # Errors
-    /// Whatever [`AuditService::submit`] returns.
-    pub fn submit_envelope(&mut self, envelope: RequestEnvelope) -> Result<Ticket, SubmitError> {
-        let ticket = self.submit(envelope.handle, envelope.request)?;
-        if envelope.geojson {
-            self.mark_geojson(ticket);
-        }
-        Ok(ticket)
     }
 }
