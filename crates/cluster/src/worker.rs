@@ -2,7 +2,11 @@
 //!
 //! A worker wraps one [`SpanCounter`] behind the same newline-delimited
 //! JSON framing the `sfnet` audit server speaks: one request line in,
-//! one reply line out, per connection, in order. Workers are
+//! one reply line out, per connection, in order. Every non-blank line
+//! gets exactly one typed reply — a line that does not decode gets a
+//! `malformed request` error and the connection stays open — while a
+//! line that trims to nothing gets no reply and counts as no request,
+//! as on the audit server. Workers are
 //! stateless between requests — any worker can serve any span of any
 //! word window, which is what lets the coordinator re-dispatch a
 //! failed shard's span to a different worker (or compute it locally)

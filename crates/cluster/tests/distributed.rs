@@ -575,3 +575,91 @@ fn shutdown_returns_while_a_client_holds_a_half_sent_line() {
     stopper.join().unwrap();
     assert!(returned, "shutdown blocked behind a half-sent line");
 }
+
+#[test]
+fn hostile_mix_gets_exactly_one_typed_reply_per_line_in_order() {
+    // One worker connection receives, in one stream: a hello, `not
+    // json`, 800 KB of `[`, a 900 KB string line, an unknown op, a
+    // count whose word window lies past the data, a blank line and a
+    // stats probe. Every non-blank line gets exactly one typed reply,
+    // in order; the blank line gets none (the worker skips lines that
+    // trim to nothing); the connection survives to answer `stats`.
+    use std::io::{BufRead, BufReader, Write};
+    let prepared = prepared(200);
+    let workers = spawn_workers(&prepared, 1, &[]);
+    let stream = std::net::TcpStream::connect(workers[0].local_addr()).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    let num_words = SpanCounter::new(prepared.clone())
+        .unwrap()
+        .num_label_words() as u64;
+    let out_of_range = WorkerRequest::Count(CountRequest {
+        id: 9,
+        null_model: NullModel::Bernoulli,
+        seed: 1,
+        worldgen: WorldGen::Word,
+        first: 0,
+        count: 4,
+        word_lo: num_words + 1,
+        word_hi: num_words + 8,
+    });
+    let lines = [
+        WorkerRequest::Hello.to_json(),
+        String::from("not json"),
+        nested_brackets_line(),
+        format!("\"{}\"", "x".repeat(900_000)),
+        String::from(r#"{"op":"explode"}"#),
+        out_of_range.to_json(),
+        String::new(),
+        WorkerRequest::Stats.to_json(),
+    ];
+    let mut writer = stream;
+    let sender = std::thread::spawn(move || {
+        for line in &lines {
+            writeln!(writer, "{line}").unwrap();
+        }
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    let replies: Vec<WorkerReply> = reader
+        .lines()
+        .map(|line| WorkerReply::from_json(line.unwrap().trim()).unwrap())
+        .collect();
+    sender.join().unwrap();
+
+    assert_eq!(
+        replies.len(),
+        7,
+        "one reply per non-blank line: {replies:?}"
+    );
+    assert!(
+        matches!(
+            replies[0],
+            WorkerReply::Hello {
+                num_regions: 16,
+                ..
+            }
+        ),
+        "{:?}",
+        replies[0]
+    );
+    for reply in &replies[1..5] {
+        match reply {
+            WorkerReply::Err { id: None, error } => {
+                assert!(error.starts_with("malformed request"), "{error}")
+            }
+            other => panic!("expected a malformed-request error, got {other:?}"),
+        }
+    }
+    assert!(
+        matches!(replies[5], WorkerReply::Err { id: Some(9), .. }),
+        "the out-of-range count is refused under its own id: {:?}",
+        replies[5]
+    );
+    match &replies[6] {
+        WorkerReply::Stats(stats) => {
+            assert_eq!(stats.requests, 7, "the blank line is no request");
+            assert_eq!(stats.errors, 5);
+            assert_eq!(stats.spans, 0);
+        }
+        other => panic!("expected a stats reply, got {other:?}"),
+    }
+}

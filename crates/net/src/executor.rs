@@ -199,15 +199,25 @@ impl NetExecutor {
     }
 
     /// Promotes everything and blocks until the executor is idle (no
-    /// pending, ready, or executing jobs) — the EOF drain. With
-    /// `workers == 0` the calling thread executes the batches itself.
+    /// pending, ready, or executing jobs) — the stdin path's EOF
+    /// drain. With `workers == 0` the calling thread executes the
+    /// batches itself.
     pub fn flush(&self) {
+        self.promote_all();
+        self.wait_idle();
+    }
+
+    /// Promotes every session's pending jobs and wakes the workers,
+    /// without waiting for them to finish — a connection's EOF drain,
+    /// after which the connection waits only for its own response
+    /// lines. With `workers == 0` no worker would run the jobs, so the
+    /// calling thread executes every ready batch before returning.
+    pub fn promote_all(&self) {
         self.inner.table().promote_all();
         self.inner.work_cv.notify_all();
         if self.inner.config.workers == 0 {
             while self.run_pending_batch() {}
         }
-        self.wait_idle();
     }
 
     /// Blocks until no job is pending, ready, or executing.

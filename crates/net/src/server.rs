@@ -6,9 +6,10 @@
 //! [`ResponseEnvelope`](sfserve::ResponseEnvelope) lines out, one
 //! response per non-blank request line, in request order. A client
 //! that half-closes its write side (`nc -N`, or
-//! `experiments serve --connect` at stdin EOF) triggers the same
-//! global drain the stdin path runs at EOF, then receives every
-//! response it is owed before the server closes the connection.
+//! `experiments serve --connect` at stdin EOF) makes every queued job
+//! runnable, as the stdin path's EOF drain does, then receives every
+//! response it is owed before the server closes the connection. It
+//! does not wait for other connections' queued work.
 //!
 //! Every response line leaves in **one write**, its `\n` included
 //! ([`write_line`]), and every accepted socket sets **`TCP_NODELAY`**.
@@ -266,10 +267,12 @@ fn serve_connection(stream: TcpStream, executor: &Arc<NetExecutor>, shutdown: &A
         driver.handle_line(executor, &String::from_utf8_lossy(&line));
     }
 
-    // EOF drain, exactly like the stdin path: everything queued runs,
-    // then the writer finishes delivering and the connection closes.
+    // EOF drain: every queued job becomes runnable, as on the stdin
+    // path, but the connection waits only for its own lines — the
+    // writer ends once it has delivered every line the sealed sink
+    // owes — and not for other connections' work.
     driver.finish();
-    executor.flush();
+    executor.promote_all();
     let _ = writer_handle.join();
 }
 

@@ -522,6 +522,59 @@ fn graceful_shutdown_answers_every_accepted_ticket() {
     assert_eq!(stats.drain_samples, 5);
 }
 
+#[test]
+fn eof_waits_only_for_the_connections_own_responses() {
+    // One worker, manual drain. Connection A pipelines slow 999-world
+    // audits that sit queued; connection B sends only a stats probe
+    // and half-closes. B's EOF makes A's queue runnable too, but B
+    // must get its reply and its EOF while A's responses are still
+    // outstanding — not after the whole executor has drained.
+    let server = live_server(ExecutorConfig {
+        workers: 1,
+        queue_capacity: None,
+        policy: DrainPolicy::Manual,
+        ..ExecutorConfig::default()
+    });
+    let addr = server.local_addr();
+    let executor = Arc::clone(server.executor());
+
+    let slow = 120;
+    let mut a = TcpStream::connect(addr).unwrap();
+    for seed in 0..slow {
+        let line = line_for(0, request(100 + seed).with_worlds(999));
+        writeln!(a, "{line}").unwrap();
+    }
+    a.flush().unwrap();
+    let waited = Instant::now();
+    while executor.pending_total() < slow as usize && waited.elapsed() < Duration::from_secs(10) {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        executor.pending_total(),
+        slow as usize,
+        "A's audits are queued"
+    );
+
+    let probe = roundtrip(addr, &[String::from(r#"{"stats":true}"#)]);
+    let served = executor.stats().requests_served;
+    assert_eq!(probe.len(), 1, "one reply, then EOF");
+    let reply = ResponseEnvelope::from_json(&probe[0]).unwrap();
+    assert_eq!(reply.status, WireStatus::Stats);
+    assert!(
+        served < slow,
+        "B's EOF waited until all {served} of A's audits were served"
+    );
+
+    a.shutdown(Shutdown::Write).unwrap();
+    let transcript: Vec<String> = BufReader::new(a).lines().map(|l| l.unwrap()).collect();
+    assert_eq!(transcript.len(), slow as usize, "A gets every response");
+    for line in &transcript {
+        let envelope = ResponseEnvelope::from_json(line).unwrap();
+        assert_eq!(envelope.status, WireStatus::Ready, "{line}");
+    }
+    assert_eq!(server.shutdown().requests_served, slow);
+}
+
 /// Runs `1 + trips` round trips of `line` on one closed-loop
 /// connection, each checked against the in-process transcript, and
 /// returns the time the `trips` after the first (cache-priming) one

@@ -68,19 +68,23 @@
 //! A world's `τ` is the maximum region score, so only a score that
 //! beats the running maximum can change it. [`ScanEngine::fold_counts`]
 //! (behind [`ScanEngine::eval`], the distributed coordinator and every
-//! other world path) hands each world's non-empty regions to
-//! [`TauKernel::fold_tau`], which scores every region once for all
-//! requested directions: the exact integer `d = p·N − n·P` routes the
-//! single LLR to `TwoSided` plus `High` (`d > 0`) or `Low` (`d < 0`),
-//! and the logs are taken only when the region's Pearson `X²` — an
-//! upper bound on the LLR, plus a rounding margin — reaches the
-//! smallest running `τ` among the slots it feeds. Mean-residual scores
-//! take no logs and run the plain per-direction loop. Skipped regions
-//! are exactly those whose score could not have won, and the LLR
-//! formula is unchanged, so every `τ` is bit-identical to the
-//! per-region, per-direction [`TauKernel::score`] loop that
-//! [`ScanEngine::scan_real_with`] still runs; the `fold_oracle`
-//! property tests pin the two against each other.
+//! other world path) hands the region-major count matrix to
+//! [`fold_matrix`], which walks it one region row at a time, eight
+//! worlds per row: one branch-free pass validates the row's counts and
+//! screens every world lane with the region's Pearson `X²`, an upper
+//! bound on the LLR. The exact deviation `d = p·N − n·P` routes each
+//! region's single LLR to `TwoSided` plus `High` (`d > 0`) or `Low`
+//! (`d < 0`); a lane that passes the screen meets a tighter
+//! second-order bound, and the logs are taken only when that bound,
+//! plus a rounding margin, reaches the smallest running `τ` among the
+//! slots the region feeds. Mean-residual scores take no logs and run
+//! the plain per-direction loop. Skipped regions are exactly those
+//! whose score could not have won, each world still sees its regions
+//! in ascending order, and the LLR formula is unchanged, so every `τ`
+//! is bit-identical to the per-region, per-direction
+//! [`TauKernel::score`] loop that [`ScanEngine::scan_real_with`] still
+//! runs; the `fold_oracle` property tests pin the two against each
+//! other.
 //!
 //! # Counting representation
 //!
@@ -142,10 +146,10 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use sfindex::{
     morton_layout, shard_word_bounds, BitLabels, BlockedMembership, CountPair, CountingKernel,
-    CountingSubstrate, IndexBackend, Membership, PointVisit, Substrate,
+    CountingSubstrate, IndexBackend, Membership, PointVisit, Substrate, MAX_FUSED_WORLDS,
 };
 use sfstats::bulk::{BulkBernoulli, GEN_CHUNK_WORDS};
-use sfstats::kernel::{Statistic, TauKernel};
+use sfstats::kernel::{fold_matrix, Statistic, TauKernel, FOLD_LANES};
 use sfstats::rng::chunk_rng;
 use std::cell::{Cell, RefCell};
 
@@ -916,15 +920,15 @@ impl<I: CountingSubstrate> ScanEngine<I> {
 
     /// The world fold — the only place a simulated world's `τ` is
     /// scored: `counts[r * W + w]` is `p(R_r)` under world `w`,
-    /// `p_worlds[w]` that world's total positives. Per world, every
-    /// non-empty region's `(n_r, p_r, N, P_world)` quadruple goes
-    /// through [`TauKernel::fold_tau`] in region order, which writes
-    /// exactly the per-direction maximum of [`TauKernel::score`] while
-    /// scoring each region once and skipping the logs of regions that
-    /// cannot win (see *Exact τ fold* in the module docs) — so a caller
-    /// that reduces exact integer count partials from *anywhere*
-    /// (engine shards, shard-worker processes, a degraded local
-    /// recount) and feeds them here gets `τ` values bit-identical to
+    /// `p_worlds[w]` that world's total positives. [`fold_matrix`]
+    /// walks the matrix region row by region row, eight worlds per
+    /// row, and writes exactly the per-direction maximum of
+    /// [`TauKernel::score`] over the non-empty regions while scoring
+    /// each region once and skipping the logs of regions that cannot
+    /// win (see *Exact τ fold* in the module docs) — so a caller that
+    /// reduces exact integer count partials from *anywhere* (engine
+    /// shards, shard-worker processes, a degraded local recount) and
+    /// feeds them here gets `τ` values bit-identical to
     /// [`ScanEngine::eval`]. This is the distributed coordinator's
     /// folding half.
     ///
@@ -932,7 +936,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// Panics when the matrix dimensions disagree with
     /// `p_worlds.len() × directions.len()` / the region count, or on a
     /// count the statistic's validation rejects (a region holding more
-    /// positives than observations, or than the world).
+    /// positives than observations, or than the world), with
+    /// [`Counts2x2::new`](sfstats::Counts2x2::new)'s message.
     pub fn fold_counts(
         &self,
         statistic: Statistic,
@@ -953,42 +958,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     }
 }
 
-/// [`ScanEngine::fold_counts`] over an explicit world size `n_total`
-/// and region sizes `region_n`.
-fn fold_matrix(
-    statistic: Statistic,
-    n_total: u64,
-    region_n: &[u64],
-    p_worlds: &[u64],
-    counts: &[u64],
-    directions: &[Direction],
-    out: &mut [f64],
-) {
-    let width = p_worlds.len();
-    let stride = directions.len();
-    assert_eq!(
-        out.len(),
-        width * stride,
-        "one output slot per (world, direction)"
-    );
-    assert_eq!(
-        counts.len(),
-        region_n.len() * width,
-        "one count per (region, world)"
-    );
-    for (w, &p_world) in p_worlds.iter().enumerate() {
-        let regions = region_n
-            .iter()
-            .zip(counts.iter().skip(w).step_by(width))
-            .filter(|(&n_r, _)| n_r != 0)
-            .map(|(&n_r, &p_r)| (n_r, p_r));
-        TauKernel::new(statistic, n_total, p_world).fold_tau(
-            regions,
-            directions,
-            &mut out[w * stride..(w + 1) * stride],
-        );
-    }
-}
+// One fused counting batch is exactly one lane group of the fold.
+const _: () = assert!(FOLD_LANES == MAX_FUSED_WORLDS);
 
 /// Fills one generation chunk's label words ([`GEN_CHUNK_WORDS`] words
 /// per chunk; the last chunk shorter) from the chunk's own substream
@@ -1981,5 +1952,82 @@ mod tests {
         assert_eq!(real.counts[0], CountPair::default());
         assert_eq!(real.llrs[0], 0.0);
         assert_eq!(real.best_index, 1);
+    }
+
+    /// Folds an 11-world matrix over the two 50-point halves (a full
+    /// lane group of 8 worlds, then a tail of 3) in which every world
+    /// has 50 positives, 25 per half, except world `w`: it has
+    /// `p_world` positives, `p_left` of them in the left half.
+    fn fold_with_one_bad_world(w: usize, p_world: u64, p_left: u64) {
+        let e =
+            ScanEngine::build(&outcomes(), &region_set(), CountingStrategy::Membership).unwrap();
+        let width = 11;
+        let mut p_worlds = vec![50; width];
+        let mut counts = vec![25; 2 * width];
+        p_worlds[w] = p_world;
+        counts[w] = p_left;
+        let mut out = vec![0.0; width];
+        e.fold_counts(
+            Statistic::BernoulliLlr,
+            &p_worlds,
+            &counts,
+            &[Direction::TwoSided],
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
+    fn fold_rejects_more_positives_than_the_region_holds_in_a_full_group() {
+        fold_with_one_bad_world(5, 60, 51);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
+    fn fold_rejects_more_positives_than_the_region_holds_in_the_tail() {
+        fold_with_one_bad_world(9, 60, 51);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
+    fn fold_rejects_more_positives_than_the_world_holds_in_a_full_group() {
+        fold_with_one_bad_world(2, 20, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
+    fn fold_rejects_more_positives_than_the_world_holds_in_the_tail() {
+        fold_with_one_bad_world(10, 20, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives outside exceed observations outside")]
+    fn fold_rejects_more_outside_positives_than_outside_points_in_a_full_group() {
+        fold_with_one_bad_world(7, 80, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives outside exceed observations outside")]
+    fn fold_rejects_more_outside_positives_than_outside_points_in_the_tail() {
+        fold_with_one_bad_world(8, 80, 10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "positives inside (9007199254740993) exceed observations inside (50)"
+    )]
+    fn fold_rejects_a_count_past_f64_precision_in_a_full_group() {
+        // 2^53 + 1 has no f64: the lanes, which compare counts as f64,
+        // see it rounded to 2^53, still above the region's 50 points.
+        fold_with_one_bad_world(0, 60, (1 << 53) + 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "positives inside (18446744073709551615) exceed observations inside (50)"
+    )]
+    fn fold_rejects_a_count_past_f64_precision_in_the_tail() {
+        // u64::MAX rounds to 2^64 as f64.
+        fold_with_one_bad_world(10, 60, u64::MAX);
     }
 }

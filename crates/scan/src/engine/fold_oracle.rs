@@ -4,18 +4,20 @@
 //! per-region loop — `τ = max(0, max over non-empty regions of
 //! TauKernel::score)` per world and direction.
 //!
+//! Widths run from 1 to 24 worlds, so the fold's lane groups of
+//! [`FOLD_LANES`] are covered whole, short, and several to a matrix.
 //! Count pairs are drawn at the edges that matter to the fold:
 //! regions of one observation, of all but one, and of the whole
 //! world; positives at the bottom and top of their feasible range and
 //! next to the world's rate (where `d = p·N − n·P` changes sign);
-//! world totals `P ∈ {0, 1, N−1, N}`; and `N` up to 2^40. A second
-//! property builds float ties: unequal exact rates that round to the
-//! same `f64`.
+//! world totals `P ∈ {0, 1, N−1, N}`; and `N` up to 2^40, including
+//! the largest size whose deviation the fold takes in `f64`
+//! ([`F64_EXACT_MAX_N`]) and its neighbours. A second property builds
+//! float ties: unequal exact rates that round to the same `f64`.
 
-use super::fold_matrix;
 use crate::direction::Direction;
 use proptest::prelude::*;
-use sfstats::kernel::{Statistic, TauKernel};
+use sfstats::kernel::{fold_matrix, Statistic, TauKernel, F64_EXACT_MAX_N, FOLD_LANES};
 
 /// Asserts the fold writes the oracle's bits for one case.
 fn assert_matches_oracle(
@@ -68,14 +70,17 @@ impl Stream {
     }
 }
 
-/// A world size: tiny, small, large, at 2^31, or past 2^32 (where
-/// `p·N` no longer fits a `u64` and `d` is taken in `u128`).
+/// A world size: tiny, small, large, at the `f64`-exact cutoff or
+/// one either side of it (where the fold's deviation moves from `f64`
+/// to integers), at 2^31, or past 2^32 (where `p·N` no longer fits a
+/// `u64` and `d` is taken in `u128`).
 fn world_size(s: &mut Stream) -> u64 {
-    match s.next() % 5 {
+    match s.next() % 6 {
         0 => s.range(1, 8),
         1 => s.range(9, 5_000),
         2 => s.range(1 << 26, 1 << 31),
-        3 => 1 << 31,
+        3 => F64_EXACT_MAX_N - 1 + s.range(0, 2),
+        4 => 1 << 31,
         _ => s.range(1 << 32, 1 << 40),
     }
 }
@@ -167,7 +172,7 @@ proptest! {
     fn fold_matches_the_per_region_oracle(
         seed in any::<u64>(),
         statistic in 0usize..3,
-        width in 1usize..=8,
+        width in 1usize..=3 * FOLD_LANES,
         regions in 1usize..=24,
         directions in prop::collection::vec(0usize..3, 1..=5),
     ) {
