@@ -76,7 +76,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // Runtime-selected substrate construction: the build-cost side of
-    // the backend choice (query costs live in `index_backends`).
+    // the backend choice.
     for backend in IndexBackend::ALL {
         g.bench_function(
             format!("substrate_build_50k_points/{}", backend.name()),

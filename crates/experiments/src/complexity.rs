@@ -2,13 +2,13 @@
 //!
 //! `M − 1` Monte Carlo worlds × `N` regions × `Q` per range-count.
 //! This harness measures wall-clock while sweeping each factor
-//! independently, and compares range-count backends (the `Q` factor)
-//! — the quantitative side of the DESIGN.md ablations.
+//! independently, and compares the kd-tree against its brute-force
+//! oracle on the `Q` factor (one range count per query).
 
 use crate::common::{banner, Options};
 use sfdata::lar::{LarConfig, LarDataset};
 use sfgeo::Region;
-use sfindex::{BitLabels, BruteForceIndex, GridIndex, KdTree, QuadTree, RangeCount};
+use sfindex::{BitLabels, BruteForceIndex, KdTree, RangeCount};
 use sfscan::{AuditConfig, Auditor, RegionSet};
 use sfstats::rng::derive_seed;
 use std::time::Instant;
@@ -61,7 +61,7 @@ pub fn run(opts: &Options) {
     }
 
     // --- compare Q (range-count backends) ---
-    println!("\n  compare Q (range-count backends), 2,000 square queries:");
+    println!("\n  compare Q (brute force vs kd-tree), square queries:");
     let points = outcomes.points().to_vec();
     let labels = BitLabels::from_bools(outcomes.labels());
     let queries: Vec<Region> = {
@@ -79,12 +79,6 @@ pub fn run(opts: &Options) {
     let t = Instant::now();
     let kd = KdTree::build(points.clone(), labels.clone());
     let build_kd = t.elapsed();
-    let t = Instant::now();
-    let quad = QuadTree::build(points.clone(), labels.clone());
-    let build_quad = t.elapsed();
-    let t = Instant::now();
-    let grid = GridIndex::build_auto(points.clone(), labels.clone(), 16);
-    let build_grid = t.elapsed();
 
     let bench = |index: &dyn RangeCount| {
         let t = Instant::now();
@@ -96,23 +90,13 @@ pub fn run(opts: &Options) {
     };
     let (t_brute, a) = bench(&brute);
     let (t_kd, b) = bench(&kd);
-    let (t_quad, c) = bench(&quad);
-    let (t_grid, d) = bench(&grid);
-    assert!(a == b && b == c && c == d, "backends disagree");
+    assert_eq!(a, b, "backends disagree");
     println!(
         "    brute force: build {build_brute:>9.1?}, {} queries {t_brute:>9.1?}",
         queries.len()
     );
     println!(
         "    kd-tree:     build {build_kd:>9.1?}, {} queries {t_kd:>9.1?}",
-        queries.len()
-    );
-    println!(
-        "    quadtree:    build {build_quad:>9.1?}, {} queries {t_quad:>9.1?}",
-        queries.len()
-    );
-    println!(
-        "    grid index:  build {build_grid:>9.1?}, {} queries {t_grid:>9.1?}",
         queries.len()
     );
     println!("\n  (criterion benches in crates/bench cover the same ablations with statistics)");

@@ -23,8 +23,9 @@
 //! ```
 //!
 //! Options: `--quick` (reduced scales for smoke runs), `--seed <u64>`,
-//! `--worlds <n>`, `--backend <brute|kdtree|quadtree|rtree|grid>`
-//! (counting substrate; results are backend-invariant), `--strategy
+//! `--worlds <n>` (1 to 2^20, the wire's `MAX_WORLDS`), `--backend
+//! <brute|kdtree>` (counting substrate: the kd-tree, or the
+//! brute-force oracle; results are backend-invariant), `--strategy
 //! <membership|requery|blocked|auto>` (per-world counting), `--mc
 //! <full-budget|early-stop|early-stop(batch=N)>` (budget strategy),
 //! `--early-stop` (shorthand for `--mc early-stop`), `--worldgen
@@ -101,6 +102,15 @@ fn main() {
             "--worlds" => {
                 i += 1;
                 opts.worlds = parse_flag("--worlds", args.get(i));
+                // The wire rule (`AuditRequest::validate`), checked here
+                // so a bad budget exits 2 instead of panicking mid-run.
+                if !(1..=sfscan::prepared::MAX_WORLDS).contains(&opts.worlds) {
+                    die(&format!(
+                        "--worlds: must be in 1..={}, got {}",
+                        sfscan::prepared::MAX_WORLDS,
+                        opts.worlds
+                    ));
+                }
             }
             "--backend" => {
                 i += 1;
@@ -263,7 +273,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: experiments <fig1..fig12|complexity|serve|all> \
          [--quick] [--seed N] \
-         [--worlds N] [--backend <brute|kdtree|quadtree|rtree|grid>] \
+         [--worlds N] [--backend <brute|kdtree>] \
          [--strategy <membership|requery|blocked|auto>] \
          [--mc <full-budget|early-stop|early-stop(batch=N)>] [--early-stop] \
          [--worldgen <scalar|word>] [--shards <auto|N>] \

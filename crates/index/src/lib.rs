@@ -2,21 +2,17 @@
 //!
 //! The paper's complexity analysis (§3) is `O(M · N · Q)` where `Q` is
 //! "the average cost of a spatial range-count query". This crate
-//! provides that `Q`: several interchangeable index structures that
-//! answer *"how many observations — and how many positives — fall in
-//! region `R`?"*:
+//! answers *"how many observations — and how many positives — fall in
+//! region `R`?"* with one spatial index and its test oracle:
 //!
-//! * [`BruteForceIndex`] — the oracle every other backend is tested
-//!   against; `O(N)` per query.
 //! * [`KdTree`] — median-split kd-tree with per-node `(n, p)`
 //!   aggregates; prunes whole subtrees when a node's box is fully
-//!   inside/outside the query region.
-//! * [`QuadTree`] — region quadtree with the same aggregate pruning.
-//! * [`RTree`] — STR bulk-loaded R-tree (the canonical database
-//!   spatial index), also with aggregate pruning.
-//! * [`GridIndex`] — uniform-grid bucketing (CSR layout) with per-cell
-//!   aggregates; interior cells are answered from aggregates, boundary
-//!   cells by scanning.
+//!   inside/outside the query region. The default backend.
+//! * [`BruteForceIndex`] — the oracle the kd-tree is tested against;
+//!   `O(N)` per query.
+//!
+//! Alongside the index:
+//!
 //! * [`SummedAreaTable`] — `O(1)` *exact* counts for grid-aligned cell
 //!   ranges (the paper's §4.2 grid partitionings).
 //! * [`Membership`] — precomputed region→member-id lists that make the
@@ -28,6 +24,11 @@
 //!   block array (with a Morton-order id layout, [`morton_layout`],
 //!   that packs compact regions into dense masks), turning the
 //!   per-world recount into ~64-ids-per-instruction popcounts.
+//!
+//! The audit queries the index once per region at prepare time, to
+//! list its members, and counts every simulated world through the
+//! membership rings and masks; only the `Requery` counting strategy
+//! (the test oracle for those paths) queries the index per world.
 //!
 //! Labels are stored out-of-band in a [`BitLabels`] bitset so the same
 //! spatial structure serves both the real world and the simulated ones.
@@ -49,13 +50,10 @@
 
 pub mod blocked;
 pub mod brute;
-pub mod gridindex;
 pub mod kdtree;
 pub mod kernel;
 pub mod labels;
 pub mod membership;
-pub mod quadtree;
-pub mod rtree;
 pub mod sat;
 pub mod substrate;
 
@@ -63,13 +61,10 @@ pub use blocked::{
     morton_layout, shard_word_bounds, BlockedBuildError, BlockedMembership, MAX_FUSED_WORLDS,
 };
 pub use brute::BruteForceIndex;
-pub use gridindex::GridIndex;
 pub use kdtree::KdTree;
 pub use kernel::{CountingKernel, KernelSelect, ParseKernelError};
 pub use labels::BitLabels;
 pub use membership::Membership;
-pub use quadtree::QuadTree;
-pub use rtree::RTree;
 pub use sat::SummedAreaTable;
 pub use substrate::{CountingSubstrate, IndexBackend, ParseBackendError, Substrate};
 

@@ -1,32 +1,34 @@
 //! Pluggable counting substrates.
 //!
-//! The paper's audit cost is `O(M · N · Q)` where `Q` is the cost of
-//! one spatial range-count query — which makes the index backend the
-//! single biggest lever on audit latency. This module turns the
-//! backend into a *runtime decision*:
-//!
 //! * [`CountingSubstrate`] — the capability a scan engine needs from
 //!   an index: exact range counts ([`RangeCount`]) *and* member-id
 //!   enumeration ([`PointVisit`], used to materialize membership lists
-//!   and to recount simulated worlds).
-//! * [`IndexBackend`] — a serializable config knob naming a backend.
+//!   and, under the `Requery` strategy, to recount simulated worlds).
+//!   Blanket-implemented, so tests and custom indexes plug in.
+//! * [`IndexBackend`] — a serializable config knob naming a backend:
+//!   the kd-tree (the default) or its brute-force oracle.
 //! * [`Substrate`] — the runtime-selected backend, dispatching to the
-//!   concrete index structures.
+//!   concrete index structure.
+//!
+//! The audit queries the substrate once per region at prepare time;
+//! every simulated world is then counted through membership rings and
+//! masks, so the backend sets prepare time only. On the two benchmark
+//! datasets (a 16×16 grid over 20k points, 2,000 squares over 10k)
+//! the kd-tree prepares within a few milliseconds of the other spatial
+//! indexes tried (quad-tree, R-tree, uniform grid) and 3–8× faster
+//! than brute force (see the README's "Picking an index backend").
 //!
 //! [`SummedAreaTable`](crate::SummedAreaTable) is deliberately *not* a
 //! substrate: it only answers grid-aligned cell ranges and cannot
 //! enumerate member ids, so it keeps its specialized role in
 //! partition-based pipelines.
 //!
-//! Every substrate is exact — backends differ in build and query cost
+//! Both substrates are exact — they differ in build and query cost
 //! only, never in results. The differential proptests in this crate
 //! and the cross-backend audit tests in `sfscan` hold them to
 //! bit-identical answers.
 
-use crate::{
-    BitLabels, BruteForceIndex, CountPair, GridIndex, KdTree, PointVisit, QuadTree, RTree,
-    RangeCount,
-};
+use crate::{BitLabels, BruteForceIndex, CountPair, KdTree, PointVisit, RangeCount};
 use serde::{Deserialize, Serialize};
 use sfgeo::{Point, Region};
 
@@ -41,46 +43,28 @@ impl<T: RangeCount + PointVisit + Send + Sync> CountingSubstrate for T {}
 
 /// Config knob selecting a counting backend.
 ///
-/// All backends return bit-identical counts; they differ in build
-/// time, memory, and per-query cost. See the crate docs for guidance.
+/// Both backends return bit-identical counts; they differ in build
+/// time, memory, and per-query cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum IndexBackend {
-    /// Linear scan per query; no build cost. Best for tiny datasets
-    /// and as the differential-testing oracle.
+    /// Linear scan per query; no build cost. The differential-testing
+    /// oracle.
     Brute,
-    /// Median-split kd-tree with per-node aggregates (the default:
-    /// robust across dataset shapes and region types).
+    /// Median-split kd-tree with per-node aggregates (the default).
     #[default]
     KdTree,
-    /// Region quadtree with aggregate pruning; strong on spatially
-    /// clustered data.
-    QuadTree,
-    /// STR bulk-loaded R-tree, the canonical database spatial index.
-    RTree,
-    /// Uniform-grid bucketing (CSR layout) with per-cell aggregates;
-    /// excels on rectangle queries over uniform-density data.
-    Grid,
 }
 
 impl IndexBackend {
     /// All selectable backends (used by cross-backend tests and the
     /// comparison benches).
-    pub const ALL: [IndexBackend; 5] = [
-        IndexBackend::Brute,
-        IndexBackend::KdTree,
-        IndexBackend::QuadTree,
-        IndexBackend::RTree,
-        IndexBackend::Grid,
-    ];
+    pub const ALL: [IndexBackend; 2] = [IndexBackend::Brute, IndexBackend::KdTree];
 
     /// Stable lowercase name (CLI/bench labels).
     pub fn name(&self) -> &'static str {
         match self {
             IndexBackend::Brute => "brute",
             IndexBackend::KdTree => "kdtree",
-            IndexBackend::QuadTree => "quadtree",
-            IndexBackend::RTree => "rtree",
-            IndexBackend::Grid => "grid",
         }
     }
 }
@@ -116,7 +100,7 @@ impl std::str::FromStr for IndexBackend {
     type Err = ParseBackendError;
 
     /// Parses the [`Display`](std::fmt::Display) name back (`brute`,
-    /// `kdtree`, `quadtree`, `rtree`, `grid`).
+    /// `kdtree`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         IndexBackend::ALL
             .into_iter()
@@ -126,10 +110,6 @@ impl std::str::FromStr for IndexBackend {
             })
     }
 }
-
-/// Target mean points per cell for [`IndexBackend::Grid`] (matches the
-/// sizing the index benches found competitive across workloads).
-pub const GRID_TARGET_PER_CELL: usize = 64;
 
 /// A runtime-selected counting backend.
 ///
@@ -141,12 +121,6 @@ pub enum Substrate {
     Brute(BruteForceIndex),
     /// kd-tree.
     KdTree(KdTree),
-    /// Quadtree.
-    QuadTree(QuadTree),
-    /// R-tree.
-    RTree(RTree),
-    /// Uniform grid.
-    Grid(GridIndex),
 }
 
 impl Substrate {
@@ -155,11 +129,6 @@ impl Substrate {
         match backend {
             IndexBackend::Brute => Substrate::Brute(BruteForceIndex::build(points, labels)),
             IndexBackend::KdTree => Substrate::KdTree(KdTree::build(points, labels)),
-            IndexBackend::QuadTree => Substrate::QuadTree(QuadTree::build(points, labels)),
-            IndexBackend::RTree => Substrate::RTree(RTree::build(points, labels)),
-            IndexBackend::Grid => {
-                Substrate::Grid(GridIndex::build_auto(points, labels, GRID_TARGET_PER_CELL))
-            }
         }
     }
 
@@ -168,9 +137,6 @@ impl Substrate {
         match self {
             Substrate::Brute(_) => IndexBackend::Brute,
             Substrate::KdTree(_) => IndexBackend::KdTree,
-            Substrate::QuadTree(_) => IndexBackend::QuadTree,
-            Substrate::RTree(_) => IndexBackend::RTree,
-            Substrate::Grid(_) => IndexBackend::Grid,
         }
     }
 }
@@ -180,9 +146,6 @@ macro_rules! dispatch {
         match $self {
             Substrate::Brute($inner) => $body,
             Substrate::KdTree($inner) => $body,
-            Substrate::QuadTree($inner) => $body,
-            Substrate::RTree($inner) => $body,
-            Substrate::Grid($inner) => $body,
         }
     };
 }
@@ -274,7 +237,7 @@ mod tests {
             assert_eq!(back, backend);
         }
         assert_eq!(IndexBackend::default(), IndexBackend::KdTree);
-        assert_eq!(IndexBackend::Grid.to_string(), "grid");
+        assert_eq!(IndexBackend::Brute.to_string(), "brute");
     }
 
     #[test]
@@ -288,6 +251,19 @@ mod tests {
         assert!(msg.contains("ball-tree"), "{msg}");
         for backend in IndexBackend::ALL {
             assert!(msg.contains(backend.name()), "{msg} missing {backend}");
+        }
+    }
+
+    #[test]
+    fn retired_backend_names_are_rejected() {
+        for name in ["quadtree", "QuadTree", "rtree", "RTree", "grid", "Grid"] {
+            let msg = name.parse::<IndexBackend>().unwrap_err().to_string();
+            assert!(msg.contains(name), "{msg}");
+            assert!(msg.ends_with("valid values: brute, kdtree"), "{msg}");
+            let wire = serde_json::from_str::<IndexBackend>(&format!("{name:?}")).unwrap_err();
+            let msg = wire.to_string();
+            assert!(msg.contains(name), "{msg}");
+            assert!(msg.ends_with("valid values: Brute, KdTree"), "{msg}");
         }
     }
 

@@ -1,12 +1,9 @@
-//! Differential property tests: every index backend must agree with
-//! the brute-force oracle on arbitrary data and regions.
+//! Differential property tests: the kd-tree must agree with the
+//! brute-force oracle on arbitrary data and regions.
 
 use proptest::prelude::*;
 use sfgeo::{Circle, ConvexPolygon, Point, Rect, Region};
-use sfindex::{
-    BitLabels, BruteForceIndex, GridIndex, KdTree, Membership, PointVisit, QuadTree, RTree,
-    RangeCount,
-};
+use sfindex::{BitLabels, BruteForceIndex, KdTree, Membership, PointVisit, RangeCount};
 
 fn arb_dataset() -> impl Strategy<Value = (Vec<Point>, Vec<bool>)> {
     prop::collection::vec(((-50.0..50.0f64), (-50.0..50.0f64), any::<bool>()), 0..300).prop_map(
@@ -48,34 +45,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_backends_agree_with_brute_force(
+    fn kdtree_agrees_with_brute_force(
         (points, labels) in arb_dataset(),
         regions in prop::collection::vec(arb_region(), 1..8),
     ) {
         let bits = BitLabels::from_bools(&labels);
         let brute = BruteForceIndex::build(points.clone(), bits.clone());
-        let kd = KdTree::build(points.clone(), bits.clone());
-        let qt = QuadTree::build(points.clone(), bits.clone());
-        let gi = GridIndex::build_auto(points.clone(), bits.clone(), 16);
-        let rt = RTree::build(points.clone(), bits.clone());
+        let kd = KdTree::build(points, bits);
 
         prop_assert_eq!(kd.total(), brute.total());
-        prop_assert_eq!(qt.total(), brute.total());
-        prop_assert_eq!(gi.total(), brute.total());
-        prop_assert_eq!(rt.total(), brute.total());
 
         for region in &regions {
             let expected = brute.count(region);
             prop_assert_eq!(kd.count(region), expected, "kd mismatch for {}", region);
-            prop_assert_eq!(qt.count(region), expected, "quad mismatch for {}", region);
-            prop_assert_eq!(gi.count(region), expected, "grid mismatch for {}", region);
-            prop_assert_eq!(rt.count(region), expected, "rtree mismatch for {}", region);
 
             let expected_ids = brute.ids_in(region);
-            prop_assert_eq!(kd.ids_in(region), expected_ids.clone());
-            prop_assert_eq!(qt.ids_in(region), expected_ids.clone());
-            prop_assert_eq!(gi.ids_in(region), expected_ids.clone());
-            prop_assert_eq!(rt.ids_in(region), expected_ids);
+            prop_assert_eq!(kd.ids_in(region), expected_ids);
         }
     }
 

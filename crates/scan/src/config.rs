@@ -538,7 +538,7 @@ mod tests {
             .with_direction(Direction::Low)
             .with_null_model(NullModel::Permutation)
             .with_strategy(CountingStrategy::Requery)
-            .with_backend(IndexBackend::Grid)
+            .with_backend(IndexBackend::Brute)
             .with_mc_strategy(McStrategy::EarlyStop { batch_size: 16 })
             .with_shards(Shards::Fixed(3))
             .sequential();
@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(c.direction, Direction::Low);
         assert_eq!(c.null_model, NullModel::Permutation);
         assert_eq!(c.strategy, CountingStrategy::Requery);
-        assert_eq!(c.backend, IndexBackend::Grid);
+        assert_eq!(c.backend, IndexBackend::Brute);
         assert_eq!(c.mc_strategy, McStrategy::EarlyStop { batch_size: 16 });
         assert_eq!(c.shards, Shards::Fixed(3));
         assert!(!c.parallel);
@@ -607,6 +607,24 @@ mod tests {
             AuditConfig::paper().with_worldgen(WorldGen::Scalar),
             "a v1 payload is today's defaults with the v1 generator"
         );
+    }
+
+    #[test]
+    fn retired_backends_fail_to_decode_from_an_echoed_config() {
+        let paper = serde_json::to_string(&AuditConfig::paper()).unwrap();
+        for retired in ["QuadTree", "RTree", "Grid"] {
+            let json = paper.replace("\"KdTree\"", &format!("{retired:?}"));
+            let msg = serde_json::from_str::<AuditConfig>(&json)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(
+                msg,
+                format!(
+                    "serde error: field `backend`: unknown IndexBackend variant \
+                     `{retired}`; valid values: Brute, KdTree"
+                )
+            );
+        }
     }
 
     #[test]

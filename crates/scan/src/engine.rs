@@ -12,8 +12,11 @@
 //! providing exact range counts and member-id enumeration can serve
 //! the scan. Production callers pick a backend at runtime through
 //! [`ScanEngine::build_with`] (driven by
-//! [`AuditConfig::backend`](crate::config::AuditConfig)); library
-//! users with a custom index use [`ScanEngine::from_index`]. Backends
+//! [`AuditConfig::backend`](crate::config::AuditConfig)): the kd-tree,
+//! or the brute-force oracle it is tested against. Library users and
+//! tests with a custom index use [`ScanEngine::from_index`]. The
+//! substrate is queried once per region at build time, to list its
+//! members; only requery engines query it again per world. Backends
 //! are exact, so every choice produces **bit-identical** audits — the
 //! cross-backend agreement tests pin that property.
 //!
@@ -1957,8 +1960,9 @@ mod tests {
     /// Folds an 11-world matrix over the two 50-point halves (a full
     /// lane group of 8 worlds, then a tail of 3) in which every world
     /// has 50 positives, 25 per half, except world `w`: it has
-    /// `p_world` positives, `p_left` of them in the left half.
-    fn fold_with_one_bad_world(w: usize, p_world: u64, p_left: u64) {
+    /// `p_world` positives, `p_left` of them in the left half. The
+    /// fold scores the matrix under `statistic`.
+    fn fold_with_one_bad_world(statistic: Statistic, w: usize, p_world: u64, p_left: u64) {
         let e =
             ScanEngine::build(&outcomes(), &region_set(), CountingStrategy::Membership).unwrap();
         let width = 11;
@@ -1968,7 +1972,7 @@ mod tests {
         counts[w] = p_left;
         let mut out = vec![0.0; width];
         e.fold_counts(
-            Statistic::BernoulliLlr,
+            statistic,
             &p_worlds,
             &counts,
             &[Direction::TwoSided],
@@ -1979,37 +1983,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
     fn fold_rejects_more_positives_than_the_region_holds_in_a_full_group() {
-        fold_with_one_bad_world(5, 60, 51);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 5, 60, 51);
     }
 
     #[test]
     #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
     fn fold_rejects_more_positives_than_the_region_holds_in_the_tail() {
-        fold_with_one_bad_world(9, 60, 51);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 9, 60, 51);
     }
 
     #[test]
     #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
     fn fold_rejects_more_positives_than_the_world_holds_in_a_full_group() {
-        fold_with_one_bad_world(2, 20, 30);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 2, 20, 30);
     }
 
     #[test]
     #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
     fn fold_rejects_more_positives_than_the_world_holds_in_the_tail() {
-        fold_with_one_bad_world(10, 20, 30);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 10, 20, 30);
     }
 
     #[test]
     #[should_panic(expected = "positives outside exceed observations outside")]
     fn fold_rejects_more_outside_positives_than_outside_points_in_a_full_group() {
-        fold_with_one_bad_world(7, 80, 10);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 7, 80, 10);
     }
 
     #[test]
     #[should_panic(expected = "positives outside exceed observations outside")]
     fn fold_rejects_more_outside_positives_than_outside_points_in_the_tail() {
-        fold_with_one_bad_world(8, 80, 10);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 8, 80, 10);
     }
 
     #[test]
@@ -2019,7 +2023,7 @@ mod tests {
     fn fold_rejects_a_count_past_f64_precision_in_a_full_group() {
         // 2^53 + 1 has no f64: the lanes, which compare counts as f64,
         // see it rounded to 2^53, still above the region's 50 points.
-        fold_with_one_bad_world(0, 60, (1 << 53) + 1);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 0, 60, (1 << 53) + 1);
     }
 
     #[test]
@@ -2028,6 +2032,42 @@ mod tests {
     )]
     fn fold_rejects_a_count_past_f64_precision_in_the_tail() {
         // u64::MAX rounds to 2^64 as f64.
-        fold_with_one_bad_world(10, 60, u64::MAX);
+        fold_with_one_bad_world(Statistic::BernoulliLlr, 10, 60, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
+    fn fold_rejects_mean_residual_positives_past_the_region_in_a_full_group() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 5, 60, 51);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (51) exceed observations inside (50)")]
+    fn fold_rejects_mean_residual_positives_past_the_region_in_the_tail() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 9, 60, 51);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
+    fn fold_rejects_mean_residual_positives_past_the_world_in_a_full_group() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 2, 20, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives inside (30) exceed total positives (20)")]
+    fn fold_rejects_mean_residual_positives_past_the_world_in_the_tail() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 10, 20, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives outside exceed observations outside")]
+    fn fold_rejects_mean_residual_outside_positives_past_outside_points_in_a_full_group() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 7, 80, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "positives outside exceed observations outside")]
+    fn fold_rejects_mean_residual_outside_positives_past_outside_points_in_the_tail() {
+        fold_with_one_bad_world(Statistic::MeanResidual, 8, 80, 10);
     }
 }

@@ -32,9 +32,9 @@
 //!   random rectangular partitionings, §4.3 square scans around
 //!   k-means centers, circles.
 //! * [`engine`] — region counting over a pluggable
-//!   [`sfindex::CountingSubstrate`] (brute force, kd-tree, quadtree,
-//!   R-tree, or uniform grid — selected at runtime via
-//!   [`config::AuditConfig::backend`], all bit-identical) and the fast
+//!   [`sfindex::CountingSubstrate`] (the kd-tree, or its brute-force
+//!   oracle — selected at runtime via [`config::AuditConfig::backend`],
+//!   bit-identical) and the fast
 //!   membership-based Monte Carlo world evaluation: membership lists,
 //!   the rings of nested regions, and masked popcounts over the
 //!   Morton-blocked ring masks, which every engine built from

@@ -255,44 +255,47 @@ impl TauKernel {
 
     /// Scores one region's count pair. The τ contribution: the test
     /// statistic is the maximum of this over all regions.
+    ///
+    /// # Panics
+    /// With [`Counts2x2::new`]'s message when the counts are
+    /// inconsistent, for every statistic.
     #[inline]
     pub fn score(&self, n_r: u64, p_r: u64, direction: Direction) -> f64 {
+        let counts = Counts2x2::new(n_r, p_r, self.n_total, self.p_total);
         match self.statistic {
             // EqualOppTpr is the LLR fold over the conditioned stream:
             // identical arithmetic (bit-identical to v1 on identical
             // counts), distinct identity for cache separation.
-            Statistic::BernoulliLlr | Statistic::EqualOppTpr => bernoulli_llr_directed(
-                &Counts2x2::new(n_r, p_r, self.n_total, self.p_total),
-                direction,
-            ),
-            Statistic::MeanResidual => self.mean_residual(n_r, p_r, direction),
+            Statistic::BernoulliLlr | Statistic::EqualOppTpr => {
+                bernoulli_llr_directed(&counts, direction)
+            }
+            Statistic::MeanResidual => mean_residual(&counts, direction),
         }
     }
+}
 
-    /// Standardized mean residual: with `ρ = P/N`, the region's mean
-    /// residual is `p/n − ρ` and its null standard error `√(ρ(1−ρ)/n)`,
-    /// giving the z-style score `(p/n − ρ)·√n / √(ρ(1−ρ))`.
-    #[inline]
-    fn mean_residual(&self, n_r: u64, p_r: u64, direction: Direction) -> f64 {
-        debug_assert!(p_r <= n_r, "positives ({p_r}) exceed observations ({n_r})");
-        debug_assert!(n_r <= self.n_total, "region larger than the world");
-        if self.n_total == 0 || n_r == 0 || n_r == self.n_total {
-            // Same degeneracy rule as the LLR: no "outside" to deviate
-            // from.
-            return 0.0;
-        }
-        let rho = self.p_total as f64 / self.n_total as f64;
-        let var = rho * (1.0 - rho);
-        if var <= 0.0 {
-            // All-positive or all-negative world: every residual is 0.
-            return 0.0;
-        }
-        let z = (p_r as f64 / n_r as f64 - rho) * (n_r as f64).sqrt() / var.sqrt();
-        match direction {
-            Direction::TwoSided => z.abs(),
-            Direction::High => z.max(0.0),
-            Direction::Low => (-z).max(0.0),
-        }
+/// Standardized mean residual: with `ρ = P/N`, the region's mean
+/// residual is `p/n − ρ` and its null standard error `√(ρ(1−ρ)/n)`,
+/// giving the z-style score `(p/n − ρ)·√n / √(ρ(1−ρ))`.
+#[inline]
+fn mean_residual(c: &Counts2x2, direction: Direction) -> f64 {
+    let (n_r, p_r) = (c.n_in, c.p_in);
+    if c.n_total == 0 || n_r == 0 || n_r == c.n_total {
+        // Same degeneracy rule as the LLR: no "outside" to deviate
+        // from.
+        return 0.0;
+    }
+    let rho = c.p_total as f64 / c.n_total as f64;
+    let var = rho * (1.0 - rho);
+    if var <= 0.0 {
+        // All-positive or all-negative world: every residual is 0.
+        return 0.0;
+    }
+    let z = (p_r as f64 / n_r as f64 - rho) * (n_r as f64).sqrt() / var.sqrt();
+    match direction {
+        Direction::TwoSided => z.abs(),
+        Direction::High => z.max(0.0),
+        Direction::Low => (-z).max(0.0),
     }
 }
 
@@ -327,9 +330,9 @@ const BOUND_SLACK: f64 = 1e-9;
 /// region cannot raise a slot (see the module docs).
 ///
 /// # Panics
-/// Panics when `counts` or `out` has the wrong length, or (LLR
-/// statistics) with [`Counts2x2::new`]'s message on the count of a
-/// non-empty region that it rejects.
+/// Panics when `counts` or `out` has the wrong length, or with
+/// [`Counts2x2::new`]'s message on the count of a non-empty region
+/// that it rejects (every statistic).
 pub fn fold_matrix(
     statistic: Statistic,
     n_total: u64,

@@ -7,8 +7,9 @@
 //! Demonstrates the two audit-throughput knobs:
 //!
 //! 1. **Index backend** (`AuditConfig::with_backend`): the `Q` in the
-//!    paper's `O(M·N·Q)` cost. Every backend is exact, so reports are
-//!    bit-identical — the choice is purely about speed and memory.
+//!    paper's `O(M·N·Q)` cost — the kd-tree, or the brute-force oracle
+//!    it is tested against. Both are exact, so reports are
+//!    bit-identical — the choice is purely about speed.
 //! 2. **Monte Carlo budget** (`AuditConfig::with_early_stop`): batched
 //!    Besag–Clifford-style sequential stopping ends the calibration at
 //!    the first batch where the verdict at `α` is decided. Verdicts

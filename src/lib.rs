@@ -11,8 +11,8 @@
 //!   partitionings).
 //! * [`stats`] — scan-statistic kernels (Bernoulli LLR), Monte Carlo
 //!   significance machinery, descriptive statistics.
-//! * [`index`] — spatial range-count indexes (kd-tree, quadtree, grid,
-//!   summed-area table, membership lists).
+//! * [`index`] — spatial range-count indexes (the kd-tree and its
+//!   brute-force oracle, summed-area table, membership lists).
 //! * [`cluster`] — k-means (scan-region center selection).
 //! * [`ml`] — decision trees and random forests (the Crime experiment's
 //!   classifier substrate).

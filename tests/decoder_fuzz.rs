@@ -1,16 +1,47 @@
 //! Line decoders never panic: every line a peer can send — a serve
 //! request envelope, a shard-worker request or reply, a fault plan —
-//! is decoded to `Ok` or a typed `Err`, whatever the bytes. Valid lines
-//! are mutated by byte flips, inserts, deletes, truncation and spliced
-//! integers, and every mutant is fed to every decoder.
+//! and every command-line flag value is decoded to `Ok` or a typed
+//! `Err`, whatever the bytes. Valid lines are mutated by byte flips,
+//! inserts, deletes, truncation and spliced integers, and every mutant
+//! is fed to every decoder.
 
 use proptest::prelude::*;
 use spatial_fairness::cluster::{CountRequest, FaultPlan, WorkerReply, WorkerRequest};
 use spatial_fairness::prelude::*;
-use spatial_fairness::scan::{McStrategy, NullModel, Statistic, WorldGen};
+use spatial_fairness::scan::{
+    CountingStrategy, IndexBackend, KernelSelect, McStrategy, NullModel, Shards, Statistic,
+    WorldGen,
+};
 use spatial_fairness::serve::{DatasetHandle, RequestEnvelope};
+use std::fmt::{Debug, Display};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
+
+/// One valid value of each flag type, in [`parse_flag_values`] order.
+const FLAG_TOKENS: [&str; 7] = [
+    "kdtree",
+    "blocked",
+    "early-stop(batch=32)",
+    "word",
+    "12",
+    "portable",
+    "equal-opp-tpr",
+];
+
+/// Parses `value` with the `FromStr` of every flag-value type the
+/// `experiments` CLI reads; entry `i` says whether type `i` accepted
+/// it.
+fn parse_flag_values(value: &str) -> [bool; 7] {
+    [
+        IndexBackend::from_str(value).is_ok(),
+        CountingStrategy::from_str(value).is_ok(),
+        McStrategy::from_str(value).is_ok(),
+        WorldGen::from_str(value).is_ok(),
+        Shards::from_str(value).is_ok(),
+        KernelSelect::from_str(value).is_ok(),
+        Statistic::from_str(value).is_ok(),
+    ]
+}
 
 /// Well-formed lines of every decoded kind.
 fn corpus() -> Vec<String> {
@@ -76,6 +107,7 @@ fn corpus() -> Vec<String> {
         ]
         .map(String::from),
     );
+    lines.extend(FLAG_TOKENS.map(String::from));
     lines
 }
 
@@ -134,6 +166,7 @@ fn decode_everything(line: &str) {
         let _ = WorkerRequest::from_json(line);
         let _ = WorkerReply::from_json(line);
         let _ = FaultPlan::from_str(line);
+        let _ = parse_flag_values(line);
     }));
     assert!(decoded.is_ok(), "a decoder panicked on {line:?}");
 }
@@ -150,9 +183,40 @@ fn the_corpus_decodes() {
     for line in &lines[7..10] {
         assert!(WorkerReply::from_json(line).is_ok(), "{line}");
     }
-    for line in &lines[10..] {
+    for line in &lines[10..12] {
         assert!(FaultPlan::from_str(line).is_ok(), "{line}");
     }
+    assert_eq!(lines[12..], FLAG_TOKENS);
+    for (i, token) in FLAG_TOKENS.iter().enumerate() {
+        assert!(parse_flag_values(token)[i], "{token}");
+    }
+}
+
+/// Asserts that every value's `Display` output parses back to it.
+fn displays_and_parses_back<T>(values: impl IntoIterator<Item = T>)
+where
+    T: Display + FromStr + PartialEq + Debug,
+    T::Err: Debug,
+{
+    for value in values {
+        let shown = value.to_string();
+        assert_eq!(shown.parse::<T>().unwrap(), value, "{shown}");
+    }
+}
+
+#[test]
+fn flag_values_display_and_parse_back() {
+    displays_and_parses_back(IndexBackend::ALL);
+    displays_and_parses_back(CountingStrategy::ALL);
+    displays_and_parses_back([
+        McStrategy::FullBudget,
+        McStrategy::early_stop(),
+        McStrategy::EarlyStop { batch_size: 1 },
+    ]);
+    displays_and_parses_back(WorldGen::ALL);
+    displays_and_parses_back([Shards::Auto, Shards::Fixed(1), Shards::Fixed(64)]);
+    displays_and_parses_back(KernelSelect::ALL);
+    displays_and_parses_back(Statistic::ALL);
 }
 
 proptest! {
@@ -160,10 +224,12 @@ proptest! {
 
     #[test]
     fn mutated_lines_decode_to_ok_or_err_never_a_panic(
-        pick in 0usize..12,
+        pick in any::<usize>(),
         edits in prop::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..6),
     ) {
-        let mut bytes = corpus().swap_remove(pick).into_bytes();
+        let mut lines = corpus();
+        let pick = pick % lines.len();
+        let mut bytes = lines.swap_remove(pick).into_bytes();
         for (op, a, b) in edits {
             mutate(&mut bytes, op, a, b);
             decode_everything(&String::from_utf8_lossy(&bytes));

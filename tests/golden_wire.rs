@@ -178,13 +178,7 @@ fn configs() -> Vec<(String, AuditConfig)> {
     ] {
         out.push((format!("{strategy:?}"), base.with_strategy(strategy)));
     }
-    for backend in [
-        IndexBackend::Brute,
-        IndexBackend::KdTree,
-        IndexBackend::QuadTree,
-        IndexBackend::RTree,
-        IndexBackend::Grid,
-    ] {
+    for backend in [IndexBackend::Brute, IndexBackend::KdTree] {
         out.push((format!("{backend:?}"), base.with_backend(backend)));
     }
     for mc in [

@@ -43,7 +43,7 @@ fn audit_with_shards(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full matrix: 5 backends x 3 explicit strategies x 2
+    /// The full matrix: 2 backends x 3 explicit strategies x 2
     /// worldgens, each audited unsharded and with several shard
     /// counts (including more shards than label words, which clamps).
     #[test]

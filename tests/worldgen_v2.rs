@@ -38,7 +38,7 @@ fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (c) `Word` worlds are bit-identical across all 5 backends and
+    /// (c) `Word` worlds are bit-identical across both backends and
     /// all explicit counting strategies: the same bitset (every engine
     /// stores worlds in one layout) and the same multi-direction τ
     /// fold.
