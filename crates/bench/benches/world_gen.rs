@@ -14,10 +14,15 @@
 //!
 //! Every counting strategy stores worlds in the same layout, so one
 //! engine stands for all of them.
+//!
+//! Both world sizes of the end-to-end benchmark are covered: the 20k
+//! point SynthGrid (ρ ≈ 0.46, 20 generation chunks) and the 10k point
+//! small SynthLAR (its lower approval-denial rate, 10 chunks).
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sfdata::lar::{LarConfig, LarDataset};
 use sfdata::synth::SynthConfig;
 use sfscan::engine::ScanEngine;
 use sfscan::{CountingStrategy, NullModel, RegionSet, WorldGen};
@@ -51,6 +56,27 @@ fn bench(c: &mut Criterion) {
                 world = world.wrapping_add(1);
                 let mut rng = world_rng(11, world);
                 let labels = engine.generate_world_with(null_model, worldgen, &mut rng);
+                black_box(labels.count_ones())
+            })
+        });
+    }
+    g.finish();
+
+    let lar = LarDataset::generate(&LarConfig::small()).outcomes;
+    let regions = RegionSet::regular_grid(lar.expanded_bounding_box(), 16, 16);
+    let engine =
+        ScanEngine::build(&lar, &regions, CountingStrategy::Membership).expect("auditable");
+    let mut g = c.benchmark_group("world_gen_10k_lar");
+    for (name, worldgen) in [
+        ("scalar_bernoulli", WorldGen::Scalar),
+        ("word_bernoulli", WorldGen::Word),
+    ] {
+        g.bench_function(name, |b| {
+            let mut world = 0u64;
+            b.iter(|| {
+                world = world.wrapping_add(1);
+                let mut rng = world_rng(11, world);
+                let labels = engine.generate_world_with(NullModel::Bernoulli, worldgen, &mut rng);
                 black_box(labels.count_ones())
             })
         });

@@ -143,7 +143,7 @@ impl BitLabels {
     /// [`BitLabels::blocks`]: any lane at position `>= len` written
     /// through this slice must be left zero. Bulk fillers get this for
     /// free by masking their final word with the valid-lane tail mask
-    /// (as `BulkBernoulli::fill_words` does).
+    /// (as `BulkBernoulli::fill_chunks` does).
     #[inline]
     pub fn blocks_mut(&mut self) -> &mut [u64] {
         &mut self.blocks

@@ -47,13 +47,20 @@ impl Auditor {
     /// * [`ScanError::EmptyRegionSet`] — no regions to scan.
     /// * [`ScanError::DegenerateOutcomes`] — all labels equal; the
     ///   scan statistic is vacuous.
+    /// * [`ScanError::InvalidRequest`] — the configuration's request
+    ///   knobs fail [`AuditRequest::validate`] (`alpha` outside
+    ///   `(0, 1)`, more than [`MAX_WORLDS`](crate::prepared::MAX_WORLDS)
+    ///   worlds, …); the fields are pub, so the builders' asserts do
+    ///   not cover them.
     pub fn audit(
         &self,
         outcomes: &SpatialOutcomes,
         regions: &RegionSet,
     ) -> Result<AuditReport, ScanError> {
+        let request = AuditRequest::from_config(&self.config);
+        request.validate()?;
         let prepared = PreparedAudit::prepare(outcomes, regions, self.config)?;
-        Ok(prepared.run(&AuditRequest::from_config(&self.config)))
+        Ok(prepared.run(&request))
     }
 }
 
@@ -103,6 +110,23 @@ mod tests {
 
     fn config() -> AuditConfig {
         AuditConfig::new(0.05).with_worlds(199).with_seed(7)
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors_not_panics() {
+        let outcomes = fair_outcomes(300, 3);
+        let mut bad_alpha = config();
+        bad_alpha.alpha = 1.5;
+        let mut nan_alpha = config();
+        nan_alpha.alpha = f64::NAN;
+        for config in [
+            config().with_worlds(crate::prepared::MAX_WORLDS + 1),
+            bad_alpha,
+            nan_alpha,
+        ] {
+            let err = Auditor::new(config).audit(&outcomes, &grid()).unwrap_err();
+            assert!(matches!(err, ScanError::InvalidRequest { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //! to its point's position. `Word` draws Bernoulli labels 64 at a time
 //! ([`sfstats::bulk::BulkBernoulli`]) in position order, in fixed
 //! [`GEN_CHUNK_WORDS`]-word chunks, each from its own absolutely
-//! positioned substream ([`chunk_rng`], keyed by a single tag value off
-//! the world stream): whole-word stores with no per-bit writes. Word
-//! permutation worlds write the dense majority side as whole words and
-//! Fisher–Yates-select only the minority. The versions are
+//! positioned substream ([`sfstats::rng::chunk_rng`], keyed by a
+//! single tag value off the world stream): whole-word stores with no
+//! per-bit writes. Word permutation worlds write the dense majority
+//! side as whole words and Fisher–Yates-select only the minority. The versions are
 //! statistically equivalent but consume the RNG stream differently;
 //! within a version, every strategy and backend draws the same bitset,
 //! so every `τ` is bit-identical.
@@ -153,7 +153,6 @@ use sfindex::{
 };
 use sfstats::bulk::{BulkBernoulli, GEN_CHUNK_WORDS};
 use sfstats::kernel::{fold_matrix, Statistic, TauKernel, FOLD_LANES};
-use sfstats::rng::chunk_rng;
 use std::cell::{Cell, RefCell};
 
 /// Membership id cap for [`CountingStrategy::Auto`]: 2^26 ids
@@ -641,9 +640,10 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// Draws one world like [`ScanEngine::generate_world_with`], with
     /// the generation work itself fanned out across the rayon pool
     /// when the generator admits it: Bernoulli [`WorldGen::Word`]
-    /// worlds fill their label chunks in parallel (each chunk
-    /// substream is positioned absolutely — see [`chunk_rng`]). Every
-    /// other (generator, null model) combination delegates to the
+    /// worlds fill their label chunks in parallel, one contiguous
+    /// group of chunks per thread (each chunk substream is positioned
+    /// absolutely — see [`sfstats::rng::chunk_rng`]). Every other
+    /// (generator, null model) combination delegates to the
     /// sequential path: Fisher–Yates permutation draws couple
     /// sequentially by construction, and Scalar is the pinned v1
     /// stream. The returned labels are bit-identical to the sequential
@@ -662,11 +662,13 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         let rho = self.p_total as f64 / self.n_total as f64;
         let sampler = BulkBernoulli::new(rho);
         let tag = rng.next_u64();
+        let chunks = n.div_ceil(64).div_ceil(GEN_CHUNK_WORDS);
+        let group = chunks.div_ceil(rayon::current_num_threads()).max(1);
         labels
             .blocks_mut()
-            .par_chunks_mut(GEN_CHUNK_WORDS)
+            .par_chunks_mut(group * GEN_CHUNK_WORDS)
             .enumerate()
-            .for_each(|(c, words)| fill_chunk(&sampler, tag, c, words, n));
+            .for_each(|(g, words)| fill_chunks(&sampler, tag, g * group, words, n));
         labels
     }
 
@@ -678,14 +680,14 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     ///
     /// The window path applies to Bernoulli [`WorldGen::Word`] worlds,
     /// whose labels come from absolutely positioned chunk substreams
-    /// ([`chunk_rng`]): the generator consumes the same single tag draw
-    /// from `rng` as the full-world path and fills only the
-    /// [`GEN_CHUNK_WORDS`]-aligned chunks overlapping the window, so
-    /// every word **inside** the window is bit-identical to
-    /// [`ScanEngine::generate_world_with`]'s. Words outside the
-    /// requested chunks stay zero — callers must only read the window
-    /// (a clipped counting view does by construction; window popcounts
-    /// use [`BitLabels::count_ones_in_words`]).
+    /// ([`sfstats::rng::chunk_rng`]): the generator consumes the same
+    /// single tag draw from `rng` as the full-world path and fills only
+    /// the [`GEN_CHUNK_WORDS`]-aligned chunks overlapping the window
+    /// (in one chunk-range fill), so every word **inside** the window
+    /// is bit-identical to [`ScanEngine::generate_world_with`]'s.
+    /// Words outside the requested chunks stay zero — callers must only
+    /// read the window (a clipped counting view does by construction;
+    /// window popcounts use [`BitLabels::count_ones_in_words`]).
     ///
     /// Every other (generator, null model) combination couples its
     /// draws sequentially (Fisher–Yates permutation, the pinned v1
@@ -713,10 +715,10 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         let tag = rng.next_u64();
         let c_lo = word_lo / GEN_CHUNK_WORDS;
         let c_hi = word_hi.div_ceil(GEN_CHUNK_WORDS);
-        for c in c_lo..c_hi {
-            let start = c * GEN_CHUNK_WORDS;
-            let end = ((c + 1) * GEN_CHUNK_WORDS).min(num_words);
-            fill_chunk(&sampler, tag, c, &mut labels.blocks_mut()[start..end], n);
+        if c_lo < c_hi {
+            let words = &mut labels.blocks_mut()
+                [c_lo * GEN_CHUNK_WORDS..(c_hi * GEN_CHUNK_WORDS).min(num_words)];
+            fill_chunks(&sampler, tag, c_lo, words, n);
         }
         labels
     }
@@ -758,10 +760,10 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     ///
     /// Bernoulli worlds consume exactly **one** value from the world
     /// stream: a 64-bit *tag* keying the absolutely positioned chunk
-    /// substreams ([`chunk_rng`]) the labels are actually drawn from,
-    /// [`GEN_CHUNK_WORDS`] words per chunk. Chunk `c`'s substream does
-    /// not depend on how many draws chunks `0..c` consumed, so chunks
-    /// can fill sequentially, in parallel
+    /// substreams ([`sfstats::rng::chunk_rng`]) the labels are actually
+    /// drawn from, [`GEN_CHUNK_WORDS`] words per chunk. Chunk `c`'s
+    /// substream does not depend on how many draws chunks `0..c`
+    /// consumed, so chunks can fill sequentially, in parallel
     /// ([`ScanEngine::generate_world_par`]), or split across engine
     /// shards — all bit-identically.
     fn generate_world_word(&self, null_model: NullModel, rng: &mut ChaCha8Rng) -> BitLabels {
@@ -772,9 +774,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
                 let rho = self.p_total as f64 / self.n_total as f64;
                 let sampler = BulkBernoulli::new(rho);
                 let tag = rng.next_u64();
-                for (c, words) in labels.blocks_mut().chunks_mut(GEN_CHUNK_WORDS).enumerate() {
-                    fill_chunk(&sampler, tag, c, words, n);
-                }
+                fill_chunks(&sampler, tag, 0, labels.blocks_mut(), n);
             }
             NullModel::Permutation => {
                 // Word-masked partial Fisher–Yates over positions:
@@ -964,15 +964,14 @@ impl<I: CountingSubstrate> ScanEngine<I> {
 // One fused counting batch is exactly one lane group of the fold.
 const _: () = assert!(FOLD_LANES == MAX_FUSED_WORLDS);
 
-/// Fills one generation chunk's label words ([`GEN_CHUNK_WORDS`] words
-/// per chunk; the last chunk shorter) from the chunk's own substream
-/// ([`chunk_rng`]). `n` is the engine's total label count — the
-/// chunk-local count passed to [`BulkBernoulli::fill_words`] trims the
-/// final word's tail lanes, preserving the zero-tail invariant of
-/// [`BitLabels::blocks`].
-fn fill_chunk(sampler: &BulkBernoulli, tag: u64, c: usize, words: &mut [u64], n: usize) {
-    let n_chunk = (n - c * GEN_CHUNK_WORDS * 64).min(words.len() * 64);
-    sampler.fill_words(&mut chunk_rng(tag, c as u64), words, n_chunk);
+/// Fills the label words of the generation chunks `first_chunk..`
+/// that `words` covers ([`GEN_CHUNK_WORDS`] words per chunk; the last
+/// chunk of the world shorter). `n` is the engine's total label count:
+/// the label count passed on trims the world's final word, preserving
+/// the zero-tail invariant of [`BitLabels::blocks`].
+fn fill_chunks(sampler: &BulkBernoulli, tag: u64, first_chunk: usize, words: &mut [u64], n: usize) {
+    let n_words = (n - first_chunk * GEN_CHUNK_WORDS * 64).min(words.len() * 64);
+    sampler.fill_chunks(tag, first_chunk, words, n_words);
 }
 
 /// Runs `f` over the per-thread Fisher–Yates index buffer,

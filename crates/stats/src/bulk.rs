@@ -31,13 +31,28 @@
 //!
 //! The scan engine's `WorldGen::Word` generator fills its layout-space
 //! label blocks in fixed-size chunks of [`GEN_CHUNK_WORDS`] words via
-//! [`BulkBernoulli::fill_words`], one independent ChaCha substream per
+//! [`BulkBernoulli::fill_chunks`], one independent ChaCha substream per
 //! chunk — which makes the drawn stream independent of shard count and
 //! thread count (any partition of the chunk set reproduces it bit for
-//! bit). `fill_words` prefetches raw keystream through the RNG's bulk
-//! [`RngCore::fill_words`] path; [`BulkBernoulli::sample_word`] is the
-//! lazy word-at-a-time reference the bulk path is pinned against.
+//! bit). [`BulkBernoulli::sample_word`] is the lazy word-at-a-time
+//! reference the chunk fill is pinned against.
+//!
+//! # The chunk fill
+//!
+//! Every chunk substream shares the world's key, so `fill_chunks`
+//! derives it once and computes each chunk's first keystream blocks
+//! eight at a time ([`rand_chacha::blocks8`], one AVX2 pass where the
+//! CPU has it). The refinement then runs eight passes per step with no
+//! data-dependent branch: `decided |= open & !w & tm` and
+//! `open &= !(w ^ tm)`, where `tm` is all ones when `T`'s bit is 1.
+//! This is exact because a closed word is a fixed point — once `open`
+//! is 0 neither update changes anything — and `open` never gains bits,
+//! so the words `sample_word` would consume are precisely the passes
+//! that began with `open != 0` (capped at `T`'s last bit). The stream
+//! position advances by that count, and the next word reads on from
+//! there, exactly as `sample_word` does.
 
+use crate::rng::chunk_key;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -188,16 +203,6 @@ impl BulkBernoulli {
     /// generator version is part of the world-class identity.
     #[inline]
     pub fn sample_word<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.sample_word_from(&mut || rng.next_u64())
-    }
-
-    /// The refinement loop over an arbitrary keystream source — shared
-    /// by the lazy per-call path ([`sample_word`](Self::sample_word))
-    /// and the prefetched bulk path ([`fill_words`](Self::fill_words)),
-    /// so both consume the identical word sequence and decide identical
-    /// labels.
-    #[inline]
-    fn sample_word_from(&self, next_word: &mut impl FnMut() -> u64) -> u64 {
         if self.threshold >= 1u64 << THRESHOLD_BITS {
             // p == 1: every uniform is below the threshold.
             return !0;
@@ -209,7 +214,7 @@ impl BulkBernoulli {
         let mut open = !0u64; // lanes still comparing
         let mut bit = THRESHOLD_BITS - 1;
         loop {
-            let w = next_word();
+            let w = rng.next_u64();
             if (self.threshold >> bit) & 1 == 1 {
                 // U-bit 0 under a T-bit 1: U < T settled true.
                 decided |= open & !w;
@@ -229,40 +234,137 @@ impl BulkBernoulli {
         decided
     }
 
-    /// Fills `words` with `n` labels (lane `i` of word `w` = label
-    /// `64·w + i`), zeroing every lane at position `>= n` so the
-    /// result drops into a tail-invariant bitset block array
-    /// unchanged.
+    /// Fills the label words of consecutive generation chunks of the
+    /// world keyed by `tag`: `words` starts at chunk `first_chunk`'s
+    /// first word and holds `n` labels (lane `i` of word `w` = label
+    /// `64·w + i`). Every lane at position `>= n` is zeroed, so the
+    /// result drops into a tail-invariant bitset block array unchanged.
     ///
-    /// The keystream is prefetched through [`RngCore::fill_words`] one
-    /// ChaCha-block's worth of words at a time and consumed lazily by
-    /// the refinement loop, so the labels are bit-identical to a
-    /// [`sample_word`](Self::sample_word) loop (pinned by
-    /// `bulk_keystream_fill_matches_word_at_a_time`); the source RNG
-    /// may end up advanced past the last word the refinement consumed.
+    /// Chunk `c`'s words are bit-identical to a
+    /// [`sample_word`](Self::sample_word) loop over
+    /// [`chunk_rng`](crate::rng::chunk_rng)`(tag, c)` (see the module
+    /// docs), so any partition of a world's chunks into calls draws the
+    /// same world.
     ///
     /// # Panics
     /// Panics if `words` is not exactly `⌈n/64⌉` blocks.
-    pub fn fill_words<R: RngCore + ?Sized>(&self, rng: &mut R, words: &mut [u64], n: usize) {
+    pub fn fill_chunks(&self, tag: u64, first_chunk: usize, words: &mut [u64], n: usize) {
         assert_eq!(
             words.len(),
             n.div_ceil(64),
             "need one 64-label word per 64 labels"
         );
-        let mut buf = [0u64; 8];
-        let mut pos = buf.len();
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = self.sample_word_from(&mut || {
-                if pos == buf.len() {
-                    rng.fill_words(&mut buf);
-                    pos = 0;
-                }
-                let raw = buf[pos];
-                pos += 1;
-                raw
-            }) & tail_mask(n, w);
+        let key = chunk_key(tag);
+        let bit_masks = self.bit_masks();
+        for (i, chunk) in words.chunks_mut(GEN_CHUNK_WORDS).enumerate() {
+            let n_chunk = (n - i * GEN_CHUNK_WORDS * 64).min(chunk.len() * 64);
+            self.fill_chunk(&key, &bit_masks, (first_chunk + i) as u64, chunk, n_chunk);
         }
     }
+
+    /// `tm` for every refinement pass: entry `k` is all ones iff `T`'s
+    /// bit `52 − k` is 1, and zero past `T`'s last bit.
+    fn bit_masks(&self) -> [u64; 64] {
+        std::array::from_fn(|k| {
+            let bit = (THRESHOLD_BITS as usize).wrapping_sub(1 + k);
+            if k < THRESHOLD_BITS as usize && (self.threshold >> bit) & 1 == 1 {
+                !0
+            } else {
+                0
+            }
+        })
+    }
+
+    /// Fills one chunk's words from its substream and returns how many
+    /// keystream words the refinement consumed (a `sample_word` loop's
+    /// `next_u64` count).
+    fn fill_chunk(
+        &self,
+        key: &[u32; 8],
+        bit_masks: &[u64; 64],
+        chunk: u64,
+        words: &mut [u64],
+        n: usize,
+    ) -> usize {
+        if self.threshold == 0 || self.threshold >= 1u64 << THRESHOLD_BITS {
+            // p is 0 or 1: sample_word draws nothing and returns a
+            // constant word.
+            let fill = if self.threshold == 0 { 0 } else { !0 };
+            for (w, word) in words.iter_mut().enumerate() {
+                *word = fill & tail_mask(n, w);
+            }
+            return 0;
+        }
+        // Blocks 0..B eight lanes at a time, then one block of slack so
+        // every step's eight reads stay in bounds (words past `len` are
+        // stale and never consumed).
+        let blocks = buffered_blocks(words.len());
+        let mut buf = [[0u64; 8]; CHUNK_BLOCKS + 1];
+        for (p, out) in buf[..blocks].chunks_exact_mut(8).enumerate() {
+            let lanes = std::array::from_fn(|j| ((8 * p + j) as u64, chunk));
+            rand_chacha::blocks8(key, &lanes, out.try_into().unwrap());
+        }
+        let (mut pos, mut len, mut next_block) = (0, blocks * 8, blocks as u64);
+        let mut consumed = 0;
+        for (w, word) in words.iter_mut().enumerate() {
+            // One word, PASS_GROUP passes per step (see the module docs
+            // for why this equals `sample_word`).
+            let mut decided = 0u64;
+            let mut open = !0u64;
+            let mut pass = 0;
+            while pass < THRESHOLD_BITS as usize {
+                let u: &[u64; PASS_GROUP] = buf.as_flattened()[pos..pos + PASS_GROUP]
+                    .try_into()
+                    .unwrap();
+                let tm: &[u64; PASS_GROUP] = bit_masks[pass..pass + PASS_GROUP].try_into().unwrap();
+                let (mut d, mut o, mut live) = (decided, open, 0);
+                for k in 0..PASS_GROUP {
+                    live += (o != 0) as usize;
+                    d |= o & !u[k] & tm[k];
+                    o &= !(u[k] ^ tm[k]);
+                }
+                let used = live.min(THRESHOLD_BITS as usize - pass);
+                if pos + used > len {
+                    // The step read past the buffered stream: append
+                    // the next block (scalar) and redo the step.
+                    let flat = buf.as_flattened_mut();
+                    flat.copy_within(pos..len, 0);
+                    len -= pos;
+                    pos = 0;
+                    let block = rand_chacha::block(key, next_block, chunk);
+                    flat[len..len + 8].copy_from_slice(&block);
+                    len += 8;
+                    next_block += 1;
+                    continue;
+                }
+                pos += used;
+                consumed += used;
+                (decided, open) = (d, o);
+                if open == 0 {
+                    break;
+                }
+                pass += PASS_GROUP;
+            }
+            *word = decided & tail_mask(n, w);
+        }
+        consumed
+    }
+}
+
+/// Refinement passes resolved per branch-free step.
+const PASS_GROUP: usize = 8;
+
+/// Keystream blocks computed up front for a full chunk, in whole
+/// [`rand_chacha::blocks8`] passes: one block (8 words) per label word
+/// covers the ≈8 words a 64-label word consumes on average. A chunk
+/// that needs more draws scalar blocks past them.
+const CHUNK_BLOCKS: usize = GEN_CHUNK_WORDS;
+
+/// Blocks buffered up front for a chunk of `words` words: about one
+/// per word plus slack, in whole 8-lane passes, so a short final chunk
+/// does not compute a full chunk's blocks.
+fn buffered_blocks(words: usize) -> usize {
+    (words + 2).next_multiple_of(8).min(CHUNK_BLOCKS)
 }
 
 /// The valid-lane mask of word `w` in an `n`-label array: all ones
@@ -280,7 +382,7 @@ pub fn tail_mask(n: usize, word: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{seeded_rng, world_rng};
+    use crate::rng::{chunk_rng, seeded_rng};
     use rand::Rng;
 
     #[test]
@@ -328,14 +430,82 @@ mod tests {
         assert_eq!(BulkBernoulli::new(0.0).sample_word(&mut rng), 0);
     }
 
+    /// Counts the `next_u64` draws made through it.
+    struct Counting<R> {
+        inner: R,
+        draws: usize,
+    }
+
+    impl<R: RngCore> RngCore for Counting<R> {
+        fn next_u32(&mut self) -> u32 {
+            self.draws += 1;
+            self.inner.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// The oracle for chunks `first_chunk..` holding `n` labels: a
+    /// `sample_word` loop over each chunk's `chunk_rng`, and the draws
+    /// each chunk consumed.
+    fn oracle(
+        sampler: &BulkBernoulli,
+        tag: u64,
+        first_chunk: usize,
+        n: usize,
+    ) -> (Vec<u64>, Vec<usize>) {
+        let mut words = Vec::new();
+        let mut draws = Vec::new();
+        let num_words = n.div_ceil(64);
+        for (i, start) in (0..num_words).step_by(GEN_CHUNK_WORDS).enumerate() {
+            let mut rng = Counting {
+                inner: chunk_rng(tag, (first_chunk + i) as u64),
+                draws: 0,
+            };
+            for w in start..(start + GEN_CHUNK_WORDS).min(num_words) {
+                words.push(sampler.sample_word(&mut rng) & tail_mask(n, w));
+            }
+            draws.push(rng.draws);
+        }
+        (words, draws)
+    }
+
+    /// The chunk fill over the same chunks: the words of one
+    /// `fill_chunks` call, and each chunk's consumption from
+    /// `fill_chunk`.
+    fn chunk_fill(
+        sampler: &BulkBernoulli,
+        tag: u64,
+        first_chunk: usize,
+        n: usize,
+    ) -> (Vec<u64>, Vec<usize>) {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        sampler.fill_chunks(tag, first_chunk, &mut words, n);
+        let key = chunk_key(tag);
+        let masks = sampler.bit_masks();
+        let mut again = words.clone();
+        let draws = again
+            .chunks_mut(GEN_CHUNK_WORDS)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let n_chunk = (n - i * GEN_CHUNK_WORDS * 64).min(chunk.len() * 64);
+                sampler.fill_chunk(&key, &masks, (first_chunk + i) as u64, chunk, n_chunk)
+            })
+            .collect();
+        assert_eq!(again, words, "fill_chunk and fill_chunks disagree");
+        (words, draws)
+    }
+
     #[test]
-    fn fill_words_is_deterministic_and_tail_clean() {
+    fn fill_chunks_is_deterministic_and_tail_clean() {
         let sampler = BulkBernoulli::new(0.37);
         let n = 200usize; // 3 words + 8-lane tail
         let mut a = vec![0u64; n.div_ceil(64)];
         let mut b = vec![0u64; n.div_ceil(64)];
-        sampler.fill_words(&mut world_rng(9, 3), &mut a, n);
-        sampler.fill_words(&mut world_rng(9, 3), &mut b, n);
+        sampler.fill_chunks(9, 3, &mut a, n);
+        sampler.fill_chunks(9, 3, &mut b, n);
         assert_eq!(a, b);
         assert_eq!(a[3] & !tail_mask(n, 3), 0, "tail lanes must be zero");
         assert_eq!(tail_mask(n, 3), (1u64 << 8) - 1);
@@ -343,18 +513,60 @@ mod tests {
     }
 
     #[test]
-    fn bulk_keystream_fill_matches_word_at_a_time() {
-        // The prefetched bulk path reads the same keystream sequence
-        // as a sample_word loop, so every label agrees bit for bit.
-        for (p, n) in [(0.3, 1024usize), (0.005, 333), (0.97, 64), (0.5, 65)] {
+    fn chunk_fill_matches_sample_word_at_every_threshold() {
+        // Edge thresholds (never true, one uniform of 2^53, exactly
+        // 1/2, all but one, always true) and random ones, over sizes
+        // from one word to 20 chunks plus a one-label tail: the same
+        // words and the same draws per chunk as the oracle.
+        let mut rng = seeded_rng(0xf111);
+        let mut thresholds = vec![0, 1, 1 << 52, (1 << 53) - 1, 1 << 53];
+        thresholds.extend((0..8).map(|_| rng.next_u64() >> 11));
+        for threshold in thresholds {
+            let sampler = BulkBernoulli { threshold };
+            for n in [1usize, 64, 130, 1000, 3 * 1024 + 5, 20_001] {
+                for first_chunk in [0usize, 3] {
+                    for _ in 0..3 {
+                        let tag = rng.next_u64();
+                        assert_eq!(
+                            chunk_fill(&sampler, tag, first_chunk, n),
+                            oracle(&sampler, tag, first_chunk, n),
+                            "threshold {threshold:#x}, n {n}, chunk {first_chunk}, tag {tag:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_fill_splits_and_overflows_exactly() {
+        // Any split of a world's chunks into fill calls draws the same
+        // world, and the test tags drive full chunks past the buffered
+        // blocks (onto the scalar overflow blocks) with words and draws
+        // unchanged. The six-word final chunk buffers fewer blocks.
+        let n = 20 * 1024 + 6 * 64; // 20 full chunks and a 6-word one
+        let mut rng = seeded_rng(0x0f10);
+        for p in [0.5, 0.123] {
             let sampler = BulkBernoulli::new(p);
-            let mut bulk = vec![0u64; n.div_ceil(64)];
-            sampler.fill_words(&mut world_rng(17, 5), &mut bulk, n);
-            let mut rng = world_rng(17, 5);
-            let reference: Vec<u64> = (0..n.div_ceil(64))
-                .map(|w| sampler.sample_word(&mut rng) & tail_mask(n, w))
-                .collect();
-            assert_eq!(bulk, reference, "p={p}, n={n}");
+            let mut overflows = 0;
+            for _ in 0..100 {
+                let tag = rng.next_u64();
+                let (words, draws) = chunk_fill(&sampler, tag, 0, n);
+                let expected = oracle(&sampler, tag, 0, n);
+                assert_eq!((&words, &draws), (&expected.0, &expected.1), "tag {tag:#x}");
+                let mut split = vec![0u64; words.len()];
+                let (head, tail) = split.split_at_mut(7 * GEN_CHUNK_WORDS);
+                sampler.fill_chunks(tag, 0, head, 7 * 1024);
+                sampler.fill_chunks(tag, 7, tail, n - 7 * 1024);
+                assert_eq!(split, words, "tag {tag:#x}");
+                for (c, &d) in draws.iter().enumerate() {
+                    let chunk_words = (n.div_ceil(64) - c * GEN_CHUNK_WORDS).min(GEN_CHUNK_WORDS);
+                    if d > 8 * buffered_blocks(chunk_words) {
+                        overflows += 1;
+                    }
+                }
+            }
+            assert!(overflows > 0, "p={p}: no chunk overflowed");
         }
     }
 
@@ -446,20 +658,6 @@ mod tests {
     #[test]
     fn rng_consumption_is_bounded_and_small() {
         // Count draws per word: expected ~8, never more than 53.
-        struct Counting<R> {
-            inner: R,
-            draws: usize,
-        }
-        impl<R: RngCore> RngCore for Counting<R> {
-            fn next_u32(&mut self) -> u32 {
-                self.draws += 1;
-                self.inner.next_u32()
-            }
-            fn next_u64(&mut self) -> u64 {
-                self.draws += 1;
-                self.inner.next_u64()
-            }
-        }
         let sampler = BulkBernoulli::new(0.3);
         let mut rng = Counting {
             inner: seeded_rng(44),

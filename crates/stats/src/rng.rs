@@ -45,6 +45,13 @@ pub fn chunk_rng(tag: u64, chunk: u64) -> ChaCha8Rng {
     rng
 }
 
+/// The ChaCha key every [`chunk_rng`]`(tag, ·)` shares: a world's
+/// chunk substreams differ only in their stream, so the key is derived
+/// once per world.
+pub fn chunk_key(tag: u64) -> [u32; 8] {
+    ChaCha8Rng::seed_from_u64(tag).key()
+}
+
 /// Derives a fresh 64-bit seed for a named sub-component from a master
 /// seed, using the SplitMix64 finalizer. Lets one user-facing seed
 /// drive many independent generators without manual bookkeeping.
