@@ -22,8 +22,10 @@
 //! scalar ring `gather` ([`Membership::count_all_into`] per world) and
 //! by the fused mask `sweep`
 //! ([`BlockedMembership::count_all_many_into`]), after asserting both
-//! agree. Engines count full batches; each family's measured ids per
-//! ring word is printed before its timings.
+//! agree. The sweep runs once per tile body: `portable` everywhere,
+//! `avx512` where the CPU has VPOPCNTDQ. Engines count full batches;
+//! each family's measured ids per ring word is printed before its
+//! timings.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -33,7 +35,8 @@ use sfbench::clustered_points;
 use sfgeo::BoundingBox;
 use sfgeo::{Point, Rect};
 use sfindex::{
-    BitLabels, BlockedMembership, IndexBackend, KdTree, KernelSelect, Membership, MAX_FUSED_WORLDS,
+    BitLabels, BlockedMembership, CountingKernel, IndexBackend, KdTree, Membership,
+    MAX_FUSED_WORLDS,
 };
 use sfscan::engine::ScanEngine;
 use sfscan::{CountingStrategy, NullModel, RegionSet, SpatialOutcomes};
@@ -122,7 +125,11 @@ fn gather_vs_sweep(c: &mut Criterion) {
             ),
         ),
     ];
-    let kernel = KernelSelect::Auto.resolve();
+    // The two bodies of the counting tile.
+    let kernels: Vec<CountingKernel> = [CountingKernel::Portable, CountingKernel::Avx512]
+        .into_iter()
+        .filter(|k| k.is_supported())
+        .collect();
     let mut g = c.benchmark_group("ring_gather_vs_sweep_50k_points");
     for (name, regions) in families {
         let engine =
@@ -134,11 +141,13 @@ fn gather_vs_sweep(c: &mut Criterion) {
             .collect();
         let refs: Vec<&BitLabels> = worlds.iter().collect();
         let (mut one, mut fused) = (Vec::new(), Vec::new());
-        masks.count_all_many_into(&refs, kernel, &mut fused);
-        for (w, world) in refs.iter().enumerate() {
-            m.count_all_into(world, &mut one);
-            for (r, &p) in one.iter().enumerate() {
-                assert_eq!(fused[r * refs.len() + w], p, "{name}");
+        for &kernel in &kernels {
+            masks.count_all_many_into(&refs, kernel, &mut fused);
+            for (w, world) in refs.iter().enumerate() {
+                m.count_all_into(world, &mut one);
+                for (r, &p) in one.iter().enumerate() {
+                    assert_eq!(fused[r * refs.len() + w], p, "{name} {kernel}");
+                }
             }
         }
         eprintln!(
@@ -156,12 +165,14 @@ fn gather_vs_sweep(c: &mut Criterion) {
                     black_box(one.last().copied())
                 })
             });
-            g.bench_function(format!("{name}/sweep_x{width}"), |b| {
-                b.iter(|| {
-                    masks.count_all_many_into(black_box(batch), kernel, &mut fused);
-                    black_box(fused.last().copied())
-                })
-            });
+            for &kernel in &kernels {
+                g.bench_function(format!("{name}/sweep_x{width}/{kernel}"), |b| {
+                    b.iter(|| {
+                        masks.count_all_many_into(black_box(batch), kernel, &mut fused);
+                        black_box(fused.last().copied())
+                    })
+                });
+            }
         }
     }
     g.finish();

@@ -162,8 +162,8 @@ impl SpanCounter {
         &self.prepared
     }
 
-    /// Total label words — the axis [`shard_word_bounds`]
-    /// (`sfindex::shard_word_bounds`) partitions.
+    /// Total label words — the axis [`sfindex::shard_word_bounds`]
+    /// partitions.
     pub fn num_label_words(&self) -> usize {
         self.prepared
             .engine()

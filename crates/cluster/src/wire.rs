@@ -22,7 +22,7 @@
 use serde::{self, Deserialize, Serialize, Value, Writer};
 use sfscan::{NullModel, WorldGen};
 
-/// Protocol version advertised in [`HelloReply`]; bumped on any wire
+/// Protocol version advertised in [`WorkerReply::Hello`]; bumped on any wire
 /// change.
 pub const PROTOCOL_VERSION: u64 = 1;
 

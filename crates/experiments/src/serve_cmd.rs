@@ -1,7 +1,7 @@
 //! `serve`: the JSONL transport over one audit service — in-process,
 //! listening, or connecting.
 //!
-//! The default mode reads [`RequestEnvelope`] lines
+//! The default mode reads [`RequestEnvelope`](sfserve::RequestEnvelope) lines
 //! (`{"handle": 0, "request": {…}}`) from `--input <path>` (or
 //! stdin), routes them through an [`AuditService`] hosting the
 //! synthetic benchmark dataset, and writes exactly one

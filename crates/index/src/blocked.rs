@@ -31,6 +31,15 @@
 //! of the words the full lists do; partitions (grid cells) get no
 //! parents and compile exactly as before.
 //!
+//! # Lane tile
+//!
+//! The Monte Carlo path, [`BlockedMembership::count_all_many_into`],
+//! counts worlds in lane groups of [`MAX_FUSED_WORLDS`]. A group is
+//! transposed into a word-major tile — one 64-byte line per label word,
+//! lane `l` holding world `l`'s word — so every full word and every
+//! partial run costs one line load and one lane-wise popcount for all
+//! eight worlds, and a region's eight counts are one accumulator.
+//!
 //! # Id layout
 //!
 //! Mask density — ring ids per touched word — is what one popcnt
@@ -52,13 +61,65 @@
 
 use crate::{kernel::CountingKernel, labels::BitLabels, membership::Membership};
 use sfgeo::{BoundingBox, Point};
+use std::{cell::RefCell, ops::Range};
 
-/// Worlds per fused counting sweep: the widest batch
-/// [`BlockedMembership::count_many_into`] processes against one CSR
-/// pass. Eight keeps the per-world accumulators in registers and the
-/// batch's label arrays resident in L1 while still amortizing every
-/// run/mask load 8×; wider batches go through multiple sweeps.
+/// Worlds per fused counting sweep: the lanes of one tile line, so the
+/// widest batch [`BlockedMembership::count_all_many_into`] counts in
+/// one CSR pass. Eight `u64` lanes are one 64-byte line and one
+/// 512-bit register: a region's eight counts are one accumulator and
+/// one row of the fold's matrix. Wider batches run as several lane
+/// groups.
 pub const MAX_FUSED_WORLDS: usize = 8;
+
+/// One label word of a lane group's tile: lane `l` is world `l`'s word.
+/// 64-byte aligned, so a line is exactly one cache line and one aligned
+/// 512-bit load.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct TileLine([u64; MAX_FUSED_WORLDS]);
+
+// The AVX-512 tile body loads and counts a line as one 512-bit vector.
+const _: () = assert!(std::mem::size_of::<TileLine>() == 64);
+
+/// Largest tile (in lines) the per-thread scratch keeps between calls:
+/// 2^14 lines = 1 MiB, a window of 2^20 points. Larger windows
+/// re-allocate per call rather than pinning the buffer for the
+/// thread's lifetime.
+const TILE_RETAIN_LINES: usize = 1 << 14;
+
+thread_local! {
+    /// Reusable tile buffer for [`BlockedMembership::count_all_many_into`].
+    /// A call rewrites the lanes of the worlds it counts; lanes past them
+    /// may hold an earlier call's words, which no body ever stores.
+    static TILE_SCRATCH: RefCell<Vec<TileLine>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Tile lines [`BlockedMembership::fill_tile`] fills per block: 4 KiB.
+const FILL_LINES: usize = 64;
+
+/// Writes the first `row.len()` lanes of `acc` to `row`. A row as wide
+/// as `acc` is one fixed-size copy; a variable-length `copy_from_slice`
+/// here would be a `memcpy` call per region.
+#[inline]
+fn store_row<const L: usize>(row: &mut [u64], acc: &[u64; L]) {
+    match <&mut [u64; L]>::try_from(&mut *row) {
+        Ok(row) => *row = *acc,
+        Err(_) => row.copy_from_slice(&acc[..row.len()]),
+    }
+}
+
+/// Runs `f` over the per-thread tile buffer, then bounds the retained
+/// capacity.
+fn with_tile_scratch(f: impl FnOnce(&mut Vec<TileLine>)) {
+    TILE_SCRATCH.with(|scratch| {
+        let mut tile = scratch.borrow_mut();
+        f(&mut tile);
+        if tile.capacity() > TILE_RETAIN_LINES {
+            tile.clear();
+            tile.shrink_to(TILE_RETAIN_LINES);
+        }
+    });
+}
 
 /// Error from compiling member-id lists into blocked masks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,6 +194,11 @@ pub struct BlockedMembership {
     /// World-invariant `n(R)` of the full region (ring plus parent).
     region_n: Vec<u64>,
     num_points: usize,
+    /// The label words every run lies in: all of them for a compiled
+    /// membership, the window of a [`BlockedMembership::clip_to_words`]
+    /// view. The counting tile holds exactly these words.
+    word_lo: usize,
+    word_hi: usize,
 }
 
 impl BlockedMembership {
@@ -191,6 +257,8 @@ impl BlockedMembership {
             nested: Vec::new(),
             region_n: Vec::new(),
             num_points,
+            word_lo: 0,
+            word_hi: num_points.div_ceil(64),
         }
     }
 
@@ -274,36 +342,26 @@ impl BlockedMembership {
 
     /// Counts `p(R)` of region `r` against a label bitset: the rings of
     /// its parent chain, each as popcnt over full ranges plus masked
-    /// popcnt over partial runs.
+    /// popcnt over partial runs. This is the pinned one-world reference
+    /// every tile body of [`BlockedMembership::count_all_many_into`] is
+    /// held to.
     #[inline]
     pub fn count(&self, r: usize, labels: &BitLabels) -> u64 {
-        self.count_with(r, labels, CountingKernel::Scalar)
-    }
-
-    /// [`BlockedMembership::count`] with the dense full ranges counted
-    /// through an explicit [`CountingKernel`]. With
-    /// [`CountingKernel::Scalar`] this *is* the pinned reference loop;
-    /// every other kernel returns the same exact integer (kernel
-    /// equivalence is equality — pinned by the kernel proptests).
-    /// Partial runs are a one-word gather and stay scalar under every
-    /// kernel.
-    #[inline]
-    pub fn count_with(&self, r: usize, labels: &BitLabels, kernel: CountingKernel) -> u64 {
         debug_assert_eq!(
             labels.len(),
             self.num_points,
             "label set length must match the compiled point count"
         );
         (self.chain_start(r)..=r)
-            .map(|q| self.ring_count(q, labels.blocks(), kernel))
+            .map(|q| self.ring_count(q, labels.blocks()))
             .sum()
     }
 
-    /// Counts region `r`'s own runs (its ring) against `blocks`. Branch-
-    /// free over the runs — this is the per-world hot loop replacing the
-    /// scalar id gather.
+    /// Counts region `r`'s own runs (its ring) against `blocks`: one
+    /// `count_ones` per full word, in order, then one AND and one
+    /// `count_ones` per partial run.
     #[inline]
-    fn ring_count(&self, r: usize, blocks: &[u64], kernel: CountingKernel) -> u64 {
+    fn ring_count(&self, r: usize, blocks: &[u64]) -> u64 {
         let mut acc = 0u64;
         let (fs, fe) = (
             self.full_offsets[r] as usize,
@@ -312,7 +370,9 @@ impl BlockedMembership {
         for i in fs..fe {
             let start = self.full_starts[i] as usize;
             let len = self.full_lens[i] as usize;
-            acc += kernel.popcount(&blocks[start..start + len]);
+            for &word in &blocks[start..start + len] {
+                acc += word.count_ones() as u64;
+            }
         }
         let (s, e) = (
             self.run_offsets[r] as usize,
@@ -325,19 +385,9 @@ impl BlockedMembership {
     }
 
     /// Counts `p(R)` for *all* regions against a label set, reusing
-    /// the output buffer.
+    /// the output buffer: [`BlockedMembership::count`] of every region,
+    /// each ring counted once.
     pub fn count_all_into(&self, labels: &BitLabels, out: &mut Vec<u64>) {
-        self.count_all_into_with(labels, CountingKernel::Scalar, out);
-    }
-
-    /// [`BlockedMembership::count_all_into`] through an explicit
-    /// [`CountingKernel`].
-    pub fn count_all_into_with(
-        &self,
-        labels: &BitLabels,
-        kernel: CountingKernel,
-        out: &mut Vec<u64>,
-    ) {
         assert_eq!(
             labels.len(),
             self.num_points,
@@ -351,59 +401,38 @@ impl BlockedMembership {
             if !self.nested[r] {
                 p = 0;
             }
-            p += self.ring_count(r, blocks, kernel);
+            p += self.ring_count(r, blocks);
             out.push(p);
-        }
-    }
-
-    /// Fused multi-world count of region `r`: `out[w] = p(R)` under
-    /// `worlds[w]`. One pass over the region's CSR serves every world —
-    /// each full range is kernel-popcounted per world while its bounds
-    /// are hot, and each partial run's `(block, mask)` pair is loaded
-    /// **once** and ANDed against every world's block — so the CSR
-    /// stream (the dominant memory traffic of a recount) is amortized
-    /// across the batch instead of re-read per world. Batches wider
-    /// than [`MAX_FUSED_WORLDS`] run as multiple sweeps.
-    ///
-    /// Exactly equal to `worlds.map(|l| count(r, l))` — per-world sums
-    /// are independent integer folds, so fusion cannot change them.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != worlds.len()` or any world's length
-    /// disagrees with the compiled point count.
-    pub fn count_many_into(
-        &self,
-        r: usize,
-        worlds: &[&BitLabels],
-        kernel: CountingKernel,
-        out: &mut [u64],
-    ) {
-        assert_eq!(out.len(), worlds.len(), "one output slot per fused world");
-        for world in worlds {
-            assert_eq!(
-                world.len(),
-                self.num_points,
-                "label set length must match the compiled point count"
-            );
-        }
-        for (worlds, out) in worlds
-            .chunks(MAX_FUSED_WORLDS)
-            .zip(out.chunks_mut(MAX_FUSED_WORLDS))
-        {
-            let mut acc = [0u64; MAX_FUSED_WORLDS];
-            for q in self.chain_start(r)..=r {
-                self.count_many_core(q, worlds, kernel, &mut acc[..worlds.len()]);
-            }
-            out.copy_from_slice(&acc[..worlds.len()]);
         }
     }
 
     /// Fused multi-world count of **all** regions:
     /// `out[r * worlds.len() + w] = p(R_r)` under `worlds[w]` (row per
-    /// region, column per world). Each sweep of up to
-    /// [`MAX_FUSED_WORLDS`] worlds walks the whole CSR once — this is
-    /// the batched executor's inner loop, replacing `worlds.len()`
-    /// separate [`BlockedMembership::count_all_into`] passes.
+    /// region, column per world) — the batched executor's inner loop,
+    /// replacing `worlds.len()` separate
+    /// [`BlockedMembership::count_all_into`] passes.
+    ///
+    /// Worlds are counted in lane groups of up to [`MAX_FUSED_WORLDS`].
+    /// Each group is first transposed into a word-major *tile*: one
+    /// 64-byte line per label word of this compilation's window, lane
+    /// `l` holding world `l`'s word. One CSR pass then counts the whole
+    /// group: a full word is one line load and one lane-wise popcount,
+    /// a partial run one line load ANDed with the broadcast mask, and a
+    /// region's counts stay in one accumulator whose first
+    /// `worlds.len()` lanes are stored as its row.
+    /// [`CountingKernel::Avx512`] runs that sweep with one `vpopcntq`
+    /// per line; every other kernel runs the portable lane loop over
+    /// only the lanes the group needs. A
+    /// [`clip_to_words`](BlockedMembership::clip_to_words) view
+    /// transposes only its own window.
+    ///
+    /// Exactly equal to `count(r, worlds[w])` for every `(r, w)`:
+    /// per-lane sums are independent integer folds, so neither the tile
+    /// nor the kernel can change them.
+    ///
+    /// # Panics
+    /// Panics if any world's length disagrees with the compiled point
+    /// count.
     pub fn count_all_many_into(
         &self,
         worlds: &[&BitLabels],
@@ -420,59 +449,177 @@ impl BlockedMembership {
         let width = worlds.len();
         out.clear();
         out.resize(self.num_regions() * width, 0);
-        let mut offset = 0;
-        for worlds in worlds.chunks(MAX_FUSED_WORLDS) {
-            let mut acc = [0u64; MAX_FUSED_WORLDS];
-            for r in 0..self.num_regions() {
-                let acc = &mut acc[..worlds.len()];
-                // A child starts from its parent's counts, still in
-                // `acc` from the previous row.
-                if !self.nested[r] {
-                    acc.fill(0);
-                }
-                self.count_many_core(r, worlds, kernel, acc);
-                out[r * width + offset..r * width + offset + worlds.len()].copy_from_slice(acc);
+        with_tile_scratch(|tile| {
+            for (group, worlds) in worlds.chunks(MAX_FUSED_WORLDS).enumerate() {
+                self.fill_tile(tile, worlds);
+                let cols = group * MAX_FUSED_WORLDS..group * MAX_FUSED_WORLDS + worlds.len();
+                self.sweep_tile(tile, kernel, cols, width, out);
             }
-            offset += worlds.len();
+        });
+    }
+
+    /// Transposes up to [`MAX_FUSED_WORLDS`] worlds' words of this
+    /// compilation's window into `tile`: line `i`, lane `l` becomes word
+    /// `word_lo + i` of `worlds[l]`. Lanes past `worlds.len()` keep
+    /// whatever they held; the bodies never store them. Lines are
+    /// filled [`FILL_LINES`] at a time, so each world's strided writes
+    /// land in lines that stay in L1.
+    fn fill_tile(&self, tile: &mut Vec<TileLine>, worlds: &[&BitLabels]) {
+        debug_assert!(worlds.len() <= MAX_FUSED_WORLDS);
+        tile.resize(self.word_hi - self.word_lo, TileLine::default());
+        for (chunk, lines) in tile.chunks_mut(FILL_LINES).enumerate() {
+            let first = self.word_lo + chunk * FILL_LINES;
+            for (lane, world) in worlds.iter().enumerate() {
+                for (line, &word) in lines.iter_mut().zip(&world.blocks()[first..]) {
+                    line.0[lane] = word;
+                }
+            }
         }
     }
 
-    /// One fused sweep of region `r`'s ring over at most
-    /// [`MAX_FUSED_WORLDS`] pre-validated worlds, accumulating into
-    /// `acc` (not cleared — callers zero it or hold the parent's
-    /// counts in it).
-    #[inline]
-    fn count_many_core(
+    /// Counts every region against a filled tile through the tile body
+    /// `kernel` selects: [`CountingKernel::Avx512`] runs the VPOPCNTDQ
+    /// body, every other kernel the portable body over only as many
+    /// lanes (1, 2, 4 or 8) as `cols` needs. The tile's first
+    /// `cols.len()` lanes are the matrix columns `cols`: region `r`'s
+    /// counts go to `out[r * width + cols.start..r * width + cols.end]`.
+    fn sweep_tile(
         &self,
-        r: usize,
-        worlds: &[&BitLabels],
+        tile: &[TileLine],
         kernel: CountingKernel,
-        acc: &mut [u64],
+        cols: Range<usize>,
+        width: usize,
+        out: &mut [u64],
     ) {
-        debug_assert!(worlds.len() <= MAX_FUSED_WORLDS);
-        debug_assert_eq!(worlds.len(), acc.len());
-        let (fs, fe) = (
-            self.full_offsets[r] as usize,
-            self.full_offsets[r + 1] as usize,
-        );
-        for i in fs..fe {
-            let start = self.full_starts[i] as usize;
-            let len = self.full_lens[i] as usize;
-            for (a, world) in acc.iter_mut().zip(worlds) {
-                *a += kernel.popcount(&world.blocks()[start..start + len]);
+        match (kernel, cols.len()) {
+            (CountingKernel::Avx512, _) => {
+                // Once per lane group: the variant is public, so only
+                // this check proves the CPU can run the tile body.
+                assert!(kernel.is_supported(), "avx512 kernel on a non-avx512 cpu");
+                // SAFETY: AVX-512F and AVX-512VPOPCNTDQ were just
+                // detected at runtime.
+                unsafe { self.sweep_tile_avx512(tile, cols, width, out) }
             }
+            (_, 1) => self.sweep_tile_portable::<1>(tile, cols, width, out),
+            (_, 2) => self.sweep_tile_portable::<2>(tile, cols, width, out),
+            (_, 3..=4) => self.sweep_tile_portable::<4>(tile, cols, width, out),
+            _ => self.sweep_tile_portable::<8>(tile, cols, width, out),
         }
-        let (s, e) = (
-            self.run_offsets[r] as usize,
-            self.run_offsets[r + 1] as usize,
-        );
-        for i in s..e {
-            let block = self.run_blocks[i] as usize;
-            let mask = self.run_masks[i];
-            for (a, world) in acc.iter_mut().zip(worlds) {
-                *a += (world.blocks()[block] & mask).count_ones() as u64;
+    }
+
+    /// The portable tile body over the first `L` lanes: one `[u64; L]`
+    /// accumulator per region, one `count_ones` per lane per line. Each
+    /// ring is summed in a fresh accumulator and then added to its
+    /// parent's counts: with the loop-carried `acc` summed into
+    /// directly, the compiler reshuffled its lanes on every line.
+    fn sweep_tile_portable<const L: usize>(
+        &self,
+        tile: &[TileLine],
+        cols: Range<usize>,
+        width: usize,
+        out: &mut [u64],
+    ) {
+        debug_assert!(cols.len() <= L && L <= MAX_FUSED_WORLDS);
+        let lo = self.word_lo;
+        let mut acc = [0u64; L];
+        for r in 0..self.num_regions() {
+            // A child starts from its parent's counts, still in `acc`.
+            if !self.nested[r] {
+                acc = [0; L];
             }
+            let mut ring = [0u64; L];
+            let (fs, fe) = (
+                self.full_offsets[r] as usize,
+                self.full_offsets[r + 1] as usize,
+            );
+            for (&start, &len) in self.full_starts[fs..fe].iter().zip(&self.full_lens[fs..fe]) {
+                let start = start as usize - lo;
+                for line in &tile[start..start + len as usize] {
+                    for (a, &word) in ring.iter_mut().zip(&line.0[..L]) {
+                        *a += word.count_ones() as u64;
+                    }
+                }
+            }
+            let (s, e) = (
+                self.run_offsets[r] as usize,
+                self.run_offsets[r + 1] as usize,
+            );
+            for (&block, &mask) in self.run_blocks[s..e].iter().zip(&self.run_masks[s..e]) {
+                let line = &tile[block as usize - lo];
+                for (a, &word) in ring.iter_mut().zip(&line.0[..L]) {
+                    *a += (word & mask).count_ones() as u64;
+                }
+            }
+            for (a, &c) in acc.iter_mut().zip(&ring) {
+                *a += c;
+            }
+            store_row(&mut out[r * width + cols.start..r * width + cols.end], &acc);
         }
+    }
+
+    /// The AVX-512 tile body: the region accumulator lives in one zmm
+    /// register, each line is one aligned load and one `vpopcntq`, and
+    /// each row is one masked store of its `cols.len()` counts.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and AVX-512VPOPCNTDQ at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn sweep_tile_avx512(
+        &self,
+        tile: &[TileLine],
+        cols: Range<usize>,
+        width: usize,
+        out: &mut [u64],
+    ) {
+        use std::arch::x86_64::*;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn load(line: &TileLine) -> __m512i {
+            // SAFETY: a `TileLine` is 64 bytes, 64-byte aligned.
+            unsafe { _mm512_load_si512(line.0.as_ptr() as *const __m512i) }
+        }
+        let lo = self.word_lo;
+        let store_mask = ((1u16 << cols.len()) - 1) as __mmask8;
+        let zero = _mm512_setzero_si512();
+        let mut acc = zero;
+        for r in 0..self.num_regions() {
+            // A child starts from its parent's counts, still in `acc`.
+            if !self.nested[r] {
+                acc = zero;
+            }
+            let (fs, fe) = (
+                self.full_offsets[r] as usize,
+                self.full_offsets[r + 1] as usize,
+            );
+            for (&start, &len) in self.full_starts[fs..fe].iter().zip(&self.full_lens[fs..fe]) {
+                let start = start as usize - lo;
+                for line in &tile[start..start + len as usize] {
+                    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(load(line)));
+                }
+            }
+            let (s, e) = (
+                self.run_offsets[r] as usize,
+                self.run_offsets[r + 1] as usize,
+            );
+            for (&block, &mask) in self.run_blocks[s..e].iter().zip(&self.run_masks[s..e]) {
+                let word = _mm512_and_si512(
+                    load(&tile[block as usize - lo]),
+                    _mm512_set1_epi64(mask as i64),
+                );
+                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(word));
+            }
+            let row = &mut out[r * width + cols.start..r * width + cols.end];
+            // SAFETY: `row` holds exactly the slots the mask selects.
+            unsafe { _mm512_mask_storeu_epi64(row.as_mut_ptr() as *mut i64, store_mask, acc) };
+        }
+    }
+
+    /// Never compiled on x86_64; the unreachable stub keeps the
+    /// dispatch total elsewhere (where `Avx512` is never resolved).
+    #[cfg(not(target_arch = "x86_64"))]
+    unsafe fn sweep_tile_avx512(&self, _: &[TileLine], _: Range<usize>, _: usize, _: &mut [u64]) {
+        unreachable!("avx512 kernel is x86_64-only")
     }
 
     /// Number of 64-bit label words the compiled positions span
@@ -511,7 +658,11 @@ impl BlockedMembership {
             self.num_label_words()
         );
         let (lo, hi) = (word_lo as u64, word_hi as u64);
-        let mut clipped = Self::empty(self.num_points);
+        let mut clipped = Self {
+            word_lo,
+            word_hi,
+            ..Self::empty(self.num_points)
+        };
         for r in 0..self.num_regions() {
             let mut n = match self.parent(r) {
                 Some(p) => clipped.region_n[p],
@@ -991,26 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_counts_match_the_pinned_scalar_loop() {
-        use crate::kernel::CountingKernel;
-        let m = membership_fixture();
-        let b = BlockedMembership::compile(&m).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(90);
-        let world = BitLabels::from_fn(b.num_points(), |_| rng.gen_bool(0.37));
-        for kernel in CountingKernel::ALL {
-            if !kernel.is_supported() {
-                continue;
-            }
-            let mut out = Vec::new();
-            b.count_all_into_with(&world, kernel, &mut out);
-            for (r, &counted) in out.iter().enumerate() {
-                assert_eq!(b.count_with(r, &world, kernel), b.count(r, &world));
-                assert_eq!(counted, b.count(r, &world), "kernel {kernel} region {r}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_counting_equals_per_world_counting() {
         use crate::kernel::CountingKernel;
         let m = membership_fixture();
@@ -1033,17 +1164,13 @@ mod tests {
                 let mut fused = Vec::new();
                 b.count_all_many_into(&views, kernel, &mut fused);
                 assert_eq!(fused.len(), b.num_regions() * batch);
-                let mut region_out = vec![0u64; batch];
                 for r in 0..b.num_regions() {
-                    b.count_many_into(r, &views, kernel, &mut region_out);
                     for (w, world) in worlds.iter().enumerate() {
-                        let expected = b.count(r, world);
                         assert_eq!(
                             fused[r * batch + w],
-                            expected,
+                            b.count(r, world),
                             "kernel {kernel} batch {batch} region {r} world {w}"
                         );
-                        assert_eq!(region_out[w], expected);
                     }
                 }
             }
@@ -1074,6 +1201,105 @@ mod tests {
             for r in 0..b.num_regions() {
                 for (w, world) in worlds.iter().enumerate() {
                     assert_eq!(summed[r * worlds.len() + w], b.count(r, world));
+                }
+            }
+        }
+    }
+
+    /// Ring-compiled nested squares followed by a 4×4 grid partition
+    /// over `n` random points: the two region families the tile sweeps,
+    /// in one compilation.
+    fn nested_and_partition_fixture(n: usize, seed: u64) -> BlockedMembership {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let points: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0)))
+            .collect();
+        let idx = BruteForceIndex::build(points, BitLabels::zeros(n));
+        let mut regions: Vec<Region> = Vec::new();
+        for centre in [Point::new(2.0, 2.0), Point::new(5.5, 4.0)] {
+            for side in [0.5, 1.5, 3.0, 5.0, 9.0] {
+                regions.push(Rect::square(centre, side).into());
+            }
+        }
+        for gx in 0..4 {
+            for gy in 0..4 {
+                let (x, y) = (2.0 * gx as f64, 2.0 * gy as f64);
+                regions.push(Rect::from_coords(x, y, x + 2.0, y + 2.0).into());
+            }
+        }
+        let m = Membership::build(&idx, n, &regions);
+        assert!((1..m.num_regions()).any(|r| m.parent(r).is_some()));
+        BlockedMembership::compile(&m).unwrap()
+    }
+
+    /// Every tile body this CPU runs, called directly on a filled tile
+    /// through the kernel dispatch, against the per-world reference
+    /// `count(r, world)`: every width 1..=8 (so the 1-, 2-, 4- and
+    /// 8-lane portable bodies), label lengths ≡ 0, 1 and 63 mod 64,
+    /// nested rings and partitions, and clipped views down to
+    /// single-word windows. The AVX-512 body is skipped on a CPU
+    /// without VPOPCNTDQ.
+    #[test]
+    fn avx512_and_portable_tile_agree() {
+        let kernels: Vec<CountingKernel> = CountingKernel::ALL
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(93);
+        for n in [640, 641, 703, 64, 65, 127] {
+            let b = nested_and_partition_fixture(n, n as u64);
+            let words = b.num_label_words();
+            let mut views = vec![b.clone()];
+            for shards in [3, words] {
+                views.extend(
+                    shard_word_bounds(words, shards)
+                        .into_iter()
+                        .map(|(lo, hi)| b.clip_to_words(lo, hi)),
+                );
+            }
+            for width in 1..=MAX_FUSED_WORLDS {
+                let worlds: Vec<BitLabels> = (0..width)
+                    .map(|_| {
+                        let rho = rng.gen_range(0.05..0.95);
+                        BitLabels::from_fn(n, |_| rng.gen_bool(rho))
+                    })
+                    .collect();
+                let refs: Vec<&BitLabels> = worlds.iter().collect();
+                for view in &views {
+                    let expected: Vec<u64> = (0..view.num_regions())
+                        .flat_map(|r| worlds.iter().map(move |world| view.count(r, world)))
+                        .collect();
+                    let mut tile = Vec::new();
+                    view.fill_tile(&mut tile, &refs);
+                    for &kernel in &kernels {
+                        let mut out = vec![0; expected.len()];
+                        view.sweep_tile(&tile, kernel, 0..width, width, &mut out);
+                        assert_eq!(out, expected, "{kernel}: n {n}, width {width}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A narrower lane group after a full one on the same thread: the
+    /// reused tile still holds the earlier worlds in lanes 3..8, and
+    /// every count of the narrow batch equals the per-world reference.
+    #[test]
+    fn stale_lanes_never_leak_into_a_narrower_batch() {
+        let b = nested_and_partition_fixture(703, 94);
+        let mut rng = ChaCha8Rng::seed_from_u64(95);
+        let worlds: Vec<BitLabels> = (0..MAX_FUSED_WORLDS)
+            .map(|_| BitLabels::from_fn(b.num_points(), |_| rng.gen_bool(0.9)))
+            .collect();
+        let refs: Vec<&BitLabels> = worlds.iter().collect();
+        for kernel in CountingKernel::ALL.into_iter().filter(|k| k.is_supported()) {
+            let mut out = Vec::new();
+            b.count_all_many_into(&refs, kernel, &mut out);
+            b.count_all_many_into(&refs[..3], kernel, &mut out);
+            assert_eq!(out.len(), b.num_regions() * 3);
+            for r in 0..b.num_regions() {
+                for (w, world) in refs[..3].iter().enumerate() {
+                    assert_eq!(out[r * 3 + w], b.count(r, world), "{kernel} region {r}");
                 }
             }
         }

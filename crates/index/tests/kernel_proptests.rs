@@ -1,14 +1,14 @@
-//! Kernel-equivalence property tests: every supported counting kernel
-//! must produce the pinned scalar loop's *exact* integer counts —
-//! counts are exact, so equivalence is equality, never tolerance.
+//! Kernel-equivalence property tests: the tile body of every supported
+//! counting kernel must produce the one-world reference count's
+//! *exact* integers — counts are exact, so equivalence is equality,
+//! never tolerance.
 //!
 //! The geometries are chosen adversarially for SIMD popcount paths:
 //! empty member lists, full-span lists (maximal dense ranges),
 //! non-64-aligned label tails (partial last words), single-word shard
 //! views (clips that degenerate every range), and dense vs sparse
-//! label sets (Harley–Seal's carry-save cascade must not care). The
-//! fused multi-world sweep is held to the same standard against the
-//! per-world path, batch by batch, on clipped views too.
+//! label sets. Batches run below, at and above the eight-lane tile,
+//! on clipped views too.
 
 use proptest::prelude::*;
 use sfindex::{shard_word_bounds, BitLabels, BlockedMembership, CountingKernel, MAX_FUSED_WORLDS};
@@ -73,27 +73,29 @@ fn arb_batch_case() -> impl Strategy<Value = (Vec<Vec<u32>>, Vec<BitLabels>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Per-region counts: every kernel equals the pinned scalar loop
-    /// on every region, single-region and whole-matrix entry points
-    /// alike.
+    /// Per-region counts of one world: the reference equals an id-by-id
+    /// gather of each list, and every kernel's one-lane tile equals the
+    /// reference on every region.
     #[test]
     fn kernels_equal_the_scalar_reference((lists, labels) in arb_case()) {
         let n = labels.len();
         let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
         let blocked = BlockedMembership::from_lists(refs.iter().copied(), n).unwrap();
+        let mut all = Vec::new();
+        blocked.count_all_into(&labels, &mut all);
+        for (r, list) in lists.iter().enumerate() {
+            prop_assert_eq!(blocked.count(r, &labels), labels.count_at(list));
+            prop_assert_eq!(all[r], labels.count_at(list));
+        }
         for kernel in supported_kernels() {
-            for r in 0..lists.len() {
+            blocked.count_all_many_into(&[&labels], kernel, &mut all);
+            for (r, &counted) in all.iter().enumerate() {
                 prop_assert_eq!(
-                    blocked.count_with(r, &labels, kernel),
+                    counted,
                     blocked.count(r, &labels),
                     "kernel {} diverged on region {} (n={})",
                     kernel, r, n
                 );
-            }
-            let mut all = Vec::new();
-            blocked.count_all_into_with(&labels, kernel, &mut all);
-            for (r, &counted) in all.iter().enumerate() {
-                prop_assert_eq!(counted, blocked.count(r, &labels));
             }
         }
     }
@@ -111,34 +113,27 @@ proptest! {
         let blocked = BlockedMembership::from_lists(refs.iter().copied(), n).unwrap();
         let world_refs: Vec<&BitLabels> = worlds.iter().collect();
         for kernel in supported_kernels() {
-            let mut fused = vec![0u64; world_refs.len()];
+            let mut matrix = Vec::new();
+            blocked.count_all_many_into(&world_refs, kernel, &mut matrix);
             for r in 0..lists.len() {
-                blocked.count_many_into(r, &world_refs, kernel, &mut fused);
                 for (w, world) in world_refs.iter().enumerate() {
                     prop_assert_eq!(
-                        fused[w],
+                        matrix[r * world_refs.len() + w],
                         blocked.count(r, world),
                         "kernel {} fused count diverged: region {}, world {}",
                         kernel, r, w
                     );
                 }
             }
-            let mut matrix = Vec::new();
-            blocked.count_all_many_into(&world_refs, kernel, &mut matrix);
-            for r in 0..lists.len() {
-                for (w, world) in world_refs.iter().enumerate() {
-                    prop_assert_eq!(matrix[r * world_refs.len() + w], blocked.count(r, world));
-                }
-            }
         }
     }
 
     /// Clipped shard views: per-shard partials summed in shard order
-    /// equal the unsharded count for every kernel and every shard
-    /// granularity, down to single-word shards (every dense range
-    /// degenerates to at most one word per view — the hardest case
-    /// for a kernel that wants long runs). The fused sweep is held to
-    /// the same sum on the same views.
+    /// equal the unsharded count for every shard granularity, down to
+    /// single-word shards (every dense range degenerates to at most one
+    /// word per view — the hardest case for a kernel that wants long
+    /// runs). Every kernel's tile is held to the same sum on the same
+    /// views.
     #[test]
     fn clipped_views_sum_to_unsharded_counts((lists, labels) in arb_case()) {
         let n = labels.len();
@@ -151,19 +146,16 @@ proptest! {
                 .into_iter()
                 .map(|(lo, hi)| blocked.clip_to_words(lo, hi))
                 .collect();
+            for r in 0..lists.len() {
+                let total: u64 = views.iter().map(|v| v.count(r, &labels)).sum();
+                prop_assert_eq!(
+                    total,
+                    blocked.count(r, &labels),
+                    "sharded sum diverged: region {}, {} shards",
+                    r, k
+                );
+            }
             for kernel in supported_kernels() {
-                for r in 0..lists.len() {
-                    let total: u64 = views
-                        .iter()
-                        .map(|v| v.count_with(r, &labels, kernel))
-                        .sum();
-                    prop_assert_eq!(
-                        total,
-                        blocked.count(r, &labels),
-                        "kernel {} sharded sum diverged: region {}, {} shards",
-                        kernel, r, k
-                    );
-                }
                 // Fused across the same views.
                 let world_refs = [&labels, &labels];
                 let mut matrix = Vec::new();
@@ -178,7 +170,9 @@ proptest! {
                     for w in 0..world_refs.len() {
                         prop_assert_eq!(
                             totals[r * world_refs.len() + w],
-                            blocked.count(r, &labels)
+                            blocked.count(r, &labels),
+                            "kernel {} sharded sum diverged: region {}, {} shards",
+                            kernel, r, k
                         );
                     }
                 }
@@ -196,12 +190,14 @@ fn single_word_shards_cover_the_unaligned_tail() {
     let blocked = BlockedMembership::from_lists([ids.as_slice()].into_iter(), n).unwrap();
     let labels = BitLabels::from_fn(n, |i| i % 3 == 0);
     assert_eq!(blocked.num_label_words(), 3);
+    let mut out = Vec::new();
     for kernel in supported_kernels() {
         let total: u64 = (0..3)
             .map(|w| {
                 blocked
                     .clip_to_words(w, w + 1)
-                    .count_with(0, &labels, kernel)
+                    .count_all_many_into(&[&labels], kernel, &mut out);
+                out[0]
             })
             .sum();
         assert_eq!(total, blocked.count(0, &labels), "kernel {kernel}");

@@ -170,26 +170,18 @@ proptest! {
         for (world, want) in worlds.iter().zip(&expected) {
             for (r, &p) in want.iter().enumerate() {
                 prop_assert_eq!(masks.count(r, world), p, "region {}", r);
-                for &kernel in &kernels {
-                    prop_assert_eq!(masks.count_with(r, world, kernel), p, "{} {}", kernel, r);
-                }
             }
-            for &kernel in &kernels {
-                masks.count_all_into_with(world, kernel, &mut out);
-                prop_assert_eq!(&out, want, "{}", kernel);
-            }
+            masks.count_all_into(world, &mut out);
+            prop_assert_eq!(&out, want);
         }
         // Fused widths 1..=9 cross the MAX_FUSED_WORLDS sweep boundary.
         for width in 1..=worlds.len() {
             let refs: Vec<&BitLabels> = worlds[..width].iter().collect();
             for &kernel in &kernels {
                 masks.count_all_many_into(&refs, kernel, &mut out);
-                let mut one = vec![0u64; width];
                 for r in 0..regions.len() {
-                    masks.count_many_into(r, &refs, kernel, &mut one);
                     for w in 0..width {
                         prop_assert_eq!(out[r * width + w], expected[w][r], "width {} region {}", width, r);
-                        prop_assert_eq!(one[w], expected[w][r], "width {} region {}", width, r);
                     }
                 }
             }

@@ -274,9 +274,9 @@ pub struct AuditConfig {
     /// on pre-sharding wire payloads, which decode as [`Shards::Auto`].
     pub shards: Shards,
     /// Counting-kernel selection for the blocked popcnt sweeps (see
-    /// [`KernelSelect`]): the pinned scalar reference, the portable
-    /// unrolled loop, runtime-dispatched AVX2/AVX-512, or `Auto`
-    /// (best detected + self-probed). Kernels produce bit-identical
+    /// [`KernelSelect`]): which body of the eight-world counting tile
+    /// runs — the portable lane loop, runtime-dispatched AVX2/AVX-512,
+    /// or `Auto` (best detected + self-probed). Kernels produce bit-identical
     /// integer counts, so this knob — like `shards` and `parallel` —
     /// is pure performance; absent on pre-kernel wire payloads, which
     /// decode as [`KernelSelect::Auto`].

@@ -434,11 +434,11 @@ impl<I: CountingSubstrate> ScanEngine<I> {
 
     /// Selects the popcount kernel the mask sweeps run on (see
     /// [`KernelSelect`]): `Auto` resolves to the best kernel the CPU
-    /// supports (verified by a build-time probe against the scalar
-    /// reference), explicit SIMD selections degrade down the ladder
-    /// when the feature is missing. Counts are exact integers under
-    /// every kernel, so every selection is bit-identical — this knob
-    /// moves only throughput. No-op for requery engines.
+    /// supports (its tile body verified by a one-time probe against
+    /// the one-world reference), explicit SIMD selections degrade down
+    /// the ladder when the feature is missing. Counts are exact
+    /// integers under every kernel, so every selection is bit-identical
+    /// — this knob moves only throughput. No-op for requery engines.
     pub fn with_kernel(mut self, select: KernelSelect) -> Self {
         self.kernel = select.resolve();
         self
@@ -829,14 +829,15 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// pass serves every direction. How the matrix is filled depends
     /// on the counting strategy:
     ///
-    /// * engines built from membership lists count all `W` worlds per
+    /// * engines built from membership lists count the worlds eight per
     ///   pass over the ring masks
-    ///   ([`BlockedMembership::count_all_many_into`]): each run's
-    ///   `(block, mask)` pair is loaded once and ANDed against every
-    ///   world's block. With `fine` set on an engine with more than one
-    ///   shard, one rayon task per shard runs that sweep over its
-    ///   clipped CSR view and the exact integer partials are summed in
-    ///   shard order. Each region's count is its parent's count plus
+    ///   ([`BlockedMembership::count_all_many_into`]): each lane group
+    ///   is transposed into a tile of one 64-byte line per label word,
+    ///   and each run costs one line for all eight worlds. With `fine`
+    ///   set on an engine with more than one shard, one rayon task per
+    ///   shard runs that sweep over its clipped CSR view (whose tile
+    ///   holds only its own word window) and the exact integer partials
+    ///   are summed in shard order. Each region's count is its parent's count plus
     ///   its ring's (see *Containment-delta counting* in the module
     ///   docs);
     /// * requery engines query world by world.

@@ -20,7 +20,7 @@
 //!    positives are replayed against every member request's direction.
 //! 3. **execute** — [`PreparedAudit::execute`] walks each group's
 //!    shared world stream in spans chosen by
-//!    [`BudgetScheduler`](sfstats::montecarlo::BudgetScheduler):
+//!    [`sfstats::montecarlo::BudgetScheduler`]:
 //!    every span ends at the nearest early-stop checkpoint of any
 //!    still-contested request, so worlds freed by futility/certainty
 //!    stops are spent only on requests whose verdicts are still open.
@@ -35,7 +35,7 @@
 //! model)`; every world is scored by the same fold
 //! ([`ScanEngine::fold_counts`], behind [`ScanEngine::eval`]); and the
 //! stopping rule is replayed by the same
-//! [`WorldLane`](sfstats::montecarlo::WorldLane) a standalone adaptive
+//! [`sfstats::montecarlo::WorldLane`] a standalone adaptive
 //! run uses. The cross-checks live in the
 //! `serve_equivalence` proptests.
 

@@ -138,8 +138,10 @@ pub fn audit_rates(config: &AuditConfig, data: &CellCounts) -> Result<RateReport
 /// share every sampled world: each world's counts are drawn **once**
 /// and scored per distinct request direction (`null_model` does not
 /// apply to rate audits and is ignored). Per-request early stopping is
-/// replayed on [`WorldLane`]s over the shared stream, with
-/// [`BudgetScheduler`] spans reallocating worlds freed by futility
+/// replayed on [`WorldLane`](sfstats::montecarlo::WorldLane)s over the
+/// shared stream, with
+/// [`BudgetScheduler`](sfstats::montecarlo::BudgetScheduler) spans
+/// reallocating worlds freed by futility
 /// stops to still-contested requests — the same machinery the
 /// Bernoulli serving layer uses, so every report is bit-identical to
 /// running its request alone.

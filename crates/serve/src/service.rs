@@ -190,7 +190,7 @@ impl From<ScanError> for SubmitError {
 /// Cumulative serving statistics across every executed batch, every
 /// handle. Counters are `u64` end-to-end — absorbed from
 /// [`BatchStats`](sfscan::BatchStats) without a single cast — and the
-/// [`Display`] form is the one-line summary `experiments serve` prints.
+/// [`Display`](std::fmt::Display) form is the one-line summary `experiments serve` prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Requests served over the service's lifetime.

@@ -209,7 +209,7 @@ pub enum ErrorCode {
     /// ([`SubmitError::UnknownHandle`]).
     UnknownHandle,
     /// The request decoded but failed validation
-    /// ([`SubmitError::Invalid`]).
+    /// ([`SubmitError::InvalidRequest`]).
     InvalidRequest,
     /// The line was not a decodable envelope
     /// ([`SubmitError::Malformed`]).
