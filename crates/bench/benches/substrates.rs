@@ -1,5 +1,5 @@
-//! Substrate performance: k-means, random forest, summed-area tables,
-//! membership construction.
+//! Substrate performance: k-means, random forest, membership
+//! construction.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -8,7 +8,7 @@ use sfbench::{clustered_points, small_lar};
 use sfcluster::{KMeans, KMeansConfig};
 use sfdata::crime::{CrimeConfig, CrimeData};
 use sfgeo::UniformGrid;
-use sfindex::{IndexBackend, KdTree, Membership, Substrate, SummedAreaTable};
+use sfindex::{IndexBackend, KdTree, Membership, Substrate};
 use sfml::RandomForestConfig;
 use sfscan::RegionSet;
 
@@ -43,16 +43,6 @@ fn bench(c: &mut Criterion) {
         100,
         50,
     );
-    g.bench_function("summed_area_table_build_50k_points_100x50", |b| {
-        b.iter(|| {
-            black_box(SummedAreaTable::build(
-                black_box(&points),
-                black_box(&labels),
-                grid.clone(),
-            ))
-        })
-    });
-
     let alias = sfstats::alias::AliasTable::new(&(1..=400).map(|i| i as f64).collect::<Vec<_>>());
     g.bench_function("alias_multinomial_100k_draws_400_cells", |b| {
         let mut i = 0u64;

@@ -430,6 +430,10 @@ impl BlockedMembership {
     /// per-lane sums are independent integer folds, so neither the tile
     /// nor the kernel can change them.
     ///
+    /// `out` is resized to `regions × worlds.len()` and every slot is
+    /// stored, so a reused buffer is not cleared first: its stale
+    /// values are overwritten, never read or added to.
+    ///
     /// # Panics
     /// Panics if any world's length disagrees with the compiled point
     /// count.
@@ -447,7 +451,6 @@ impl BlockedMembership {
             );
         }
         let width = worlds.len();
-        out.clear();
         out.resize(self.num_regions() * width, 0);
         with_tile_scratch(|tile| {
             for (group, worlds) in worlds.chunks(MAX_FUSED_WORLDS).enumerate() {
@@ -1230,6 +1233,51 @@ mod tests {
         let m = Membership::build(&idx, n, &regions);
         assert!((1..m.num_regions()).any(|r| m.parent(r).is_some()));
         BlockedMembership::compile(&m).unwrap()
+    }
+
+    /// A reused `out` full of stale values, longer, shorter or as long
+    /// as the matrix, comes back as the fresh matrix: every kernel,
+    /// widths 1 to 20 (one, two and three lane groups), the whole
+    /// compilation and its clipped views.
+    #[test]
+    fn count_all_many_into_overwrites_a_stale_buffer() {
+        let kernels: Vec<CountingKernel> = CountingKernel::ALL
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(94);
+        let n = 641;
+        let b = nested_and_partition_fixture(n, 7);
+        let words = b.num_label_words();
+        let mut views = vec![b.clone()];
+        views.extend(
+            shard_word_bounds(words, 3)
+                .into_iter()
+                .map(|(lo, hi)| b.clip_to_words(lo, hi)),
+        );
+        for width in 1..=20 {
+            let worlds: Vec<BitLabels> = (0..width)
+                .map(|_| BitLabels::from_fn(n, |_| rng.gen_bool(0.4)))
+                .collect();
+            let refs: Vec<&BitLabels> = worlds.iter().collect();
+            for view in &views {
+                let expected: Vec<u64> = (0..view.num_regions())
+                    .flat_map(|r| worlds.iter().map(move |world| view.count(r, world)))
+                    .collect();
+                for &kernel in &kernels {
+                    for stale_len in [
+                        0,
+                        expected.len() / 2,
+                        expected.len(),
+                        2 * expected.len() + 3,
+                    ] {
+                        let mut out = vec![u64::MAX; stale_len];
+                        view.count_all_many_into(&refs, kernel, &mut out);
+                        assert_eq!(out, expected, "{kernel}: width {width}, stale {stale_len}");
+                    }
+                }
+            }
+        }
     }
 
     /// Every tile body this CPU runs, called directly on a filled tile

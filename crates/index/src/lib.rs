@@ -13,8 +13,6 @@
 //!
 //! Alongside the index:
 //!
-//! * [`SummedAreaTable`] — `O(1)` *exact* counts for grid-aligned cell
-//!   ranges (the paper's §4.2 grid partitionings).
 //! * [`Membership`] — precomputed region→member-id lists that make the
 //!   Monte Carlo loop cheap: `n(R)` never changes across worlds, so
 //!   each world only recounts `p(R)` against a fresh label bitset —
@@ -54,7 +52,6 @@ pub mod kdtree;
 pub mod kernel;
 pub mod labels;
 pub mod membership;
-pub mod sat;
 pub mod substrate;
 
 pub use blocked::{
@@ -65,7 +62,6 @@ pub use kdtree::KdTree;
 pub use kernel::{CountingKernel, KernelSelect, ParseKernelError};
 pub use labels::BitLabels;
 pub use membership::Membership;
-pub use sat::SummedAreaTable;
 pub use substrate::{CountingSubstrate, IndexBackend, ParseBackendError, Substrate};
 
 use sfgeo::Region;

@@ -18,11 +18,6 @@
 //! indexes tried (quad-tree, R-tree, uniform grid) and 3–8× faster
 //! than brute force (see the README's "Picking an index backend").
 //!
-//! [`SummedAreaTable`](crate::SummedAreaTable) is deliberately *not* a
-//! substrate: it only answers grid-aligned cell ranges and cannot
-//! enumerate member ids, so it keeps its specialized role in
-//! partition-based pipelines.
-//!
 //! Both substrates are exact — they differ in build and query cost
 //! only, never in results. The differential proptests in this crate
 //! and the cross-backend audit tests in `sfscan` hold them to

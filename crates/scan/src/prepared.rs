@@ -52,6 +52,7 @@ use serde::{Deserialize, Serialize};
 use sfindex::{BitLabels, Substrate, MAX_FUSED_WORLDS};
 use sfstats::montecarlo::{BudgetScheduler, McStrategy, MonteCarloResult, WorldLane};
 use sfstats::rng::world_rng;
+use std::sync::OnceLock;
 
 /// Largest Monte Carlo budget [`AuditRequest::validate`] accepts. A
 /// request's simulated worlds are allocated up front, so an unbounded
@@ -491,7 +492,13 @@ pub struct PreparedAudit {
     n_total: u64,
     p_total: u64,
     rate: f64,
+    /// The real labels' scan per (statistic, direction), filled on
+    /// first use (see [`PreparedAudit::real_scan`]).
+    reals: [OnceLock<RealScan>; REAL_SCANS],
 }
+
+/// One real-data scan slot per (statistic, direction).
+const REAL_SCANS: usize = Statistic::ALL.len() * Direction::ALL.len();
 
 impl std::fmt::Debug for PreparedAudit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -549,7 +556,18 @@ impl PreparedAudit {
             n_total: outcomes.len() as u64,
             p_total: outcomes.positives(),
             rate: outcomes.rate(),
+            reals: Default::default(),
         })
+    }
+
+    /// The real labels' scan under `statistic` in `direction`. The real
+    /// labels never change, so it is computed on the first request
+    /// that needs it, not in [`PreparedAudit::prepare`], and every later
+    /// request reads the same scan. It still counts the full member
+    /// lists, so it stays the independent check on the world sweep.
+    fn real_scan(&self, statistic: Statistic, direction: Direction) -> &RealScan {
+        let slot = statistic as usize * Direction::ALL.len() + direction.ordinal();
+        self.reals[slot].get_or_init(|| self.engine.scan_real_with(statistic, direction))
     }
 
     /// The base config requests are completed against.
@@ -768,8 +786,8 @@ impl PreparedAudit {
         (reports, stats)
     }
 
-    /// Executes one world-sharing group: scans the real world once per
-    /// distinct direction, then walks the shared world stream through
+    /// Executes one world-sharing group: reads the real scan of each
+    /// distinct member direction, then walks the shared world stream through
     /// [`run_world_group`] — replaying the class's cached prefix first,
     /// simulating the rest — folding each world's per-region counts
     /// into every member lane that still needs it. Pure with respect
@@ -791,21 +809,19 @@ impl PreparedAudit {
         let eval_dirs = &resume.eval_dirs;
         let lane_dirs = member_direction_indices(plan.requests(), &group.members, eval_dirs);
         // Real-world scans are direction-dependent but request-invariant:
-        // one per direction some member actually uses, shared across the
-        // group. Cache-carried directions no member requests this batch
-        // get no scan (worlds still evaluate them — the cheap LLR fold —
-        // to keep cached rows column-complete); their observed slot is
-        // NaN and, by construction, never read.
-        let mut reals: Vec<Option<RealScan>> = Vec::new();
-        reals.resize_with(eval_dirs.len(), || None);
+        // one per direction some member actually uses, kept in the
+        // prepared audit for every later request. Cache-carried
+        // directions no member requests this batch get no scan (worlds
+        // still evaluate them — the cheap LLR fold — to keep cached
+        // rows column-complete); their observed slot is NaN and, by
+        // construction, never read.
+        let mut reals: Vec<Option<&RealScan>> = vec![None; eval_dirs.len()];
         for &di in &lane_dirs {
-            if reals[di].is_none() {
-                reals[di] = Some(self.engine.scan_real_with(group.statistic, eval_dirs[di]));
-            }
+            reals[di] = Some(self.real_scan(group.statistic, eval_dirs[di]));
         }
         let observed: Vec<f64> = reals
             .iter()
-            .map(|r| r.as_ref().map_or(f64::NAN, |real| real.tau))
+            .map(|r| r.map_or(f64::NAN, |real| real.tau))
             .collect();
         // `fine` is the work-splitter's axis choice (see
         // [`run_world_group`]): when a span holds fewer worlds than
@@ -873,7 +889,7 @@ impl PreparedAudit {
             let request = &plan.requests()[ri];
             lane_worlds += result.worlds_evaluated as u64;
             budget_total += request.worlds as u64;
-            let real = reals[di].as_ref().expect("member directions are scanned");
+            let real = reals[di].expect("member directions are scanned");
             let p_value = result.p_value();
             let critical_value = result.critical_value(request.alpha);
             reports.push((
@@ -1223,6 +1239,34 @@ mod tests {
             stats.worlds_shared() > 0,
             "same-class requests must share worlds: {stats:?}"
         );
+    }
+
+    /// The real scan is computed on first use, never in `prepare`, and
+    /// a repeated request, alone or in a batch with another seed, gets
+    /// the report of a cold `Auditor::audit` under every statistic and
+    /// direction.
+    #[test]
+    fn repeated_requests_match_cold_audits_for_every_statistic_and_direction() {
+        let o = outcomes(900, 4, true);
+        let rs = grid();
+        let prepared = PreparedAudit::prepare(&o, &rs, base()).unwrap();
+        assert!(prepared.reals.iter().all(|slot| slot.get().is_none()));
+        for statistic in Statistic::ALL {
+            for direction in Direction::ALL {
+                let request = AuditRequest::from_config(&base())
+                    .with_worlds(19)
+                    .with_direction(direction)
+                    .with_statistic(statistic);
+                let cold = Auditor::new(request.apply_to(base()))
+                    .audit(&o, &rs)
+                    .unwrap();
+                let first = prepared.run(&request);
+                let again = prepared.run_batch(&[request.with_seed(8), request]);
+                assert_eq!(first, cold, "{statistic} {direction:?}");
+                assert_eq!(again[1], cold, "{statistic} {direction:?}, repeated");
+            }
+        }
+        assert!(prepared.reals.iter().all(|slot| slot.get().is_some()));
     }
 
     #[test]

@@ -41,7 +41,10 @@
 //! for every requested direction, with the same bits as the
 //! `max`-of-`score` loop. Its input is the region-major count matrix
 //! `counts[r·W + w]`, so one region's counts under `W` worlds are
-//! contiguous. For the two LLR statistics:
+//! contiguous. (`sfscan`'s engine keeps that matrix in a per-thread
+//! buffer that it reuses without re-zeroing: the mask sweep stores
+//! every slot. On the paper's 2,000 squares one lane group's matrix is
+//! 128 KB.) For the two LLR statistics:
 //!
 //! * **Eight worlds per region row.** Worlds are folded in lane groups
 //!   of [`FOLD_LANES`] (the last group may be shorter). A group's
@@ -61,9 +64,10 @@
 //!   `High` slots, `d < 0` to `TwoSided` and `Low`. When `N² ≤ 2^53`
 //!   every product in `d` is an integer below `2^53`, so `d` is exact
 //!   in `f64`, and on x86_64 the row pass runs in SSE2, two lanes per
-//!   instruction. Larger worlds, and other targets, take `d` in `u64`,
-//!   or `u128` when a product overflows; both passes give the same
-//!   result, bit for bit. Division rounding is monotone, so the float
+//!   instruction, or in AVX-512, eight (below). Larger worlds, and
+//!   other targets, take `d` in `u64`, or `u128` when a product
+//!   overflows; every pass gives the same result, bit for bit.
+//!   Division rounding is monotone, so the float
 //!   rates `llr` compares can tie but never cross the exact order; the
 //!   fold keeps `llr`'s float `rate_in == rate_out` check, so a tie
 //!   (possible once `N ≥ 2^27`) still scores zero everywhere.
@@ -79,6 +83,18 @@
 //!      compared against the floor without a division, in every lane.
 //!   2. For the lanes that pass, the tighter second-order bound below,
 //!      which is about `X²/2` near the null.
+//! * **One zmm register per row.** Where the CPU has AVX-512F and
+//!   AVX-512DQ (detected once per call; there is no knob), the
+//!   `f64`-exact fold runs a second body: a group's `P`, `N²`,
+//!   `P·(N−P)` and screen scale sit in zmm registers, and each row is
+//!   one masked 512-bit load and one `vcvtqq2pd` conversion, then the
+//!   validity flags, the `X²` screen and the second bound for all
+//!   eight lanes at once. Its float operations are the SSE2 pass's and
+//!   the scalar second bound's, in the same order and without FMA, so
+//!   both bodies flag, pass and skip the same lanes; only lanes that
+//!   pass both bounds reach the scalar rate check and the logs. The
+//!   SSE2 body stays for x86_64 CPUs without AVX-512F/DQ, and the
+//!   integer pass is the oracle both are tested against.
 //!
 //! ## The second bound
 //!
@@ -305,9 +321,9 @@ fn mean_residual(c: &Counts2x2, direction: Direction) -> f64 {
 pub const FOLD_LANES: usize = 8;
 
 /// The largest world size `N` whose deviation [`fold_matrix`] takes in
-/// `f64` (its row pass in SSE2 on x86_64): `⌊√(2^53)⌋`, so `N² ≤ 2^53`
-/// and the products `p·N` and `n·P` of any valid counts are integers
-/// that `f64` holds exactly.
+/// `f64` (its row pass in SSE2 or AVX-512 on x86_64): `⌊√(2^53)⌋`, so
+/// `N² ≤ 2^53` and the products `p·N` and `n·P` of any valid counts are
+/// integers that `f64` holds exactly.
 pub const F64_EXACT_MAX_N: u64 = 94_906_265;
 
 /// Relative slack on both computed bounds in the fold's skip tests:
@@ -342,6 +358,37 @@ pub fn fold_matrix(
     directions: &[Direction],
     out: &mut [f64],
 ) {
+    fold_matrix_with(
+        true, statistic, n_total, region_n, p_worlds, counts, directions, out,
+    );
+}
+
+/// Whether this CPU can run the zmm row pass (AVX-512F and -DQ).
+fn zmm_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`fold_matrix`], with the zmm body of the `f64`-exact LLR fold
+/// allowed only where `zmm` is set and the CPU has it; both bodies
+/// give the same bits.
+#[allow(clippy::too_many_arguments)]
+fn fold_matrix_with(
+    zmm: bool,
+    statistic: Statistic,
+    n_total: u64,
+    region_n: &[u64],
+    p_worlds: &[u64],
+    counts: &[u64],
+    directions: &[Direction],
+    out: &mut [f64],
+) {
     let width = p_worlds.len();
     let stride = directions.len();
     assert_eq!(
@@ -362,10 +409,17 @@ pub fn fold_matrix(
         width,
         directions,
     };
+    let zmm = zmm && zmm_supported();
     for (g, p_group) in p_worlds.chunks(FOLD_LANES).enumerate() {
         let w0 = g * FOLD_LANES;
         let tau = &mut out[w0 * stride..(w0 + p_group.len()) * stride];
         match statistic {
+            Statistic::BernoulliLlr | Statistic::EqualOppTpr
+                if zmm && n_total <= F64_EXACT_MAX_N =>
+            {
+                // SAFETY: `zmm_supported` detected AVX-512F and -DQ.
+                unsafe { matrix.fold_llr_zmm(w0, p_group, tau) }
+            }
             Statistic::BernoulliLlr | Statistic::EqualOppTpr if n_total <= F64_EXACT_MAX_N => {
                 matrix.fold_llr::<true>(w0, p_group, tau)
             }
@@ -427,31 +481,15 @@ impl Matrix<'_> {
     /// worlds from `w0` with positive totals `p_group`; `tau` holds
     /// their slots, zeroed. With `F64_EXACT` (`N ≤ F64_EXACT_MAX_N`)
     /// the deviation is taken in `f64` (the row pass in SSE2 on
-    /// x86_64), otherwise in integers.
+    /// x86_64; see `fold_llr_zmm` for the AVX-512 body), otherwise in
+    /// integers.
     fn fold_llr<const F64_EXACT: bool>(&self, w0: usize, p_group: &[u64], tau: &mut [f64]) {
-        let (big_n, directions) = (self.n_total, self.directions);
-        let stride = directions.len();
+        let big_n = self.n_total;
         let lanes = p_group.len();
-        let active = u8::MAX >> (FOLD_LANES - lanes);
         let nn = big_n as f64;
         let nn2 = nn * nn;
-        // Per-world constants, one lane each; padding lanes hold P = 0
-        // and never survive the `active` mask.
-        let mut big_p = [0u64; FOLD_LANES];
-        big_p[..lanes].copy_from_slice(p_group);
-        let pp = big_p.map(|p| p as f64);
-        let l0 = big_p.map(|p| null_log_likelihood(big_n, p));
-        let margin = l0.map(|l0| llr_rounding_margin(l0, nn));
-        let pq = big_p.map(|p| product(p, big_n.wrapping_sub(p)));
-        let p_invalid = p_group.iter().any(|&p| p > big_n);
-        let mut floors = Floors {
-            reach: [[f64::INFINITY; FOLD_LANES]; 2],
-            limit: [[f64::INFINITY; FOLD_LANES]; 2],
-        };
-        for l in 0..lanes {
-            let slots = &tau[l * stride..(l + 1) * stride];
-            floors.set(l, directions, slots, margin[l], pq[l]);
-        }
+        let mut group = LlrGroup::new(big_n, self.directions, p_group, tau);
+        let (big_p, pp, pq) = (group.big_p, group.pp, group.pq);
         for (r, &n_r) in self.region_n.iter().enumerate() {
             if n_r == 0 {
                 continue;
@@ -459,20 +497,16 @@ impl Matrix<'_> {
             let row = self.row(r, w0, lanes);
             // Every lane at once: Counts2x2::new's rules, and the X²
             // screen against each lane's limit.
+            let limit = &group.floors.limit;
             let (invalid, passed) = match () {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: SSE2 is part of the x86_64 baseline, so every
                 // CPU this code runs on has it.
-                () if F64_EXACT => unsafe { screen_f64(&row, n_r, big_n, &pp, &floors.limit) },
-                _ => screen_integers(&row, n_r, big_n, &big_p, &floors.limit),
+                () if F64_EXACT => unsafe { screen_f64(&row, n_r, big_n, &pp, limit) },
+                _ => screen_integers(&row, n_r, big_n, &big_p, limit),
             };
-            if invalid || p_invalid {
-                // Counts2x2::new's own checks, lane by lane, raise its
-                // message.
-                for (&p_r, &p_world) in row.iter().zip(p_group) {
-                    Counts2x2::new(n_r, p_r, big_n, p_world);
-                }
-                unreachable!("Counts2x2::new accepts every lane of a row it rejects");
+            if invalid || group.p_invalid {
+                group.reject(n_r, &row);
             }
             if n_r == big_n {
                 continue;
@@ -481,7 +515,7 @@ impl Matrix<'_> {
             let (n, n_out) = (n_r as f64, n_out_r as f64);
             // The lanes that pass meet the second bound, then the
             // rate check and the logs, in lane order.
-            let mut survivors = passed & active;
+            let mut survivors = passed & group.active;
             while survivors != 0 {
                 let l = survivors.trailing_zeros() as usize;
                 survivors &= survivors - 1;
@@ -505,29 +539,167 @@ impl Matrix<'_> {
                     )
                 };
                 let bound = second_bound(d, n, n_out, nn2, pq[l], pq_in, pq_out);
-                if second_bound_skips(bound, floors.reach[usize::from(low)][l]) {
+                if second_bound_skips(bound, group.floors.reach[usize::from(low)][l]) {
                     continue;
                 }
-                // The LLR's own arithmetic, as `bernoulli_llr_directed`
-                // runs it.
-                let p = row[l] as f64;
-                let (n_out, p_out) = (nn - n, pp[l] - p);
-                if p / n == p_out / n_out {
-                    continue;
-                }
-                let score = llr_given_null(n, p, n_out, p_out, l0[l]);
-                let slots = &mut tau[l * stride..(l + 1) * stride];
-                let mut raised = false;
-                for (t, &direction) in slots.iter_mut().zip(directions) {
-                    if feeds(direction, low) && score > *t {
-                        *t = score;
-                        raised = true;
-                    }
-                }
-                if raised {
-                    floors.set(l, directions, slots, margin[l], pq[l]);
-                }
+                group.score(l, n_r, row[l], low);
             }
+        }
+    }
+
+    /// `fold_llr::<true>` with each region row in zmm registers: one
+    /// masked 512-bit load and one `vcvtqq2pd` per row, then
+    /// [`screen_zmm`] and [`second_bound_skips_zmm`] over all eight
+    /// lanes. Only lanes that pass both bounds reach the scalar rate
+    /// check and the logs, in lane order. Every float operation is the
+    /// scalar body's, in the same order and without FMA, so the two
+    /// bodies give the same bits.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and AVX-512DQ at runtime, and `N ≤
+    /// F64_EXACT_MAX_N`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn fold_llr_zmm(&self, w0: usize, p_group: &[u64], tau: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let big_n = self.n_total;
+        debug_assert!(big_n <= F64_EXACT_MAX_N);
+        let lanes = p_group.len();
+        let mut group = LlrGroup::new(big_n, self.directions, p_group, tau);
+        let active = group.active;
+        let consts = ZmmConsts::new(big_n, &group.pp, &group.pq);
+        for (r, &n_r) in self.region_n.iter().enumerate() {
+            if n_r == 0 {
+                continue;
+            }
+            let start = r * self.width + w0;
+            let row = &self.counts[start..start + lanes];
+            // SAFETY: `active` selects exactly the `lanes` counts of
+            // `row`; masked-off lanes read nothing and load as 0.
+            let counts = unsafe { _mm512_maskz_loadu_epi64(active, row.as_ptr().cast()) };
+            let screen = screen_zmm(counts, n_r, big_n, &consts, &group.floors.limit);
+            if screen.invalid || group.p_invalid {
+                group.reject(n_r, &self.row(r, w0, lanes));
+            }
+            if n_r == big_n {
+                continue;
+            }
+            let passed = screen.passed & active;
+            if passed == 0 {
+                continue;
+            }
+            let skips = second_bound_skips_zmm(&screen, n_r, big_n, &consts, &group.floors.reach);
+            let mut survivors = passed & !skips;
+            while survivors != 0 {
+                let l = survivors.trailing_zeros() as usize;
+                survivors &= survivors - 1;
+                group.score(l, n_r, row[l], screen.low & (1 << l) != 0);
+            }
+        }
+    }
+
+    /// Never compiled on x86_64; the unreachable stub keeps the
+    /// dispatch total elsewhere (where `zmm_supported` is false).
+    #[cfg(not(target_arch = "x86_64"))]
+    unsafe fn fold_llr_zmm(&self, _: usize, _: &[u64], _: &mut [f64]) {
+        unreachable!("the zmm row pass is x86_64-only")
+    }
+}
+
+/// One LLR lane group: its worlds' constants, side floors and `τ`
+/// slots, which both LLR bodies read and raise alike.
+struct LlrGroup<'a> {
+    big_n: u64,
+    directions: &'a [Direction],
+    /// `tau[l * D..(l + 1) * D]` are lane `l`'s slots.
+    tau: &'a mut [f64],
+    /// The group's lanes as a bit mask; padding lanes hold `P = 0`.
+    active: u8,
+    /// Whether some world's `P` exceeds `N` (every non-empty region
+    /// then panics).
+    p_invalid: bool,
+    big_p: [u64; FOLD_LANES],
+    pp: [f64; FOLD_LANES],
+    l0: [f64; FOLD_LANES],
+    margin: [f64; FOLD_LANES],
+    /// `P·(N−P)` rounded once.
+    pq: [f64; FOLD_LANES],
+    floors: Floors,
+}
+
+impl<'a> LlrGroup<'a> {
+    /// The group of worlds with positive totals `p_group`, slots `tau`
+    /// zeroed.
+    fn new(big_n: u64, directions: &'a [Direction], p_group: &[u64], tau: &'a mut [f64]) -> Self {
+        let lanes = p_group.len();
+        let nn = big_n as f64;
+        let mut big_p = [0u64; FOLD_LANES];
+        big_p[..lanes].copy_from_slice(p_group);
+        let l0 = big_p.map(|p| null_log_likelihood(big_n, p));
+        let mut group = LlrGroup {
+            big_n,
+            directions,
+            tau,
+            active: u8::MAX >> (FOLD_LANES - lanes),
+            p_invalid: p_group.iter().any(|&p| p > big_n),
+            big_p,
+            pp: big_p.map(|p| p as f64),
+            l0,
+            margin: l0.map(|l0| llr_rounding_margin(l0, nn)),
+            pq: big_p.map(|p| product(p, big_n.wrapping_sub(p))),
+            floors: Floors {
+                reach: [[f64::INFINITY; FOLD_LANES]; 2],
+                limit: [[f64::INFINITY; FOLD_LANES]; 2],
+            },
+        };
+        for l in 0..lanes {
+            group.set_floors(l);
+        }
+        group
+    }
+
+    /// Sets lane `l`'s floors from its slots.
+    fn set_floors(&mut self, l: usize) {
+        let stride = self.directions.len();
+        let slots = &self.tau[l * stride..(l + 1) * stride];
+        self.floors
+            .set(l, self.directions, slots, self.margin[l], self.pq[l]);
+    }
+
+    /// Raises [`Counts2x2::new`]'s message for the first lane of a
+    /// region row of size `n_r` that breaks one of its rules.
+    #[cold]
+    fn reject(&self, n_r: u64, row: &[u64; FOLD_LANES]) -> ! {
+        let lanes = self.active.count_ones() as usize;
+        for (&p_r, &p_world) in row.iter().zip(&self.big_p[..lanes]) {
+            Counts2x2::new(n_r, p_r, self.big_n, p_world);
+        }
+        unreachable!("Counts2x2::new accepts every lane of a row it rejects");
+    }
+
+    /// A lane that passed both bounds: `llr`'s rate check and logs for
+    /// `p_r` positives in a region of `n_r`, whose inside rate is below
+    /// the outside rate when `low`, fed into lane `l`'s slots.
+    #[inline]
+    fn score(&mut self, l: usize, n_r: u64, p_r: u64, low: bool) {
+        // The LLR's own arithmetic, as `bernoulli_llr_directed` runs it.
+        let (n, p) = (n_r as f64, p_r as f64);
+        let (n_out, p_out) = (self.big_n as f64 - n, self.pp[l] - p);
+        if p / n == p_out / n_out {
+            return;
+        }
+        let score = llr_given_null(n, p, n_out, p_out, self.l0[l]);
+        let stride = self.directions.len();
+        let slots = &mut self.tau[l * stride..(l + 1) * stride];
+        let mut raised = false;
+        for (t, &direction) in slots.iter_mut().zip(self.directions) {
+            if feeds(direction, low) && score > *t {
+                *t = score;
+                raised = true;
+            }
+        }
+        if raised {
+            self.set_floors(l);
         }
     }
 }
@@ -616,6 +788,143 @@ fn screen_f64(
     let narrow = _mm_cmpeq_epi32(_mm_srli_epi64::<31>(wide), _mm_setzero_si128());
     let invalid = n_r > big_n || _mm_movemask_epi8(narrow) != 0xFFFF || _mm_movemask_pd(bad) != 0;
     (invalid, passed as u8)
+}
+
+/// A lane group's constants as the zmm row pass holds them: `P`,
+/// `P·(N−P)`, `N`, `N²` and `N·(1 + slack)`, one lane per world.
+#[cfg(target_arch = "x86_64")]
+struct ZmmConsts {
+    pp: std::arch::x86_64::__m512d,
+    pq: std::arch::x86_64::__m512d,
+    nn: std::arch::x86_64::__m512d,
+    nn2: std::arch::x86_64::__m512d,
+    scale: std::arch::x86_64::__m512d,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl ZmmConsts {
+    /// The constants of a group whose lanes hold `P` as `f64` in `pp`
+    /// and `P·(N−P)` in `pq`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(big_n: u64, pp: &[f64; FOLD_LANES], pq: &[f64; FOLD_LANES]) -> Self {
+        use std::arch::x86_64::*;
+        let nn = big_n as f64;
+        // SAFETY: `pp` and `pq` are FOLD_LANES = 8 f64s each.
+        let (pp, pq) = unsafe { (_mm512_loadu_pd(pp.as_ptr()), _mm512_loadu_pd(pq.as_ptr())) };
+        ZmmConsts {
+            pp,
+            pq,
+            nn: _mm512_set1_pd(nn),
+            nn2: _mm512_set1_pd(nn * nn),
+            scale: _mm512_set1_pd(nn * (1.0 + BOUND_SLACK)),
+        }
+    }
+}
+
+/// One region row after [`screen_zmm`]: whether a lane breaks a
+/// [`Counts2x2::new`] rule, the lanes the X² screen passes and those
+/// with `d < 0`, and the lanes' `p` and `d` for the second bound.
+#[cfg(target_arch = "x86_64")]
+struct ZmmRow {
+    invalid: bool,
+    passed: u8,
+    low: u8,
+    p: std::arch::x86_64::__m512d,
+    d: std::arch::x86_64::__m512d,
+}
+
+/// [`screen_f64`] over all eight lanes in zmm registers: the same
+/// result, bit for bit, from the same float operations. `counts` holds
+/// the row's counts (padding lanes 0). A count of `2^31` or more is
+/// flagged, as there; the rest convert exactly with one `vcvtqq2pd`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn screen_zmm(
+    counts: std::arch::x86_64::__m512i,
+    n_r: u64,
+    big_n: u64,
+    consts: &ZmmConsts,
+    limit: &[[f64; FOLD_LANES]; 2],
+) -> ZmmRow {
+    use std::arch::x86_64::*;
+    let (n, n_out) = (n_r as f64, big_n.wrapping_sub(n_r) as f64);
+    let (n8, n_out8) = (_mm512_set1_pd(n), _mm512_set1_pd(n_out));
+    let wide = _mm512_cmpge_epu64_mask(counts, _mm512_set1_epi64(1 << 31));
+    let p = _mm512_cvtepi64_pd(counts);
+    let above_hi = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(p, _mm512_min_pd(n8, consts.pp));
+    let below_lo = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(p, _mm512_sub_pd(consts.pp, n_out8));
+    let d = _mm512_sub_pd(_mm512_mul_pd(p, consts.nn), _mm512_mul_pd(n8, consts.pp));
+    let low = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, _mm512_setzero_pd());
+    // SAFETY: each array is FOLD_LANES = 8 f64s, one zmm load.
+    let (above, below) = unsafe {
+        (
+            _mm512_loadu_pd(limit[0].as_ptr()),
+            _mm512_loadu_pd(limit[1].as_ptr()),
+        )
+    };
+    let lane_limit = _mm512_mask_blend_pd(low, above, below);
+    let skip = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
+        _mm512_mul_pd(_mm512_mul_pd(consts.scale, d), d),
+        _mm512_mul_pd(_mm512_set1_pd(n * n_out), lane_limit),
+    );
+    ZmmRow {
+        invalid: n_r > big_n || (wide | above_hi | below_lo) != 0,
+        passed: !skip,
+        low,
+        p,
+        d,
+    }
+}
+
+/// The lanes of a screened row whose [`second_bound`] falls short of
+/// their side's `reach`: [`second_bound_skips`] over all eight lanes,
+/// from the same float operations as the scalar `f64`-exact path.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn second_bound_skips_zmm(
+    row: &ZmmRow,
+    n_r: u64,
+    big_n: u64,
+    consts: &ZmmConsts,
+    reach: &[[f64; FOLD_LANES]; 2],
+) -> u8 {
+    use std::arch::x86_64::*;
+    let (n, n_out) = (
+        _mm512_set1_pd(n_r as f64),
+        _mm512_set1_pd((big_n - n_r) as f64),
+    );
+    let (p, d) = (row.p, _mm512_abs_pd(row.d));
+    let p_out = _mm512_sub_pd(consts.pp, p);
+    let pq_in = _mm512_mul_pd(p, _mm512_sub_pd(n, p));
+    let pq_out = _mm512_mul_pd(p_out, _mm512_sub_pd(n_out, p_out));
+    let a = _mm512_min_pd(
+        _mm512_mul_pd(pq_in, consts.nn2),
+        _mm512_mul_pd(_mm512_mul_pd(consts.pq, n), n),
+    );
+    let b = _mm512_min_pd(
+        _mm512_mul_pd(pq_out, consts.nn2),
+        _mm512_mul_pd(_mm512_mul_pd(consts.pq, n_out), n_out),
+    );
+    let num = _mm512_mul_pd(
+        _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), d), d),
+        _mm512_add_pd(_mm512_mul_pd(n, b), _mm512_mul_pd(n_out, a)),
+    );
+    let den = _mm512_mul_pd(a, b);
+    // SAFETY: each array is FOLD_LANES = 8 f64s, one zmm load.
+    let (above, below) = unsafe {
+        (
+            _mm512_loadu_pd(reach[0].as_ptr()),
+            _mm512_loadu_pd(reach[1].as_ptr()),
+        )
+    };
+    let lane_reach = _mm512_mask_blend_pd(row.low, above, below);
+    _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
+        _mm512_mul_pd(num, _mm512_set1_pd(1.0 + BOUND_SLACK)),
+        _mm512_mul_pd(lane_reach, den),
+    )
 }
 
 /// The second bound on a region's LLR (see *The second bound* in the
@@ -930,6 +1239,7 @@ mod tests {
                 Just(f64::INFINITY),
                 Just(-1e-9),
                 0.0f64..1e6,
+                Just(TIE),
             ], 16),
         ) {
             let n_r = n_pick % (big_n + 1);
@@ -940,8 +1250,14 @@ mod tests {
                 big_p[l] = p_picks[l] % (big_n + 1);
                 row[l] = if n_r == 0 { 0 } else { lane_count(picks[l], n_r, big_n, big_p[l]) };
                 let pq = product(big_p[l], big_n - big_p[l]);
-                limit[0][l] = limits[l] * pq;
-                limit[1][l] = limits[FOLD_LANES + l] * pq;
+                // A tie: the lane's own screened value over its spread,
+                // so only the passes' rounding decides the comparison.
+                let (_, d) = deviation(n_r, row[l], big_n, big_p[l]);
+                let spread = n_r as f64 * (big_n - n_r) as f64;
+                let tie = big_n as f64 * (1.0 + BOUND_SLACK) * d * d / spread;
+                let pick = |x: f64| if x == TIE { tie } else { x * pq };
+                limit[0][l] = pick(limits[l]);
+                limit[1][l] = pick(limits[FOLD_LANES + l]);
             }
             let pp = big_p.map(|p| p as f64);
             // SAFETY: SSE2 is part of the x86_64 baseline.
@@ -959,6 +1275,303 @@ mod tests {
                 big_p,
                 row
             );
+            // The zmm half runs only where the CPU has AVX-512F/DQ
+            // (`zmm_half_runs_here` says whether it did).
+            if zmm_supported() {
+                // SAFETY: AVX-512F and -DQ were just detected.
+                let zmm_lanes = unsafe { screen_row_zmm(&row, n_r, big_n, &pp, &limit) };
+                prop_assert_eq!(
+                    (zmm_lanes.0, valid.then_some(zmm_lanes.1)),
+                    (integer_lanes.0, valid.then_some(integer_lanes.1)),
+                    "zmm: n={} N={} P={:?} counts={:?}",
+                    n_r,
+                    big_n,
+                    big_p,
+                    row
+                );
+            }
+        }
+    }
+
+    /// A floor pick that stands for the lane's own bound: a tie.
+    const TIE: f64 = -2.0;
+
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The zmm second bound skips exactly the lanes that
+        /// `second_bound_skips(second_bound(..))` skips, over valid rows
+        /// at the `f64`-exact edges, reaches finite, infinite, below the
+        /// margin or tied with the lane's own bound. Skipped where the
+        /// CPU lacks AVX-512F/DQ.
+        #[test]
+        fn zmm_second_bound_skips_like_the_scalar_bound(
+            big_n in prop_oneof![2u64..=64, 65u64..=F64_EXACT_MAX_N, Just(F64_EXACT_MAX_N)],
+            n_pick in any::<u64>(),
+            p_picks in prop::collection::vec(any::<u64>(), 8),
+            picks in prop::collection::vec(any::<u64>(), 8),
+            reaches in prop::collection::vec(prop_oneof![
+                Just(f64::INFINITY),
+                Just(-1e-9),
+                0.0f64..1e3,
+                Just(TIE),
+            ], 16),
+        ) {
+            if !zmm_supported() {
+                return Ok(());
+            }
+            let n_r = 1 + n_pick % (big_n - 1);
+            let (nn, n, n_out) = (big_n as f64, n_r as f64, (big_n - n_r) as f64);
+            let big_p: [u64; FOLD_LANES] =
+                std::array::from_fn(|l| p_picks[l] % (big_n + 1));
+            let row: [u64; FOLD_LANES] =
+                std::array::from_fn(|l| valid_count(picks[l], n_r, big_n, big_p[l]));
+            let pp = big_p.map(|p| p as f64);
+            let pq = big_p.map(|p| product(p, big_n - p));
+            // The scalar `f64`-exact path's bound, lane by lane.
+            let bounds: [(bool, (f64, f64)); FOLD_LANES] = std::array::from_fn(|l| {
+                let p = row[l] as f64;
+                let d = p * nn - n * pp[l];
+                let p_out = pp[l] - p;
+                let bound = second_bound(
+                    d.abs(),
+                    n,
+                    n_out,
+                    nn * nn,
+                    pq[l],
+                    p * (n - p),
+                    p_out * (n_out - p_out),
+                );
+                (d < 0.0, bound)
+            });
+            let mut reach = [[0.0; FOLD_LANES]; 2];
+            for l in 0..FOLD_LANES {
+                let (num, den) = bounds[l].1;
+                let tie = num * (1.0 + BOUND_SLACK) / den;
+                reach[0][l] = if reaches[l] == TIE { tie } else { reaches[l] };
+                reach[1][l] = if reaches[FOLD_LANES + l] == TIE { tie } else { reaches[FOLD_LANES + l] };
+            }
+            let scalar = (0..FOLD_LANES).fold(0u8, |mask, l| {
+                let (low, bound) = bounds[l];
+                mask | u8::from(second_bound_skips(bound, reach[usize::from(low)][l])) << l
+            });
+            // SAFETY: AVX-512F and -DQ were just detected.
+            let zmm = unsafe { second_bound_skips_row_zmm(&row, n_r, big_n, &pp, &pq, &reach) };
+            prop_assert_eq!(zmm, scalar, "n={} N={} P={:?} counts={:?}", n_r, big_n, big_p, row);
+        }
+    }
+
+    /// [`second_bound_skips_zmm`] over one valid row.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and AVX-512DQ at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn second_bound_skips_row_zmm(
+        row: &[u64; FOLD_LANES],
+        n_r: u64,
+        big_n: u64,
+        pp: &[f64; FOLD_LANES],
+        pq: &[f64; FOLD_LANES],
+        reach: &[[f64; FOLD_LANES]; 2],
+    ) -> u8 {
+        use std::arch::x86_64::*;
+        let consts = ZmmConsts::new(big_n, pp, pq);
+        // SAFETY: 8 u64s.
+        let counts = unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+        let no_limit = [[f64::INFINITY; FOLD_LANES]; 2];
+        let screened = screen_zmm(counts, n_r, big_n, &consts, &no_limit);
+        assert!(!screened.invalid, "a valid row");
+        second_bound_skips_zmm(&screened, n_r, big_n, &consts, reach)
+    }
+
+    /// [`screen_zmm`] over one row, as `(invalid, passed)`.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and AVX-512DQ at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn screen_row_zmm(
+        row: &[u64; FOLD_LANES],
+        n_r: u64,
+        big_n: u64,
+        pp: &[f64; FOLD_LANES],
+        limit: &[[f64; FOLD_LANES]; 2],
+    ) -> (bool, u8) {
+        use std::arch::x86_64::*;
+        // `P·(N−P)` is unused by the row pass.
+        let consts = ZmmConsts::new(big_n, pp, &[0.0; FOLD_LANES]);
+        // SAFETY: 8 u64s.
+        let counts = unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+        let screened = screen_zmm(counts, n_r, big_n, &consts, limit);
+        (screened.invalid, screened.passed)
+    }
+
+    /// Says whether the zmm halves of the body-vs-body tests run on
+    /// this CPU; they are skipped where it lacks AVX-512F or -DQ.
+    #[test]
+    fn zmm_half_runs_here() {
+        if zmm_supported() {
+            eprintln!("zmm row pass: AVX-512F/DQ detected, both bodies compared");
+        } else {
+            eprintln!("zmm row pass: no AVX-512F/DQ on this CPU, zmm halves skipped");
+        }
+    }
+
+    /// A fold under one body, or its panic message.
+    fn fold_body(
+        zmm: bool,
+        big_n: u64,
+        region_n: &[u64],
+        p_worlds: &[u64],
+        counts: &[u64],
+        directions: &[Direction],
+    ) -> Result<Vec<u64>, String> {
+        let mut out = vec![0.0; p_worlds.len() * directions.len()];
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fold_matrix_with(
+                zmm,
+                Statistic::BernoulliLlr,
+                big_n,
+                region_n,
+                p_worlds,
+                counts,
+                directions,
+                &mut out,
+            )
+        }))
+        .map(|()| out.iter().map(|t| t.to_bits()).collect())
+        .map_err(|payload| match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| "non-string panic".into(), |m| m.to_string()),
+        })
+    }
+
+    /// Both LLR bodies reject an invalid count with the same
+    /// `Counts2x2::new` message, in a full lane group (world 3 of 11)
+    /// and in the short tail (world 9): more positives than the region
+    /// holds or the world holds, more outside positives than outside
+    /// points, and counts at `2^31` and past `f64` precision.
+    #[test]
+    fn zmm_and_lane_bodies_reject_alike() {
+        let (big_n, region_n) = (1_000u64, [0u64, 400, 600]);
+        let cases = [
+            (
+                60,
+                401,
+                "positives inside (401) exceed observations inside (400)",
+            ),
+            (20, 30, "positives inside (30) exceed total positives (20)"),
+            (700, 10, "positives outside exceed observations outside"),
+            (
+                500,
+                1 << 31,
+                "positives inside (2147483648) exceed observations inside (400)",
+            ),
+            (
+                500,
+                u64::MAX,
+                "positives inside (18446744073709551615) exceed observations inside (400)",
+            ),
+        ];
+        for w in [3, 9] {
+            for (p_world, p_r, expected) in cases {
+                let mut p_worlds = vec![500u64; 11];
+                let mut counts = vec![200u64; region_n.len() * 11];
+                p_worlds[w] = p_world;
+                counts[11 + w] = p_r;
+                // Region 2's count stays inside its bounds for world w.
+                counts[22 + w] = (p_world - p_r.min(p_world)).min(600);
+                let directions = [Direction::High, Direction::TwoSided];
+                let lanes = fold_body(false, big_n, &region_n, &p_worlds, &counts, &directions);
+                let zmm = fold_body(true, big_n, &region_n, &p_worlds, &counts, &directions);
+                let message = lanes.expect_err("an invalid count panics");
+                assert!(message.contains(expected), "world {w}: {message}");
+                assert_eq!(zmm, Err(message), "world {w}");
+            }
+        }
+    }
+
+    /// A valid count for region size `n_r` in a world of `P` positives,
+    /// picked by `pick` (see [`edge_pick`]).
+    fn valid_count(pick: u64, n_r: u64, big_n: u64, big_p: u64) -> u64 {
+        let lo = big_p.saturating_sub(big_n - n_r);
+        let hi = n_r.min(big_p);
+        let near = (u128::from(n_r) * u128::from(big_p) / u128::from(big_n.max(1))) as u64;
+        edge_pick(pick, lo, hi, near)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// `fold_matrix` writes the same bits through the zmm body as
+        /// through the SSE2/integer lanes, and both equal the
+        /// per-region `score` loop: widths 1 to 24 (short, whole and
+        /// several lane groups), any direction list (permutations and
+        /// repeats), worlds up to one past the `f64`-exact cutoff and
+        /// counts at their feasible edges and next to the world rate.
+        /// The zmm half is skipped where the CPU lacks AVX-512F/DQ.
+        #[test]
+        fn zmm_and_lane_bodies_fold_the_same_bits(
+            big_n in prop_oneof![
+                1u64..=64,
+                65u64..=100_000,
+                (F64_EXACT_MAX_N - 1)..=(F64_EXACT_MAX_N + 1),
+            ],
+            n_picks in prop::collection::vec(any::<u64>(), 1..12),
+            p_picks in prop::collection::vec(any::<u64>(), 1..=24),
+            count_picks in prop::collection::vec(any::<u64>(), 12 * 24),
+            direction_picks in prop::collection::vec(0usize..3, 1..=4),
+        ) {
+            let directions: Vec<Direction> =
+                direction_picks.iter().map(|&i| Direction::ALL[i]).collect();
+            let width = p_picks.len();
+            let region_n: Vec<u64> = n_picks
+                .iter()
+                .map(|&pick| match pick % 4 {
+                    0 => 0,
+                    1 => big_n,
+                    _ => pick / 4 % (big_n + 1),
+                })
+                .collect();
+            let p_worlds: Vec<u64> = p_picks
+                .iter()
+                .map(|&pick| match pick % 4 {
+                    0 => 0,
+                    1 => big_n,
+                    _ => pick / 4 % (big_n + 1),
+                })
+                .collect();
+            let mut counts = Vec::with_capacity(region_n.len() * width);
+            for (r, &n_r) in region_n.iter().enumerate() {
+                for (w, &big_p) in p_worlds.iter().enumerate() {
+                    counts.push(valid_count(count_picks[r * 24 + w], n_r, big_n, big_p));
+                }
+            }
+            let lanes = fold_body(false, big_n, &region_n, &p_worlds, &counts, &directions)
+                .expect("valid counts fold");
+            let mut oracle = Vec::with_capacity(lanes.len());
+            for (w, &big_p) in p_worlds.iter().enumerate() {
+                let kernel = TauKernel::new(Statistic::BernoulliLlr, big_n, big_p);
+                for &direction in &directions {
+                    let tau = region_n
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &n_r)| n_r > 0)
+                        .map(|(r, &n_r)| kernel.score(n_r, counts[r * width + w], direction))
+                        .fold(0.0f64, |tau, score| if score > tau { score } else { tau });
+                    oracle.push(tau.to_bits());
+                }
+            }
+            prop_assert_eq!(&lanes, &oracle, "lanes vs score loop");
+            if zmm_supported() {
+                let zmm = fold_body(true, big_n, &region_n, &p_worlds, &counts, &directions)
+                    .expect("valid counts fold");
+                prop_assert_eq!(&zmm, &lanes, "zmm vs lanes");
+            }
         }
     }
 
