@@ -182,17 +182,7 @@ thread_local! {
     /// every world while keeping results bit-identical (the buffer is
     /// deterministically re-initialised per world).
     static FISHER_YATES_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-
-    /// Reusable region-major count matrix of [`ScanEngine::eval`]: on
-    /// the paper's 2,000 squares one lane group's matrix is 128 KB,
-    /// which a fresh zeroed allocation per batch would clear for
-    /// nothing, as the mask sweep stores every slot.
-    static COUNT_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Largest capacity (in counts) the per-thread count matrix keeps
-/// between batches: 2^20 counts = 8 MiB per worker thread.
-const COUNT_RETAIN_CAP: usize = 1 << 20;
 
 /// Result of scanning the *real* world: per-region statistics.
 #[derive(Debug, Clone)]
@@ -892,59 +882,50 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         }
         let width = worlds.len();
         let len = self.region_n.len() * width;
-        with_count_scratch(|counts| {
-            match &self.counting {
-                Counting::Lists { .. } if fine && self.shard_views.len() > 1 => {
-                    let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
-                        .into_par_iter()
-                        .map(|s| {
-                            let mut counts = Vec::new();
-                            self.shard_views[s].count_all_many_into(
-                                worlds,
-                                self.kernel,
-                                &mut counts,
-                            );
-                            counts
-                        })
-                        .collect();
-                    // The partials are summed into the matrix: zero it.
-                    counts.clear();
-                    counts.resize(len, 0);
-                    for shard in &partials {
-                        for (acc, &c) in counts.iter_mut().zip(shard) {
-                            *acc += c;
-                        }
-                    }
-                }
-                // The sweep stores every slot of a reused matrix.
-                Counting::Lists { masks, .. } => {
-                    masks.count_all_many_into(worlds, self.kernel, counts)
-                }
-                Counting::Requery => {
-                    // Empty regions are not written: zero the matrix.
-                    counts.clear();
-                    counts.resize(len, 0);
-                    for (w, labels) in worlds.iter().enumerate() {
-                        for (r, (region, &n_r)) in
-                            self.regions.iter().zip(&self.region_n).enumerate()
-                        {
-                            if n_r == 0 {
-                                continue;
-                            }
-                            let c = Positions::new(&self.index, &self.to_pos)
-                                .count_with(region, labels);
-                            // Unreachable after the build-time integrity
-                            // check (count_with's n is label-independent);
-                            // kept as a debug-build tripwire only.
-                            debug_assert_eq!(c.n, n_r, "region n must be world-invariant");
-                            counts[r * width + w] = c.p;
-                        }
+        // The mask sweep sizes the matrix and stores every slot, so it
+        // starts empty, not zeroed: only the shard fan-out (which adds
+        // into it) and Requery (which skips empty regions) zero it.
+        let mut counts = Vec::new();
+        match &self.counting {
+            Counting::Lists { .. } if fine && self.shard_views.len() > 1 => {
+                let partials: Vec<Vec<u64>> = (0..self.shard_views.len())
+                    .into_par_iter()
+                    .map(|s| {
+                        let mut counts = Vec::new();
+                        self.shard_views[s].count_all_many_into(worlds, self.kernel, &mut counts);
+                        counts
+                    })
+                    .collect();
+                counts.resize(len, 0);
+                for shard in &partials {
+                    for (acc, &c) in counts.iter_mut().zip(shard) {
+                        *acc += c;
                     }
                 }
             }
-            let p_worlds: Vec<u64> = worlds.iter().map(|labels| labels.count_ones()).collect();
-            self.fold_counts(statistic, &p_worlds, counts, directions, out);
-        });
+            Counting::Lists { masks, .. } => {
+                masks.count_all_many_into(worlds, self.kernel, &mut counts)
+            }
+            Counting::Requery => {
+                counts.resize(len, 0);
+                for (w, labels) in worlds.iter().enumerate() {
+                    for (r, (region, &n_r)) in self.regions.iter().zip(&self.region_n).enumerate() {
+                        if n_r == 0 {
+                            continue;
+                        }
+                        let c =
+                            Positions::new(&self.index, &self.to_pos).count_with(region, labels);
+                        // Unreachable after the build-time integrity
+                        // check (count_with's n is label-independent);
+                        // kept as a debug-build tripwire only.
+                        debug_assert_eq!(c.n, n_r, "region n must be world-invariant");
+                        counts[r * width + w] = c.p;
+                    }
+                }
+            }
+        }
+        let p_worlds: Vec<u64> = worlds.iter().map(|labels| labels.count_ones()).collect();
+        self.fold_counts(statistic, &p_worlds, &counts, directions, out);
     }
 
     /// The world fold — the only place a simulated world's `τ` is
@@ -1014,20 +995,6 @@ fn with_fisher_yates_scratch(n: usize, f: impl FnOnce(&mut Vec<u32>)) {
         if idx.capacity() > FISHER_YATES_RETAIN_CAP {
             idx.clear();
             idx.shrink_to(FISHER_YATES_RETAIN_CAP);
-        }
-    });
-}
-
-/// Runs `f` over the per-thread count matrix, which holds whatever the
-/// thread's previous batch left in it, then bounds the retained
-/// capacity.
-fn with_count_scratch(f: impl FnOnce(&mut Vec<u64>)) {
-    COUNT_SCRATCH.with(|scratch| {
-        let mut counts = scratch.borrow_mut();
-        f(&mut counts);
-        if counts.capacity() > COUNT_RETAIN_CAP {
-            counts.clear();
-            counts.shrink_to(COUNT_RETAIN_CAP);
         }
     });
 }

@@ -1583,6 +1583,44 @@ mod tests {
         }
     }
 
+    /// Classes fanned out in parallel while each short span fans its
+    /// shard partials out (the fine axis), with more classes than
+    /// threads: every report matches the sequential executor's.
+    #[test]
+    fn parallel_classes_over_fine_sharded_spans_match_sequential() {
+        use crate::config::{CountingStrategy, Shards};
+        let o = outcomes(900, 21, true);
+        let rs = grid();
+        let config = base()
+            .with_strategy(CountingStrategy::Blocked)
+            .with_shards(Shards::Fixed(3));
+        // Budgets below one batch per thread take the fine axis.
+        let fine = MAX_FUSED_WORLDS * rayon::current_num_threads().max(2) - 1;
+        let requests: Vec<AuditRequest> = (0..rayon::current_num_threads() as u64 + 3)
+            .flat_map(|seed| {
+                let request = AuditRequest::from_config(&config)
+                    .with_seed(seed)
+                    .with_worlds(fine);
+                [
+                    request,
+                    request
+                        .with_direction(Direction::Low)
+                        .with_mc_strategy(McStrategy::EarlyStop { batch_size: 4 }),
+                ]
+            })
+            .collect();
+        let sequential = PreparedAudit::prepare(&o, &rs, config.sequential())
+            .unwrap()
+            .run_batch(&requests);
+        let parallel = PreparedAudit::prepare(&o, &rs, config)
+            .unwrap()
+            .run_batch(&requests);
+        for (a, mut b) in sequential.into_iter().zip(parallel) {
+            b.config.parallel = a.config.parallel;
+            assert_eq!(a, b);
+        }
+    }
+
     #[test]
     fn request_serde_defaults_missing_worldgen_to_scalar() {
         // v1 wire payloads (no "worldgen" key) must keep decoding as

@@ -41,10 +41,10 @@
 //! for every requested direction, with the same bits as the
 //! `max`-of-`score` loop. Its input is the region-major count matrix
 //! `counts[r·W + w]`, so one region's counts under `W` worlds are
-//! contiguous. (`sfscan`'s engine keeps that matrix in a per-thread
-//! buffer that it reuses without re-zeroing: the mask sweep stores
-//! every slot. On the paper's 2,000 squares one lane group's matrix is
-//! 128 KB.) For the two LLR statistics:
+//! contiguous. (`sfscan`'s engine hands the mask sweep an empty matrix,
+//! not a zeroed one: the sweep sizes it and stores every slot. On the
+//! paper's 2,000 squares one lane group's matrix is 128 KB.) For the
+//! two LLR statistics:
 //!
 //! * **Eight worlds per region row.** Worlds are folded in lane groups
 //!   of [`FOLD_LANES`] (the last group may be shorter). A group's
@@ -92,7 +92,9 @@
 //!   eight lanes at once. Its float operations are the SSE2 pass's and
 //!   the scalar second bound's, in the same order and without FMA, so
 //!   both bodies flag, pass and skip the same lanes; only lanes that
-//!   pass both bounds reach the scalar rate check and the logs. The
+//!   pass both bounds reach the scalar rate check and the logs. Both
+//!   bodies run one region loop (which regions are screened, rejected
+//!   and scored) and differ only in the row screen they hand it. The
 //!   SSE2 body stays for x86_64 CPUs without AVX-512F/DQ, and the
 //!   integer pass is the oracle both are tested against.
 //!
@@ -488,13 +490,10 @@ impl Matrix<'_> {
         let lanes = p_group.len();
         let nn = big_n as f64;
         let nn2 = nn * nn;
-        let mut group = LlrGroup::new(big_n, self.directions, p_group, tau);
-        let (big_p, pp, pq) = (group.big_p, group.pp, group.pq);
-        for (r, &n_r) in self.region_n.iter().enumerate() {
-            if n_r == 0 {
-                continue;
-            }
+        let group = LlrGroup::new(big_n, self.directions, p_group, tau);
+        self.fold_llr_rows(w0, group, |group, r, n_r| {
             let row = self.row(r, w0, lanes);
+            let (big_p, pp, pq) = (&group.big_p, &group.pp, &group.pq);
             // Every lane at once: Counts2x2::new's rules, and the X²
             // screen against each lane's limit.
             let limit = &group.floors.limit;
@@ -502,23 +501,19 @@ impl Matrix<'_> {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: SSE2 is part of the x86_64 baseline, so every
                 // CPU this code runs on has it.
-                () if F64_EXACT => unsafe { screen_f64(&row, n_r, big_n, &pp, limit) },
-                _ => screen_integers(&row, n_r, big_n, &big_p, limit),
+                () if F64_EXACT => unsafe { screen_f64(&row, n_r, big_n, pp, limit) },
+                _ => screen_integers(&row, n_r, big_n, big_p, limit),
             };
-            if invalid || group.p_invalid {
-                group.reject(n_r, &row);
-            }
-            if n_r == big_n {
-                continue;
+            if invalid {
+                return None;
             }
             let n_out_r = big_n - n_r;
             let (n, n_out) = (n_r as f64, n_out_r as f64);
-            // The lanes that pass meet the second bound, then the
-            // rate check and the logs, in lane order.
-            let mut survivors = passed & group.active;
-            while survivors != 0 {
-                let l = survivors.trailing_zeros() as usize;
-                survivors &= survivors - 1;
+            // The lanes that pass meet the second bound, lane by lane.
+            let (mut left, mut survivors, mut below) = (passed & group.active, 0u8, 0u8);
+            while left != 0 {
+                let l = left.trailing_zeros() as usize;
+                left &= left - 1;
                 let (low, d) = if F64_EXACT {
                     // Exact, as in `screen_f64`.
                     let d = row[l] as f64 * nn - n * pp[l];
@@ -539,21 +534,20 @@ impl Matrix<'_> {
                     )
                 };
                 let bound = second_bound(d, n, n_out, nn2, pq[l], pq_in, pq_out);
-                if second_bound_skips(bound, group.floors.reach[usize::from(low)][l]) {
-                    continue;
+                if !second_bound_skips(bound, group.floors.reach[usize::from(low)][l]) {
+                    survivors |= 1 << l;
+                    below |= u8::from(low) << l;
                 }
-                group.score(l, n_r, row[l], low);
             }
-        }
+            Some((survivors, below))
+        });
     }
 
     /// `fold_llr::<true>` with each region row in zmm registers: one
     /// masked 512-bit load and one `vcvtqq2pd` per row, then
     /// [`screen_zmm`] and [`second_bound_skips_zmm`] over all eight
-    /// lanes. Only lanes that pass both bounds reach the scalar rate
-    /// check and the logs, in lane order. Every float operation is the
-    /// scalar body's, in the same order and without FMA, so the two
-    /// bodies give the same bits.
+    /// lanes. Every float operation is the scalar body's, in the same
+    /// order and without FMA, so the two bodies give the same bits.
     ///
     /// # Safety
     /// Requires AVX-512F and AVX-512DQ at runtime, and `N ≤
@@ -565,35 +559,65 @@ impl Matrix<'_> {
         let big_n = self.n_total;
         debug_assert!(big_n <= F64_EXACT_MAX_N);
         let lanes = p_group.len();
-        let mut group = LlrGroup::new(big_n, self.directions, p_group, tau);
-        let active = group.active;
+        let group = LlrGroup::new(big_n, self.directions, p_group, tau);
         let consts = ZmmConsts::new(big_n, &group.pp, &group.pq);
-        for (r, &n_r) in self.region_n.iter().enumerate() {
-            if n_r == 0 {
-                continue;
-            }
+        self.fold_llr_rows(w0, group, |group, r, n_r| {
             let start = r * self.width + w0;
             let row = &self.counts[start..start + lanes];
             // SAFETY: `active` selects exactly the `lanes` counts of
             // `row`; masked-off lanes read nothing and load as 0.
-            let counts = unsafe { _mm512_maskz_loadu_epi64(active, row.as_ptr().cast()) };
+            let counts = unsafe { _mm512_maskz_loadu_epi64(group.active, row.as_ptr().cast()) };
             let screen = screen_zmm(counts, n_r, big_n, &consts, &group.floors.limit);
-            if screen.invalid || group.p_invalid {
-                group.reject(n_r, &self.row(r, w0, lanes));
+            if screen.invalid {
+                return None;
             }
-            if n_r == big_n {
-                continue;
-            }
-            let passed = screen.passed & active;
+            let passed = screen.passed & group.active;
             if passed == 0 {
-                continue;
+                return Some((0, 0));
             }
             let skips = second_bound_skips_zmm(&screen, n_r, big_n, &consts, &group.floors.reach);
-            let mut survivors = passed & !skips;
+            Some((passed & !skips, screen.low))
+        });
+    }
+
+    /// The region loop of both LLR bodies over one lane `group` of the
+    /// worlds from `w0`. `screen(group, r, n_r)` runs region `r`'s row
+    /// (size `n_r > 0`) through the body's bounds: `None` when a lane
+    /// breaks a [`Counts2x2::new`] rule, else the lanes that pass the
+    /// X² screen and the second bound, and the lanes whose inside rate
+    /// is below the outside rate. Those lanes reach the rate check and
+    /// the logs, in lane order; a region that holds every point scores
+    /// nothing. Inlined into each body, so the zmm screen runs under
+    /// its target features.
+    #[inline(always)]
+    fn fold_llr_rows(
+        &self,
+        w0: usize,
+        mut group: LlrGroup<'_>,
+        mut screen: impl FnMut(&LlrGroup<'_>, usize, u64) -> Option<(u8, u8)>,
+    ) {
+        let lanes = group.active.count_ones() as usize;
+        for (r, &n_r) in self.region_n.iter().enumerate() {
+            if n_r == 0 {
+                continue;
+            }
+            // A world with `P > N` rejects every non-empty region.
+            let pass = if group.p_invalid {
+                None
+            } else {
+                screen(&group, r, n_r)
+            };
+            let Some((mut survivors, low)) = pass else {
+                group.reject(n_r, &self.row(r, w0, lanes));
+            };
+            if n_r == self.n_total {
+                continue;
+            }
+            let row = &self.counts[r * self.width + w0..];
             while survivors != 0 {
                 let l = survivors.trailing_zeros() as usize;
                 survivors &= survivors - 1;
-                group.score(l, n_r, row[l], screen.low & (1 << l) != 0);
+                group.score(l, n_r, row[l], low & (1 << l) != 0);
             }
         }
     }
