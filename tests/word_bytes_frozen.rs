@@ -1,7 +1,9 @@
-//! Frozen Word-world bytes: the FNV-1a-64 hash of every Bernoulli
+//! Frozen world bytes: the FNV-1a-64 hash of every Bernoulli
 //! `WorldGen::Word` world drawn on the sequential, `generate_world_par`
 //! and `generate_world_window` paths must equal the hash recorded in
-//! `tests/golden/word_worlds.txt`.
+//! `tests/golden/word_worlds.txt`, and the hash of every `WorldGen::Word`
+//! permutation world and every `WorldGen::Scalar` world (both null
+//! models) the hash recorded in `tests/golden/other_worlds.txt`.
 //!
 //! The cross-path suites compare the generation paths with each other;
 //! this fixture pins them to fixed bytes, across world sizes that span
@@ -9,16 +11,20 @@
 //! (20,001 points), and positive rates from 0 to 1. The interior rates
 //! are realised as `P = round(ρ·N)`, clamped to `1..=N−1`.
 //!
-//! Fixture lines are `n p seed world path hash`, where `path` is `seq`,
-//! `par` or `window:<lo>..<hi>` (the hash then covers only the words
-//! `lo..hi`).
+//! `word_worlds.txt` lines are `n p seed world path hash`, where `path`
+//! is `seq`, `par` or `window:<lo>..<hi>` (the hash then covers only the
+//! words `lo..hi`). `other_worlds.txt` lines are `n p seed world stream
+//! hash`, where `stream` is `word:perm`, `scalar:bern` or `scalar:perm`;
+//! those streams have one generation path, so each hash covers a
+//! sequentially drawn world.
 
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::engine::ScanEngine;
 use spatial_fairness::scan::{CountingStrategy, NullModel, WorldGen};
 use spatial_fairness::stats::rng::world_rng;
 
-const FIXTURE: &str = include_str!("golden/word_worlds.txt");
+const WORD_FIXTURE: &str = include_str!("golden/word_worlds.txt");
+const OTHER_FIXTURE: &str = include_str!("golden/other_worlds.txt");
 
 const SIZES: [usize; 5] = [130, 1_000, 10_000, 20_000, 20_001];
 const RATES: [f64; 7] = [0.5, 0.7, 1.0 / 3.0, 1e-4, 0.999, 0.0, 1.0];
@@ -57,54 +63,81 @@ fn positives(n: usize, rate: f64) -> usize {
     ((rate * n as f64).round() as usize).clamp(1, n - 1)
 }
 
-fn render() -> String {
-    let mut out = String::new();
+/// Calls `visit(n, p, engine)` for every fixture size and rate, in
+/// fixture order.
+fn for_each_engine(mut visit: impl FnMut(usize, usize, &ScanEngine)) {
     for n in SIZES {
-        let num_words = n.div_ceil(64);
-        let windows = [
-            (num_words / 3, (2 * num_words / 3 + 1).min(num_words)),
-            (num_words - 1, num_words),
-        ];
         for rate in RATES {
             let p = positives(n, rate);
             let data = outcomes(n, p);
             let regions = RegionSet::regular_grid(data.expanded_bounding_box(), 2, 2);
             let engine = ScanEngine::build(&data, &regions, CountingStrategy::Membership).unwrap();
-            for (seed, world) in WORLDS {
-                let mut line = |path: String, words: &[u64]| {
-                    out.push_str(&format!(
-                        "{n} {p} {seed} {world} {path} {:016x}\n",
-                        fnv1a(words)
-                    ));
-                };
-                let bern = NullModel::Bernoulli;
-                let seq =
-                    engine.generate_world_with(bern, WorldGen::Word, &mut world_rng(seed, world));
-                line("seq".into(), seq.blocks());
-                let par =
-                    engine.generate_world_par(bern, WorldGen::Word, &mut world_rng(seed, world));
-                line("par".into(), par.blocks());
-                for (lo, hi) in windows {
-                    let window = engine.generate_world_window(
-                        bern,
-                        WorldGen::Word,
-                        &mut world_rng(seed, world),
-                        lo,
-                        hi,
-                    );
-                    line(format!("window:{lo}..{hi}"), &window.blocks()[lo..hi]);
-                }
-            }
+            visit(n, p, &engine);
         }
     }
+}
+
+fn render_word() -> String {
+    let mut out = String::new();
+    for_each_engine(|n, p, engine| {
+        let num_words = n.div_ceil(64);
+        let windows = [
+            (num_words / 3, (2 * num_words / 3 + 1).min(num_words)),
+            (num_words - 1, num_words),
+        ];
+        for (seed, world) in WORLDS {
+            let mut line = |path: String, words: &[u64]| {
+                out.push_str(&format!(
+                    "{n} {p} {seed} {world} {path} {:016x}\n",
+                    fnv1a(words)
+                ));
+            };
+            let bern = NullModel::Bernoulli;
+            let seq = engine.generate_world_with(bern, WorldGen::Word, &mut world_rng(seed, world));
+            line("seq".into(), seq.blocks());
+            let par = engine.generate_world_par(bern, WorldGen::Word, &mut world_rng(seed, world));
+            line("par".into(), par.blocks());
+            for (lo, hi) in windows {
+                let window = engine.generate_world_window(
+                    bern,
+                    WorldGen::Word,
+                    &mut world_rng(seed, world),
+                    lo,
+                    hi,
+                );
+                line(format!("window:{lo}..{hi}"), &window.blocks()[lo..hi]);
+            }
+        }
+    });
     out
 }
 
-#[test]
-fn word_worlds_hash_to_the_recorded_bytes() {
-    let rendered = render();
+fn render_other() -> String {
+    let streams = [
+        ("word:perm", NullModel::Permutation, WorldGen::Word),
+        ("scalar:bern", NullModel::Bernoulli, WorldGen::Scalar),
+        ("scalar:perm", NullModel::Permutation, WorldGen::Scalar),
+    ];
+    let mut out = String::new();
+    for_each_engine(|n, p, engine| {
+        for (seed, world) in WORLDS {
+            for (name, null_model, worldgen) in streams {
+                let labels =
+                    engine.generate_world_with(null_model, worldgen, &mut world_rng(seed, world));
+                out.push_str(&format!(
+                    "{n} {p} {seed} {world} {name} {:016x}\n",
+                    fnv1a(labels.blocks())
+                ));
+            }
+        }
+    });
+    out
+}
+
+/// Compares rendered lines with a fixture, printing every mismatch.
+fn assert_matches(rendered: &str, fixture: &str) {
     let mut mismatches = 0;
-    for (got, want) in rendered.lines().zip(FIXTURE.lines()) {
+    for (got, want) in rendered.lines().zip(fixture.lines()) {
         if got != want {
             mismatches += 1;
             eprintln!("want {want}\n got {got}");
@@ -113,7 +146,17 @@ fn word_worlds_hash_to_the_recorded_bytes() {
     assert_eq!(mismatches, 0, "{mismatches} world hashes changed");
     assert_eq!(
         rendered.lines().count(),
-        FIXTURE.lines().count(),
+        fixture.lines().count(),
         "fixture line count"
     );
+}
+
+#[test]
+fn word_worlds_hash_to_the_recorded_bytes() {
+    assert_matches(&render_word(), WORD_FIXTURE);
+}
+
+#[test]
+fn permutation_and_scalar_worlds_hash_to_the_recorded_bytes() {
+    assert_matches(&render_other(), OTHER_FIXTURE);
 }
