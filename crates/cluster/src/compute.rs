@@ -22,10 +22,9 @@
 //! [`ScanEngine::generate_world_window`]: sfscan::prepared::PreparedAudit
 
 use sfindex::BlockedMembership;
-use sfscan::prepared::PreparedAudit;
+use sfscan::prepared::{PreparedAudit, MAX_WORLDS};
 use sfscan::{NullModel, WorldGen};
 use sfstats::rng::world_rng;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// One span of the distributed count matrix: worlds
@@ -111,6 +110,10 @@ pub enum SpanError {
     BadWindow { word_lo: usize, word_hi: usize },
     /// The span is empty.
     EmptySpan,
+    /// The span asks for more than [`MAX_WORLDS`] worlds.
+    TooManyWorlds { count: usize },
+    /// The span's last world index `first + count` overflows.
+    WorldOverflow { first: usize, count: usize },
 }
 
 impl std::fmt::Display for SpanError {
@@ -124,11 +127,29 @@ impl std::fmt::Display for SpanError {
                 write!(f, "bad word window {word_lo}..{word_hi}")
             }
             SpanError::EmptySpan => write!(f, "empty world span"),
+            SpanError::TooManyWorlds { count } => {
+                write!(
+                    f,
+                    "span of {count} worlds exceeds the limit of {MAX_WORLDS}"
+                )
+            }
+            SpanError::WorldOverflow { first, count } => {
+                write!(f, "world span {first} + {count} overflows")
+            }
         }
     }
 }
 
 impl std::error::Error for SpanError {}
+
+/// Clipped views a [`SpanCounter`] keeps. A coordinator sends each
+/// worker one window, and its degraded path counts the windows of dead
+/// workers, so with up to eight workers every window in use stays
+/// cached; past that a miss only costs a re-clip.
+const VIEW_SLOTS: usize = 8;
+
+/// A clipped view and the word window it covers.
+type CachedView = ((usize, usize), Arc<BlockedMembership>);
 
 /// Counts world-span × word-window rectangles against one prepared
 /// engine, caching the clipped CSR views (a worker serves the same
@@ -137,10 +158,11 @@ impl std::error::Error for SpanError {}
 #[derive(Debug)]
 pub struct SpanCounter {
     prepared: Arc<PreparedAudit>,
-    /// Clipped views keyed by word window. Built lazily; a view is an
-    /// O(window) CSR slice, so the cache trades a few MB for not
-    /// re-clipping on every span.
-    views: Mutex<HashMap<(usize, usize), Arc<BlockedMembership>>>,
+    /// The [`VIEW_SLOTS`] most recently used clipped views, least
+    /// recent first. A view is an O(window) CSR slice, so the cache
+    /// trades a few MB for not re-clipping on every span, and the bound
+    /// keeps a client that sends many distinct windows from growing it.
+    views: Mutex<Vec<CachedView>>,
 }
 
 impl SpanCounter {
@@ -153,7 +175,7 @@ impl SpanCounter {
         }
         Ok(SpanCounter {
             prepared,
-            views: Mutex::new(HashMap::new()),
+            views: Mutex::new(Vec::with_capacity(VIEW_SLOTS)),
         })
     }
 
@@ -203,18 +225,24 @@ impl SpanCounter {
 
     fn view(&self, word_lo: usize, word_hi: usize) -> Arc<BlockedMembership> {
         let mut views = self.views.lock().expect("view cache lock");
-        views
-            .entry((word_lo, word_hi))
-            .or_insert_with(|| {
-                Arc::new(
-                    self.prepared
-                        .engine()
-                        .blocked()
-                        .expect("constructor verified the blocked substrate")
-                        .clip_to_words(word_lo, word_hi),
-                )
-            })
-            .clone()
+        let entry = match views.iter().position(|(w, _)| *w == (word_lo, word_hi)) {
+            Some(i) => views.remove(i),
+            None => {
+                if views.len() == VIEW_SLOTS {
+                    views.remove(0);
+                }
+                let view = self
+                    .prepared
+                    .engine()
+                    .blocked()
+                    .expect("constructor verified the blocked substrate")
+                    .clip_to_words(word_lo, word_hi);
+                ((word_lo, word_hi), Arc::new(view))
+            }
+        };
+        let view = entry.1.clone();
+        views.push(entry);
+        view
     }
 
     /// Counts one span: generates the spec's worlds
@@ -234,6 +262,12 @@ impl SpanCounter {
         } = spec;
         if count == 0 {
             return Err(SpanError::EmptySpan);
+        }
+        if count > MAX_WORLDS {
+            return Err(SpanError::TooManyWorlds { count });
+        }
+        if first.checked_add(count).is_none() {
+            return Err(SpanError::WorldOverflow { first, count });
         }
         if word_lo > word_hi || word_hi > self.num_label_words() {
             return Err(SpanError::BadWindow { word_lo, word_hi });
@@ -260,7 +294,92 @@ impl SpanCounter {
 
 #[cfg(test)]
 mod tests {
-    use super::WindowCapacity;
+    use super::*;
+    use sfgeo::{Point, Rect};
+    use sfscan::{AuditConfig, CountingStrategy, RegionSet, SpatialOutcomes};
+
+    /// A blocked engine over `n` scattered points and a 4×4 grid.
+    fn counter(n: usize) -> SpanCounter {
+        let points = (0..n as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                Point::new((h % 1000) as f64 / 100.0, ((h >> 10) % 1000) as f64 / 100.0)
+            })
+            .collect();
+        let labels = (0..n).map(|i| i % 3 == 0).collect();
+        let data = SpatialOutcomes::new(points, labels).unwrap();
+        let grid = RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4, 4);
+        let config = AuditConfig::new(0.05).with_strategy(CountingStrategy::Blocked);
+        SpanCounter::new(Arc::new(
+            PreparedAudit::prepare(&data, &grid, config).unwrap(),
+        ))
+        .unwrap()
+    }
+
+    fn spec(first: usize, count: usize, word_lo: usize, word_hi: usize) -> SpanSpec {
+        SpanSpec {
+            null_model: NullModel::Bernoulli,
+            worldgen: WorldGen::Word,
+            seed: 5,
+            first,
+            count,
+            word_lo,
+            word_hi,
+        }
+    }
+
+    #[test]
+    fn oversized_and_overflowing_spans_are_typed_errors() {
+        let counter = counter(500);
+        let words = counter.num_label_words();
+        assert_eq!(
+            counter.count_span(spec(0, 1 << 40, 0, words)),
+            Err(SpanError::TooManyWorlds { count: 1 << 40 })
+        );
+        assert_eq!(
+            counter.count_span(spec(0, MAX_WORLDS + 1, 0, words)),
+            Err(SpanError::TooManyWorlds {
+                count: MAX_WORLDS + 1
+            })
+        );
+        assert_eq!(
+            counter.count_span(spec(usize::MAX - 1, 4, 0, words)),
+            Err(SpanError::WorldOverflow {
+                first: usize::MAX - 1,
+                count: 4
+            })
+        );
+        assert!(counter
+            .count_span(spec(usize::MAX - 4, 4, 0, words))
+            .is_ok());
+    }
+
+    #[test]
+    fn view_cache_stays_bounded_and_partials_match_a_fresh_counter() {
+        let counter = counter(3000);
+        let words = counter.num_label_words();
+        let windows: Vec<(usize, usize)> = (0..words)
+            .flat_map(|lo| (lo + 1..=words).map(move |hi| (lo, hi)))
+            .take(200)
+            .collect();
+        assert_eq!(windows.len(), 200, "{words} words give too few windows");
+        // Every window twice, so some spans hit the cache and some miss
+        // after an eviction.
+        for (i, &(lo, hi)) in windows.iter().chain(&windows[..20]).enumerate() {
+            let got = counter.count_span(spec(i, 3, lo, hi)).unwrap();
+            let fresh = SpanCounter::new(counter.prepared().clone())
+                .unwrap()
+                .count_span(spec(i, 3, lo, hi))
+                .unwrap();
+            assert_eq!(got, fresh, "window {lo}..{hi}");
+            assert!(counter.views.lock().unwrap().len() <= VIEW_SLOTS);
+        }
+        // A window in use stays cached across spans.
+        let (lo, hi) = windows[0];
+        counter.count_span(spec(0, 1, lo, hi)).unwrap();
+        let cached = counter.view(lo, hi);
+        assert!(Arc::ptr_eq(&cached, &counter.view(lo, hi)));
+    }
 
     #[test]
     fn window_capacity_rejects_impossible_partials() {

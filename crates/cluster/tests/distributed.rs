@@ -544,6 +544,66 @@ fn worker_answers_a_deeply_nested_line_and_keeps_the_connection() {
 }
 
 #[test]
+fn worker_rejects_oversized_spans_and_keeps_the_connection() {
+    // A count line asking for 2^40 worlds once aborted the worker on
+    // its allocation; one asking for worlds past u64::MAX overflowed
+    // the world index. Each now gets one typed error reply, and the
+    // connection still answers the next hello.
+    use std::io::{BufRead, BufReader, Write};
+    let prepared = prepared(500);
+    let workers = spawn_workers(&prepared, 1, &[]);
+    let num_words = SpanCounter::new(prepared.clone())
+        .unwrap()
+        .num_label_words() as u64;
+    let stream = std::net::TcpStream::connect(workers[0].local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut reply = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        let mut back = String::new();
+        reader.read_line(&mut back).unwrap();
+        WorkerReply::from_json(back.trim()).unwrap()
+    };
+    let count = |id: u64, first: u64, count: u64| {
+        WorkerRequest::Count(CountRequest {
+            id,
+            null_model: NullModel::Bernoulli,
+            seed: 1,
+            worldgen: WorldGen::Word,
+            first,
+            count,
+            word_lo: 0,
+            word_hi: num_words,
+        })
+        .to_json()
+    };
+    for (id, first, n, message) in [
+        (3, 0, 1 << 40, "exceeds the limit"),
+        (4, u64::MAX - 1, 4, "overflows"),
+    ] {
+        match reply(&count(id, first, n)) {
+            WorkerReply::Err {
+                id: Some(got),
+                error,
+            } => {
+                assert_eq!(got, id);
+                assert!(error.contains(message), "{error}");
+            }
+            other => panic!("expected a typed count error, got {other:?}"),
+        }
+        match reply(&WorkerRequest::Hello.to_json()) {
+            WorkerReply::Hello { num_points, .. } => assert_eq!(num_points, 500),
+            other => panic!("expected a hello reply, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        reply(&count(5, 0, 2)),
+        WorkerReply::Count { id: 5, .. }
+    ));
+    assert_eq!(workers[0].stats().errors, 2);
+}
+
+#[test]
 fn shutdown_returns_while_a_client_holds_a_half_sent_line() {
     use std::io::{BufRead, BufReader, Write};
     use std::time::Duration;

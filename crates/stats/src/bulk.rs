@@ -40,17 +40,18 @@
 //! # The chunk fill
 //!
 //! Every chunk substream shares the world's key, so `fill_chunks`
-//! derives it once and computes each chunk's first keystream blocks
-//! eight at a time ([`rand_chacha::blocks8`], one AVX2 pass where the
-//! CPU has it). The refinement then runs eight passes per step with no
-//! data-dependent branch: `decided |= open & !w & tm` and
-//! `open &= !(w ^ tm)`, where `tm` is all ones when `T`'s bit is 1.
-//! This is exact because a closed word is a fixed point — once `open`
-//! is 0 neither update changes anything — and `open` never gains bits,
-//! so the words `sample_word` would consume are precisely the passes
-//! that began with `open != 0` (capped at `T`'s last bit). The stream
-//! position advances by that count, and the next word reads on from
-//! there, exactly as `sample_word` does.
+//! derives it once and computes each chunk's first sixteen keystream
+//! blocks in one [`rand_chacha::blocks16`] call (one zmm pass where the
+//! CPU has AVX-512F, two ymm passes where it has AVX2). The refinement
+//! then runs eight passes per step with no data-dependent branch:
+//! `decided |= open & !w & tm` and `open &= !(w ^ tm)`, where `tm` is
+//! all ones when `T`'s bit is 1. This is exact because a closed word is
+//! a fixed point — once `open` is 0 neither update changes anything —
+//! and `open` never gains bits, so the words `sample_word` would
+//! consume are precisely the passes that began with `open != 0`
+//! (capped at `T`'s last bit). The stream position advances by that
+//! count, and the next word reads on from there, exactly as
+//! `sample_word` does.
 
 use crate::rng::chunk_key;
 use rand::RngCore;
@@ -295,16 +296,12 @@ impl BulkBernoulli {
             }
             return 0;
         }
-        // Blocks 0..B eight lanes at a time, then one block of slack so
-        // every step's eight reads stay in bounds (words past `len` are
-        // stale and never consumed).
-        let blocks = buffered_blocks(words.len());
+        // Blocks 0..CHUNK_BLOCKS in one call, then one block of slack
+        // so every step's eight reads stay in bounds (words past `len`
+        // are stale and never consumed).
         let mut buf = [[0u64; 8]; CHUNK_BLOCKS + 1];
-        for (p, out) in buf[..blocks].chunks_exact_mut(8).enumerate() {
-            let lanes = std::array::from_fn(|j| ((8 * p + j) as u64, chunk));
-            rand_chacha::blocks8(key, &lanes, out.try_into().unwrap());
-        }
-        let (mut pos, mut len, mut next_block) = (0, blocks * 8, blocks as u64);
+        rand_chacha::blocks16(key, 0, chunk, buf.first_chunk_mut().unwrap());
+        let (mut pos, mut len, mut next_block) = (0, CHUNK_BLOCKS * 8, CHUNK_BLOCKS as u64);
         let mut consumed = 0;
         for (w, word) in words.iter_mut().enumerate() {
             // One word, PASS_GROUP passes per step (see the module docs
@@ -354,18 +351,12 @@ impl BulkBernoulli {
 /// Refinement passes resolved per branch-free step.
 const PASS_GROUP: usize = 8;
 
-/// Keystream blocks computed up front for a full chunk, in whole
-/// [`rand_chacha::blocks8`] passes: one block (8 words) per label word
-/// covers the ≈8 words a 64-label word consumes on average. A chunk
-/// that needs more draws scalar blocks past them.
-const CHUNK_BLOCKS: usize = GEN_CHUNK_WORDS;
-
-/// Blocks buffered up front for a chunk of `words` words: about one
-/// per word plus slack, in whole 8-lane passes, so a short final chunk
-/// does not compute a full chunk's blocks.
-fn buffered_blocks(words: usize) -> usize {
-    (words + 2).next_multiple_of(8).min(CHUNK_BLOCKS)
-}
+/// Keystream blocks computed up front for every chunk, short final
+/// chunks included, by one [`rand_chacha::blocks16`] call: one block
+/// (8 words) per label word covers the ≈8 words a 64-label word
+/// consumes on average. A chunk that needs more draws scalar blocks
+/// past them.
+const CHUNK_BLOCKS: usize = 16;
 
 /// The valid-lane mask of word `w` in an `n`-label array: all ones
 /// except for the final partial word, whose lanes past `n` are zero.
@@ -539,11 +530,39 @@ mod tests {
     }
 
     #[test]
+    fn chunk_fill_matches_sample_word_at_every_final_chunk_length() {
+        // Two full chunks and a final chunk of every length from 1 to
+        // 16 words, its last word full, one label or partial: the same
+        // words and draws per chunk as the oracle. At T = 1 each word
+        // takes all 53 passes, so a final chunk of three or more words
+        // reads past its sixteen buffered blocks.
+        let mut rng = seeded_rng(0xf1a1);
+        let mut thresholds = vec![1, 1 << 52, (1 << 53) - 1];
+        thresholds.extend((0..3).map(|_| rng.next_u64() >> 11));
+        for threshold in thresholds {
+            let sampler = BulkBernoulli { threshold };
+            for final_words in 1..=GEN_CHUNK_WORDS {
+                for last_labels in [64, 1, 37] {
+                    let n = 2 * 1024 + (final_words - 1) * 64 + last_labels;
+                    for first_chunk in [0usize, 5] {
+                        let tag = rng.next_u64();
+                        assert_eq!(
+                            chunk_fill(&sampler, tag, first_chunk, n),
+                            oracle(&sampler, tag, first_chunk, n),
+                            "threshold {threshold:#x}, n {n}, chunk {first_chunk}, tag {tag:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn chunk_fill_splits_and_overflows_exactly() {
         // Any split of a world's chunks into fill calls draws the same
         // world, and the test tags drive full chunks past the buffered
         // blocks (onto the scalar overflow blocks) with words and draws
-        // unchanged. The six-word final chunk buffers fewer blocks.
+        // unchanged.
         let n = 20 * 1024 + 6 * 64; // 20 full chunks and a 6-word one
         let mut rng = seeded_rng(0x0f10);
         for p in [0.5, 0.123] {
@@ -559,12 +578,7 @@ mod tests {
                 sampler.fill_chunks(tag, 0, head, 7 * 1024);
                 sampler.fill_chunks(tag, 7, tail, n - 7 * 1024);
                 assert_eq!(split, words, "tag {tag:#x}");
-                for (c, &d) in draws.iter().enumerate() {
-                    let chunk_words = (n.div_ceil(64) - c * GEN_CHUNK_WORDS).min(GEN_CHUNK_WORDS);
-                    if d > 8 * buffered_blocks(chunk_words) {
-                        overflows += 1;
-                    }
-                }
+                overflows += draws.iter().filter(|&&d| d > 8 * CHUNK_BLOCKS).count();
             }
             assert!(overflows > 0, "p={p}: no chunk overflowed");
         }
