@@ -21,7 +21,7 @@
 //!
 //! [`ScanEngine::generate_world_window`]: sfscan::prepared::PreparedAudit
 
-use sfindex::BlockedMembership;
+use sfindex::{BitLabels, BlockedMembership, MAX_FUSED_WORLDS};
 use sfscan::prepared::{PreparedAudit, MAX_WORLDS};
 use sfscan::{NullModel, WorldGen};
 use sfstats::rng::world_rng;
@@ -249,7 +249,9 @@ impl SpanCounter {
     /// (window-restricted generation when the stream supports it, full
     /// generation otherwise — the window's words are identical either
     /// way) and recounts them against the clipped CSR view of its word
-    /// window.
+    /// window, one lane group of [`MAX_FUSED_WORLDS`] worlds at a time,
+    /// so a span holds at most that many worlds' labels whatever its
+    /// length.
     pub fn count_span(&self, spec: SpanSpec) -> Result<SpanPartials, SpanError> {
         let SpanSpec {
             null_model,
@@ -273,21 +275,32 @@ impl SpanCounter {
             return Err(SpanError::BadWindow { word_lo, word_hi });
         }
         let engine = self.prepared.engine();
-        let mut worlds = Vec::with_capacity(count);
-        for k in 0..count {
-            let mut rng = world_rng(seed, (first + k) as u64);
-            worlds.push(
-                engine.generate_world_window(null_model, worldgen, &mut rng, word_lo, word_hi),
+        let view = self.view(word_lo, word_hi);
+        let mut counts = vec![0; view.num_regions() * count];
+        let mut p_partials = Vec::with_capacity(count);
+        let mut group_counts = Vec::new();
+        for g0 in (0..count).step_by(MAX_FUSED_WORLDS) {
+            let worlds: Vec<BitLabels> = (g0..count.min(g0 + MAX_FUSED_WORLDS))
+                .map(|k| {
+                    let mut rng = world_rng(seed, (first + k) as u64);
+                    engine.generate_world_window(null_model, worldgen, &mut rng, word_lo, word_hi)
+                })
+                .collect();
+            let refs: Vec<&BitLabels> = worlds.iter().collect();
+            view.count_all_many_into(&refs, engine.kernel(), &mut group_counts);
+            // The group's columns of the region-major reply.
+            for (row, group_row) in counts
+                .chunks_exact_mut(count)
+                .zip(group_counts.chunks_exact(worlds.len()))
+            {
+                row[g0..g0 + worlds.len()].copy_from_slice(group_row);
+            }
+            p_partials.extend(
+                worlds
+                    .iter()
+                    .map(|labels| labels.count_ones_in_words(word_lo, word_hi)),
             );
         }
-        let refs: Vec<&sfindex::BitLabels> = worlds.iter().collect();
-        let view = self.view(word_lo, word_hi);
-        let mut counts = Vec::new();
-        view.count_all_many_into(&refs, engine.kernel(), &mut counts);
-        let p_partials = worlds
-            .iter()
-            .map(|labels| labels.count_ones_in_words(word_lo, word_hi))
-            .collect();
         Ok(SpanPartials { counts, p_partials })
     }
 }
@@ -379,6 +392,47 @@ mod tests {
         counter.count_span(spec(0, 1, lo, hi)).unwrap();
         let cached = counter.view(lo, hi);
         assert!(Arc::ptr_eq(&cached, &counter.view(lo, hi)));
+    }
+
+    #[test]
+    fn lane_group_partials_match_a_one_shot_count() {
+        // Spans counted eight worlds at a time give the partials of
+        // generating every world first and counting them in one call,
+        // over whole, partial and several lane groups, in the full
+        // window and a narrow one.
+        let counter = counter(3000);
+        let words = counter.num_label_words();
+        let engine = counter.prepared().engine();
+        for (word_lo, word_hi) in [(0, words), (words / 3, words / 3 + 2)] {
+            let view = counter.view(word_lo, word_hi);
+            for count in [1, 7, 8, 9, 17] {
+                let spec = spec(11, count, word_lo, word_hi);
+                let worlds: Vec<BitLabels> = (0..count)
+                    .map(|k| {
+                        let mut rng = world_rng(spec.seed, (spec.first + k) as u64);
+                        engine.generate_world_window(
+                            spec.null_model,
+                            spec.worldgen,
+                            &mut rng,
+                            word_lo,
+                            word_hi,
+                        )
+                    })
+                    .collect();
+                let refs: Vec<&BitLabels> = worlds.iter().collect();
+                let mut counts = Vec::new();
+                view.count_all_many_into(&refs, engine.kernel(), &mut counts);
+                let p_partials = worlds
+                    .iter()
+                    .map(|labels| labels.count_ones_in_words(word_lo, word_hi))
+                    .collect();
+                assert_eq!(
+                    counter.count_span(spec).unwrap(),
+                    SpanPartials { counts, p_partials },
+                    "count {count}, window {word_lo}..{word_hi}"
+                );
+            }
+        }
     }
 
     #[test]
