@@ -150,14 +150,13 @@ pub enum Shards {
 
 impl Shards {
     /// The concrete shard count for an engine spanning `num_words`
-    /// label words: `Auto` resolves to the available parallelism, and
+    /// label words: `Auto` resolves to the worker-thread count of the
+    /// parallel runtime (the core count, probed once per process), and
     /// every request is clamped to `[1, max(num_words, 1)]` (a shard
     /// narrower than one word can never own anything).
     pub fn resolve(&self, num_words: usize) -> usize {
         let requested = match self {
-            Shards::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            Shards::Auto => rayon::current_num_threads(),
             Shards::Fixed(k) => *k,
         };
         requested.clamp(1, num_words.max(1))

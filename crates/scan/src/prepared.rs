@@ -1080,8 +1080,12 @@ where
         span_buf.clear();
         span_buf.resize(simulated * stride, 0.0);
         let batch = stride * MAX_FUSED_WORLDS;
-        if parallel && simulated >= MAX_FUSED_WORLDS * rayon::current_num_threads() {
-            // Coarse axis: enough world batches to fill the machine.
+        if simulated == 0 {
+            // A span served wholly from cached rows simulates nothing,
+            // so it needs no split.
+        } else if parallel && simulated >= MAX_FUSED_WORLDS * rayon::current_num_threads() {
+            // Coarse axis: enough world batches to fill the machine
+            // (the core count is probed once per process, not per span).
             span_buf
                 .par_chunks_mut(batch)
                 .enumerate()

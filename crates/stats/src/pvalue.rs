@@ -106,8 +106,15 @@ pub fn largest_significant_rank(alpha: f64, w: usize) -> usize {
 /// reach significance (`m < 1`), mirroring the fact that with too few
 /// worlds nothing can be declared significant.
 ///
+/// The threshold is found by linear-time selection, and it has exactly
+/// the bits that index `m − 1` of a stable descending sort would hold.
+/// The one case where equal values differ in bits is zero: when the
+/// threshold is zero, the result is the zero a stable sort places at
+/// `m − 1`, the `(m − 1 − #{sims > 0})`-th zero in input order.
+///
 /// # Panics
-/// Panics if `simulated` is empty or `alpha` is outside `(0, 1)`.
+/// Panics if `simulated` is empty or `alpha` is outside `(0, 1)`, and
+/// when `m ≥ 1` if any simulated value is NaN.
 pub fn critical_value(simulated: &[f64], alpha: f64) -> f64 {
     assert!(!simulated.is_empty(), "need at least one simulated world");
     assert!(
@@ -119,10 +126,24 @@ pub fn critical_value(simulated: &[f64], alpha: f64) -> f64 {
     if m < 1 {
         return f64::INFINITY;
     }
-    // m-th largest simulated value.
-    let mut sorted: Vec<f64> = simulated.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("statistics must not be NaN"));
-    sorted[m - 1]
+    assert!(
+        !simulated.iter().any(|s| s.is_nan()),
+        "statistics must not be NaN"
+    );
+    // m-th largest simulated value. `total_cmp` orders -0 below +0,
+    // which only decides which zero is picked; that is fixed below.
+    let mut scratch: Vec<f64> = simulated.to_vec();
+    let (_, &mut c, _) = scratch.select_nth_unstable_by(m - 1, |a, b| b.total_cmp(a));
+    if c != 0.0 {
+        return c;
+    }
+    let above = simulated.iter().filter(|&&s| s > 0.0).count();
+    simulated
+        .iter()
+        .copied()
+        .filter(|&s| s == 0.0)
+        .nth(m - 1 - above)
+        .expect("the m-th largest value is a zero")
 }
 
 /// Returns `true` when a statistic is significant at `alpha` given the
@@ -227,6 +248,16 @@ mod tests {
                 "inconsistent at t={t}, c={c}"
             );
         }
+    }
+
+    #[test]
+    fn critical_zero_is_the_one_a_stable_sort_places() {
+        // A stable descending sort keeps -0.0, 0.0, -0.0 in input order
+        // after 1.0: w = 5, alpha = 2/5 -> m = 2 -> the first zero.
+        let sims = [-0.0, 1.0, 0.0, -0.0];
+        assert_eq!(critical_value(&sims, 0.4).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(critical_value(&sims, 0.6).to_bits(), 0.0f64.to_bits());
+        assert_eq!(critical_value(&sims, 0.8).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sfstats::binomial::{binomial_cdf, binomial_pmf, ln_choose, ln_factorial};
 use sfstats::descriptive::{mean_variance_population, quantile};
 use sfstats::llr::{bernoulli_llr, bernoulli_llr_directed, Counts2x2};
 use sfstats::montecarlo::{McStrategy, MonteCarlo};
-use sfstats::pvalue::{critical_value, rank_p_value};
+use sfstats::pvalue::{critical_value, largest_significant_rank, rank_p_value};
 use sfstats::Direction;
 
 /// Strategy producing a consistent 2x2 count table.
@@ -19,7 +19,71 @@ fn arb_counts() -> impl Strategy<Value = Counts2x2> {
     })
 }
 
+/// The sort-based `critical_value` that linear-time selection
+/// replaced, kept as the oracle whose bits the selection must return.
+fn critical_value_by_sort(simulated: &[f64], alpha: f64) -> f64 {
+    let m = largest_significant_rank(alpha, simulated.len() + 1);
+    if m < 1 {
+        return f64::INFINITY;
+    }
+    let mut sorted: Vec<f64> = simulated.to_vec();
+    sorted.sort_by(|a, b| b.partial_cmp(a).expect("statistics must not be NaN"));
+    sorted[m - 1]
+}
+
+/// A value from a small pool, so that ties, mixes of `+0.0` and
+/// `-0.0`, and `±∞` are common; codes `0..2` give only signed zeros.
+fn tie_heavy_value(code: u8) -> f64 {
+    match code {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        c => f64::from(c) - 7.5,
+    }
+}
+
+/// Simulated values with heavy ties: each case draws from the first
+/// `pool` codes of [`tie_heavy_value`].
+fn arb_tied_sims() -> impl Strategy<Value = Vec<f64>> {
+    (2u8..=12).prop_flat_map(|pool| {
+        prop::collection::vec(0..pool, 1..=2000)
+            .prop_map(|codes| codes.into_iter().map(tie_heavy_value).collect())
+    })
+}
+
+/// An alpha for `len` simulated worlds: `mode` 0 gives `m < 1`, 1 gives
+/// `m = 1`, 2 gives `m = len`, and 3 uses `free` as it is.
+fn alpha_for(len: usize, mode: u8, free: f64) -> f64 {
+    let w = (len + 1) as f64;
+    match mode {
+        0 => 0.5 / w,
+        1 => 1.0 / w,
+        2 => len as f64 / w,
+        _ => free,
+    }
+}
+
 proptest! {
+    #[test]
+    fn critical_value_selection_matches_the_stable_sort(
+        sims in arb_tied_sims(),
+        mode in 0u8..4,
+        free in 0.001..0.999f64,
+    ) {
+        let alpha = alpha_for(sims.len(), mode, free);
+        let m = largest_significant_rank(alpha, sims.len() + 1);
+        match mode {
+            0 => prop_assert_eq!(m, 0),
+            1 => prop_assert_eq!(m, 1),
+            2 => prop_assert_eq!(m, sims.len()),
+            _ => {}
+        }
+        let got = critical_value(&sims, alpha);
+        let want = critical_value_by_sort(&sims, alpha);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "m={}, got {}, want {}", m, got, want);
+    }
+
     #[test]
     fn llr_is_non_negative_and_finite(c in arb_counts()) {
         let llr = bernoulli_llr(&c);
@@ -212,4 +276,31 @@ proptest! {
             full.p_value(), adaptive.p_value(), alpha
         );
     }
+}
+
+/// 999 tied simulated values with a NaN at `at`.
+fn sims_with_nan_at(at: usize) -> Vec<f64> {
+    let mut sims: Vec<f64> = (0..999u16)
+        .map(|i| tie_heavy_value((i % 12) as u8))
+        .collect();
+    sims[at] = f64::NAN;
+    sims
+}
+
+#[test]
+#[should_panic(expected = "statistics must not be NaN")]
+fn critical_value_rejects_a_leading_nan() {
+    critical_value(&sims_with_nan_at(0), 0.005);
+}
+
+#[test]
+#[should_panic(expected = "statistics must not be NaN")]
+fn critical_value_rejects_a_middle_nan() {
+    critical_value(&sims_with_nan_at(499), 0.005);
+}
+
+#[test]
+#[should_panic(expected = "statistics must not be NaN")]
+fn critical_value_rejects_a_trailing_nan() {
+    critical_value(&sims_with_nan_at(998), 0.005);
 }
