@@ -6,8 +6,7 @@ use sfgeo::Rect;
 use sfml::RandomForestConfig;
 use sfscan::outcomes::SpatialOutcomes;
 use sfscan::{
-    AuditConfig, CountingStrategy, IndexBackend, KernelSelect, McStrategy, Shards, Statistic,
-    WorldGen,
+    AuditConfig, CountingStrategy, IndexBackend, McStrategy, Shards, Statistic, WorldGen,
 };
 use std::time::Instant;
 
@@ -31,9 +30,6 @@ pub struct Options {
     /// Shard count for the blocked counting/generation fan-out
     /// (`auto` resolves to the available cores).
     pub shards: Shards,
-    /// Popcount kernel for the blocked counting sweeps (`auto`
-    /// resolves to the best kernel the CPU supports).
-    pub kernel: KernelSelect,
     /// Test statistic scoring every region in every world.
     pub statistic: Statistic,
     /// `serve`: JSONL request file (None reads stdin).
@@ -88,7 +84,6 @@ impl Default for Options {
             mc_strategy: McStrategy::FullBudget,
             worldgen: WorldGen::Word,
             shards: Shards::Auto,
-            kernel: KernelSelect::Auto,
             statistic: Statistic::BernoulliLlr,
             input: None,
             max_pending: None,
@@ -113,7 +108,7 @@ impl Options {
 
     /// Applies the harness-level audit knobs (index backend, counting
     /// strategy, Monte Carlo budget strategy, world generator, shard
-    /// count, popcount kernel, test statistic) to a figure's config.
+    /// count, test statistic) to a figure's config.
     pub fn decorate(&self, config: AuditConfig) -> AuditConfig {
         config
             .with_backend(self.backend)
@@ -121,7 +116,6 @@ impl Options {
             .with_mc_strategy(self.mc_strategy)
             .with_worldgen(self.worldgen)
             .with_shards(self.shards)
-            .with_kernel(self.kernel)
             .with_statistic(self.statistic)
     }
 

@@ -32,10 +32,7 @@
 //! <scalar|word>` (world-generation version; `word` — the default —
 //! draws Bernoulli labels 64 per RNG pass), `--shards <auto|N>`
 //! (contiguous rank shards for blocked counting/generation; `auto`
-//! resolves to the available cores), `--kernel
-//! <auto|scalar|avx2|avx512|portable>` (popcount kernel for the
-//! blocked sweeps; every kernel is bit-identical, `auto` picks the
-//! best one the CPU supports), `--statistic
+//! resolves to the available cores), `--statistic
 //! <bernoulli-llr|equal-opp-tpr|mean-residual>` (test statistic
 //! scoring every region in every world).
 //! `serve` takes `--input <path>` (JSONL request envelopes; default
@@ -132,10 +129,6 @@ fn main() {
             "--shards" => {
                 i += 1;
                 opts.shards = parse_flag("--shards", args.get(i));
-            }
-            "--kernel" => {
-                i += 1;
-                opts.kernel = parse_flag("--kernel", args.get(i));
             }
             "--statistic" => {
                 i += 1;
@@ -277,7 +270,6 @@ fn die(msg: &str) -> ! {
          [--strategy <membership|requery|blocked|auto>] \
          [--mc <full-budget|early-stop|early-stop(batch=N)>] [--early-stop] \
          [--worldgen <scalar|word>] [--shards <auto|N>] \
-         [--kernel <auto|scalar|avx2|avx512|portable>] \
          [--statistic <bernoulli-llr|equal-opp-tpr|mean-residual>] \
          [--input PATH] [--max-pending N] \
          [--listen ADDR] [--connect ADDR] [--net-workers N] \

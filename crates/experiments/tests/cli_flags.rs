@@ -37,3 +37,9 @@ fn retired_backend_is_a_usage_error_listing_the_valid_values() {
     let stderr = rejects(&["--backend", "quadtree"], "--backend");
     assert!(stderr.contains("valid values: brute, kdtree"), "{stderr}");
 }
+
+#[test]
+fn retired_kernel_flag_is_a_usage_error() {
+    let stderr = rejects(&["--kernel", "avx512"], "--kernel");
+    assert!(stderr.contains("unknown argument: --kernel"), "{stderr}");
+}

@@ -421,8 +421,8 @@ impl BlockedMembership {
     /// region's counts stay in one accumulator whose first
     /// `worlds.len()` lanes are stored as its row.
     /// [`CountingKernel::Avx512`] runs that sweep with one `vpopcntq`
-    /// per line; every other kernel runs the portable lane loop over
-    /// only the lanes the group needs. A
+    /// per line; [`CountingKernel::Portable`] runs the portable lane
+    /// loop over only the lanes the group needs. A
     /// [`clip_to_words`](BlockedMembership::clip_to_words) view
     /// transposes only its own window.
     ///
@@ -482,7 +482,7 @@ impl BlockedMembership {
 
     /// Counts every region against a filled tile through the tile body
     /// `kernel` selects: [`CountingKernel::Avx512`] runs the VPOPCNTDQ
-    /// body, every other kernel the portable body over only as many
+    /// body, [`CountingKernel::Portable`] the portable body over only as many
     /// lanes (1, 2, 4 or 8) as `cols` needs. The tile's first
     /// `cols.len()` lanes are the matrix columns `cols`: region `r`'s
     /// counts go to `out[r * width + cols.start..r * width + cols.end]`.

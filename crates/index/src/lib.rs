@@ -59,7 +59,7 @@ pub use blocked::{
 };
 pub use brute::BruteForceIndex;
 pub use kdtree::KdTree;
-pub use kernel::{CountingKernel, KernelSelect, ParseKernelError};
+pub use kernel::CountingKernel;
 pub use labels::BitLabels;
 pub use membership::Membership;
 pub use substrate::{CountingSubstrate, IndexBackend, ParseBackendError, Substrate};

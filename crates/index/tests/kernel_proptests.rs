@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use sfindex::{shard_word_bounds, BitLabels, BlockedMembership, CountingKernel, MAX_FUSED_WORLDS};
 
-/// Every kernel this CPU can actually run (Scalar and Portable
-/// always; AVX2/AVX-512 when detected).
+/// Every kernel this CPU can actually run (Portable always, AVX-512
+/// when detected).
 fn supported_kernels() -> Vec<CountingKernel> {
     CountingKernel::ALL
         .into_iter()

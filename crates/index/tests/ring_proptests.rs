@@ -198,7 +198,7 @@ proptest! {
         let refs: Vec<&BitLabels> = worlds.iter().collect();
         let mut summed = vec![0u64; regions.len() * refs.len()];
         for view in &views {
-            view.count_all_many_into(&refs, CountingKernel::Scalar, &mut out);
+            view.count_all_many_into(&refs, CountingKernel::Portable, &mut out);
             for (acc, &p) in summed.iter_mut().zip(&out) {
                 *acc += p;
             }

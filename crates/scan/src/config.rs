@@ -2,8 +2,8 @@
 
 use crate::direction::Direction;
 use serde::{Deserialize, Serialize};
+pub use sfindex::CountingKernel;
 pub use sfindex::IndexBackend;
-pub use sfindex::{CountingKernel, KernelSelect, ParseKernelError};
 pub use sfstats::bulk::WorldGen;
 pub use sfstats::kernel::{ParseStatisticError, Statistic, TauKernel};
 pub use sfstats::montecarlo::McStrategy;
@@ -272,36 +272,28 @@ pub struct AuditConfig {
     /// [`Shards`]). Results are bit-identical for every value; absent
     /// on pre-sharding wire payloads, which decode as [`Shards::Auto`].
     pub shards: Shards,
-    /// Counting-kernel selection for the blocked popcnt sweeps (see
-    /// [`KernelSelect`]): which body of the eight-world counting tile
-    /// runs — the portable lane loop, runtime-dispatched AVX2/AVX-512,
-    /// or `Auto` (best detected + self-probed). Kernels produce bit-identical
-    /// integer counts, so this knob — like `shards` and `parallel` —
-    /// is pure performance; absent on pre-kernel wire payloads, which
-    /// decode as [`KernelSelect::Auto`].
-    pub kernel: KernelSelect,
     /// Per-region test statistic the audit maximises (see
-    /// [`Statistic`]). Unlike `shards`/`kernel` this knob *changes
-    /// results*, so it is part of the world-class identity everywhere
-    /// worlds are shared or cached. Absent on pre-kernel wire
-    /// payloads, which decode as [`Statistic::BernoulliLlr`] — the
-    /// paper's statistic, reproduced bit for bit.
+    /// [`Statistic`]). Unlike `shards` this knob *changes results*, so
+    /// it is part of the world-class identity everywhere worlds are
+    /// shared or cached. Absent on pre-statistic wire payloads, which
+    /// decode as [`Statistic::BernoulliLlr`] — the paper's statistic,
+    /// reproduced bit for bit.
     pub statistic: Statistic,
     /// Evaluate worlds in parallel (results are identical either way).
     pub parallel: bool,
 }
 
-// Manual wire impls instead of the derive: `worldgen`, `shards`,
-// `kernel`, and `statistic` were added after the v1 wire format
-// shipped, and configs are embedded in every serialized
-// `AuditReport`/response envelope — older payloads without the fields
-// must keep decoding (`worldgen` absent means the v1 Scalar
-// generator; `shards` and `kernel` absent mean Auto; `statistic`
-// absent means the paper's Bernoulli LLR). The derive would
-// hard-error on the missing fields. `statistic` is additionally
-// *omitted when default*, so every response embedding a
-// Bernoulli-LLR config serializes byte-identically to the
-// pre-statistic wire format.
+// Manual wire impls instead of the derive: `worldgen`, `shards` and
+// `statistic` were added after the v1 wire format shipped, and configs
+// are embedded in every serialized `AuditReport`/response envelope —
+// older payloads without the fields must keep decoding (`worldgen`
+// absent means the v1 Scalar generator; `shards` absent means Auto;
+// `statistic` absent means the paper's Bernoulli LLR). The derive
+// would hard-error on the missing fields. `statistic` is additionally
+// *omitted when default*, so every response embedding a Bernoulli-LLR
+// config serializes byte-identically to the pre-statistic wire format.
+// The decoder reads only the keys below, so the `"kernel"` field that
+// configs carried while the counting kernel was a knob is ignored.
 impl Serialize for AuditConfig {
     fn serialize(&self, w: &mut serde::Writer) {
         w.begin_object();
@@ -315,7 +307,6 @@ impl Serialize for AuditConfig {
         w.field("mc_strategy", &self.mc_strategy);
         w.field("worldgen", &self.worldgen);
         w.field("shards", &self.shards);
-        w.field("kernel", &self.kernel);
         if self.statistic != Statistic::BernoulliLlr {
             w.field("statistic", &self.statistic);
         }
@@ -346,12 +337,6 @@ impl Deserialize for AuditConfig {
                     .map_err(|e| serde::Error::msg(format!("field `shards`: {}", e.message)))?,
                 // Absent on pre-sharding payloads.
                 None => Shards::Auto,
-            },
-            kernel: match value.get("kernel") {
-                Some(v) => KernelSelect::from_value(v)
-                    .map_err(|e| serde::Error::msg(format!("field `kernel`: {}", e.message)))?,
-                // Absent on pre-kernel payloads.
-                None => KernelSelect::Auto,
             },
             statistic: match value.get("statistic") {
                 Some(v) => Statistic::from_value(v)
@@ -388,7 +373,6 @@ impl AuditConfig {
             mc_strategy: McStrategy::FullBudget,
             worldgen: WorldGen::Word,
             shards: Shards::Auto,
-            kernel: KernelSelect::Auto,
             statistic: Statistic::BernoulliLlr,
             parallel: true,
         }
@@ -461,13 +445,6 @@ impl AuditConfig {
     /// value; see [`Shards`]).
     pub fn with_shards(mut self, shards: Shards) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the counting-kernel selection (results are identical for
-    /// every value; see [`KernelSelect`]).
-    pub fn with_kernel(mut self, kernel: KernelSelect) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -661,26 +638,59 @@ mod tests {
         assert!(serde_json::from_str::<Shards>("\"several\"").is_err());
     }
 
+    /// Configs and reports serialized while the counting kernel was a
+    /// knob carry a `"kernel"` field in the config; whatever it holds,
+    /// they decode to what the same payload without it decodes to.
     #[test]
-    fn kernel_serde_round_trips_and_defaults_missing_field() {
-        let forced = AuditConfig::new(0.05).with_kernel(KernelSelect::Portable);
-        let json = serde_json::to_string(&forced).unwrap();
-        assert!(json.contains("\"kernel\":\"Portable\""), "{json}");
-        let back: AuditConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.kernel, KernelSelect::Portable);
-        // Pre-kernel payloads (every config serialized before this
-        // knob existed) keep decoding and mean Auto.
-        let v1 = r#"{"alpha": 0.005, "worlds": 999, "seed": 0,
-                     "direction": "TwoSided", "null_model": "Bernoulli",
-                     "strategy": "Membership", "backend": "KdTree",
-                     "mc_strategy": "FullBudget", "parallel": true}"#;
-        let config: AuditConfig = serde_json::from_str(v1).unwrap();
-        assert_eq!(config.kernel, KernelSelect::Auto);
-        assert!(serde_json::from_str::<KernelSelect>("\"sse9\"").is_err());
-        for select in KernelSelect::ALL {
-            let json = serde_json::to_string(&select).unwrap();
-            let back: KernelSelect = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, select);
+    fn legacy_kernel_field_is_ignored() {
+        use crate::report::AuditReport;
+        let legacy_kernels = [
+            "\"Auto\"",
+            "\"Scalar\"",
+            "\"Avx2\"",
+            "\"Avx512\"",
+            "\"Portable\"",
+            "3",
+        ];
+        let with_legacy_kernel = |json: &str, kernel: &str| {
+            let legacy = json.replacen("\"shards\"", &format!("\"kernel\":{kernel},\"shards\""), 1);
+            assert_ne!(legacy, json, "no `shards` key to insert before");
+            legacy
+        };
+        for config in [
+            AuditConfig::new(0.05),
+            AuditConfig::paper()
+                .with_statistic(Statistic::EqualOppTpr)
+                .with_shards(Shards::Fixed(3)),
+        ] {
+            let json = serde_json::to_string(&config).unwrap();
+            assert!(!json.contains("kernel"), "{json}");
+            let report = AuditReport {
+                config,
+                n_total: 10,
+                p_total: 4,
+                rate: 0.4,
+                num_regions: 0,
+                region_set: "none".into(),
+                tau: 0.0,
+                best_region_index: 0,
+                p_value: 1.0,
+                critical_value: 0.0,
+                findings: Vec::new(),
+                worlds_evaluated: 2,
+                simulated: vec![0.0, 0.5],
+            };
+            let report_json = report.to_json();
+            for kernel in legacy_kernels {
+                let legacy = with_legacy_kernel(&json, kernel);
+                let back: AuditConfig =
+                    serde_json::from_str(&legacy).unwrap_or_else(|e| panic!("{legacy}: {e}"));
+                assert_eq!(back, config, "{legacy}");
+                let legacy = with_legacy_kernel(&report_json, kernel);
+                let back: AuditReport =
+                    serde_json::from_str(&legacy).unwrap_or_else(|e| panic!("{legacy}: {e}"));
+                assert_eq!(back, report, "{legacy}");
+            }
         }
     }
 

@@ -139,7 +139,7 @@
 //! enumerated id past the point count, or one enumerated twice for a
 //! region, is [`ScanError::MembershipIntegrity`].
 
-use crate::config::{CountingStrategy, KernelSelect, NullModel, Shards, WorldGen};
+use crate::config::{CountingStrategy, NullModel, Shards, WorldGen};
 use crate::direction::Direction;
 use crate::error::ScanError;
 use crate::outcomes::SpatialOutcomes;
@@ -232,11 +232,10 @@ pub struct ScanEngine<I: CountingSubstrate = Substrate> {
     shard_views: Vec<BlockedMembership>,
     /// The `(word_lo, word_hi)` window of each entry in `shard_views`.
     shard_bounds: Vec<(usize, usize)>,
-    /// The popcount kernel the mask sweeps run on — resolved from a
-    /// [`KernelSelect`] at build (default `Auto`, the best kernel the
-    /// CPU supports). Every kernel produces bit-identical counts, so
-    /// this is a pure performance knob; requery engines ignore it
-    /// (they have no masks to popcount).
+    /// The counting tile body the mask sweeps run on, picked from the
+    /// CPU at build ([`CountingKernel::detect`]). Both bodies produce
+    /// bit-identical counts; requery engines ignore it (they have no
+    /// masks to popcount).
     kernel: CountingKernel,
     /// The engine's *default* per-region test statistic, used by
     /// [`ScanEngine::scan_real`]. [`ScanEngine::eval`] and
@@ -403,7 +402,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             real_world,
             shard_views: Vec::new(),
             shard_bounds: Vec::new(),
-            kernel: KernelSelect::Auto.resolve(),
+            kernel: CountingKernel::detect(),
             statistic: Statistic::BernoulliLlr,
         })
     }
@@ -432,21 +431,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self
     }
 
-    /// Selects the popcount kernel the mask sweeps run on (see
-    /// [`KernelSelect`]): `Auto` resolves to the best kernel the CPU
-    /// supports (its tile body verified by a one-time probe against
-    /// the one-world reference), explicit SIMD selections degrade down
-    /// the ladder when the feature is missing. Counts are exact
-    /// integers under every kernel, so every selection is bit-identical
-    /// — this knob moves only throughput. No-op for requery engines.
-    pub fn with_kernel(mut self, select: KernelSelect) -> Self {
-        self.kernel = select.resolve();
-        self
-    }
-
-    /// The popcount kernel actually in effect after resolving the
-    /// [`KernelSelect`] (never `Auto` — resolution happens at
-    /// selection time).
+    /// The counting tile body the mask sweeps run on: the one
+    /// [`CountingKernel::detect`] picked from the CPU at build.
     pub fn kernel(&self) -> CountingKernel {
         self.kernel
     }
@@ -454,7 +440,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// Sets the engine's default per-region test statistic (what
     /// [`ScanEngine::scan_real`] computes; [`ScanEngine::eval`] and
     /// [`ScanEngine::scan_real_with`] take one per call). Unlike
-    /// `with_shards`/`with_kernel` this knob *changes results* — see
+    /// `with_shards` this knob *changes results* — see
     /// [`Statistic`].
     pub fn with_statistic(mut self, statistic: Statistic) -> Self {
         self.statistic = statistic;
@@ -1287,36 +1273,6 @@ mod tests {
                     tau(&mem, &mem_world, Direction::TwoSided),
                     tau(&blk, &blk_world, Direction::TwoSided),
                     "{null_model:?} world {w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_kernel_selection_is_bit_identical() {
-        let o = outcomes();
-        let reference = ScanEngine::build(&o, &region_set(), CountingStrategy::Blocked).unwrap();
-        let mut expected = Vec::new();
-        for w in 0..10 {
-            let mut rng = sfstats::rng::world_rng(47, w);
-            let world = reference.generate_world(NullModel::Bernoulli, &mut rng);
-            expected.push(tau(&reference, &world, Direction::TwoSided));
-        }
-        for select in KernelSelect::ALL {
-            let e = ScanEngine::build(&o, &region_set(), CountingStrategy::Blocked)
-                .unwrap()
-                .with_kernel(select);
-            // Whatever the selection degraded to must be runnable on
-            // this CPU — resolution never hands back an unsupported
-            // kernel.
-            assert!(e.kernel().is_supported(), "{select} -> {}", e.kernel());
-            for (w, &want) in expected.iter().enumerate() {
-                let mut rng = sfstats::rng::world_rng(47, w as u64);
-                let world = e.generate_world(NullModel::Bernoulli, &mut rng);
-                assert_eq!(
-                    tau(&e, &world, Direction::TwoSided),
-                    want,
-                    "{select} world {w}"
                 );
             }
         }

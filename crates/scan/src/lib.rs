@@ -79,9 +79,9 @@ pub mod worldcache;
 
 pub use audit::Auditor;
 pub use config::{
-    AuditConfig, CountingKernel, CountingStrategy, IndexBackend, KernelSelect, McStrategy,
-    NullModel, ParseKernelError, ParseShardsError, ParseStatisticError, ParseStrategyError, Shards,
-    Statistic, TauKernel, WorldGen,
+    AuditConfig, CountingKernel, CountingStrategy, IndexBackend, McStrategy, NullModel,
+    ParseShardsError, ParseStatisticError, ParseStrategyError, Shards, Statistic, TauKernel,
+    WorldGen,
 };
 pub use direction::Direction;
 pub use error::ScanError;

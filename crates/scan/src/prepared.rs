@@ -547,7 +547,6 @@ impl PreparedAudit {
         }
         let engine = ScanEngine::build_with(outcomes, regions, config.backend, config.strategy)?
             .with_shards(config.shards)
-            .with_kernel(config.kernel)
             .with_statistic(config.statistic);
         Ok(PreparedAudit {
             engine,

@@ -64,9 +64,10 @@
 //!   sixteen buffered blocks, the body leaves the hot loop, computes
 //!   one scalar [`rand_chacha::block`] for each lane still refining,
 //!   and resumes on those rows.
-//! * **One chunk at a time (elsewhere).** The scalar body, and the
-//!   oracle the zmm body is tested against, runs eight passes per step
-//!   with no data-dependent branch. This is exact because a closed word
+//! * **One chunk at a time (elsewhere, and everywhere under the
+//!   `portable` feature).** The scalar body, and the oracle the zmm
+//!   body is tested against, runs eight passes per step with no
+//!   data-dependent branch. This is exact because a closed word
 //!   is a fixed point — once `open` is 0 neither update changes
 //!   anything — and `open` never gains bits, so the words `sample_word`
 //!   would consume are precisely the passes that began with
@@ -276,7 +277,8 @@ impl BulkBernoulli {
     }
 
     /// [`fill_chunks`](Self::fill_chunks) over any [`Keystream`]: the
-    /// zmm body where the CPU has AVX-512F, the scalar body elsewhere.
+    /// zmm body where the CPU has AVX-512F, the scalar body elsewhere
+    /// and under the `portable` feature.
     fn fill_chunks_from<K: Keystream>(
         &self,
         keys: &K,
@@ -290,7 +292,7 @@ impl BulkBernoulli {
             "need one 64-label word per 64 labels"
         );
         #[cfg(target_arch = "x86_64")]
-        if self.refines() && zmm_refine_supported() {
+        if !cfg!(feature = "portable") && self.refines() && zmm_refine_supported() {
             // SAFETY: the CPU supports AVX-512F (checked above).
             unsafe { zmm::fill_chunks(self.threshold, keys, first_chunk, words, |_| {}) };
             if let Some(last) = words.len().checked_sub(1) {

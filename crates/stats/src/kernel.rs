@@ -95,8 +95,9 @@
 //!   pass both bounds reach the scalar rate check and the logs. Both
 //!   bodies run one region loop (which regions are screened, rejected
 //!   and scored) and differ only in the row screen they hand it. The
-//!   SSE2 body stays for x86_64 CPUs without AVX-512F/DQ, and the
-//!   integer pass is the oracle both are tested against.
+//!   SSE2 body stays for x86_64 CPUs without AVX-512F/DQ (and runs on
+//!   every CPU under the `portable` feature), and the integer pass is
+//!   the oracle both are tested against.
 //!
 //! ## The second bound
 //!
@@ -361,7 +362,14 @@ pub fn fold_matrix(
     out: &mut [f64],
 ) {
     fold_matrix_with(
-        true, statistic, n_total, region_n, p_worlds, counts, directions, out,
+        !cfg!(feature = "portable"),
+        statistic,
+        n_total,
+        region_n,
+        p_worlds,
+        counts,
+        directions,
+        out,
     );
 }
 

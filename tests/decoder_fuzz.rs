@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use spatial_fairness::cluster::{CountRequest, FaultPlan, WorkerReply, WorkerRequest};
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::{
-    CountingStrategy, IndexBackend, KernelSelect, McStrategy, NullModel, Shards, Statistic,
-    WorldGen,
+    CountingStrategy, IndexBackend, McStrategy, NullModel, Shards, Statistic, WorldGen,
 };
 use spatial_fairness::serve::{DatasetHandle, RequestEnvelope};
 use std::fmt::{Debug, Display};
@@ -18,27 +17,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 
 /// One valid value of each flag type, in [`parse_flag_values`] order.
-const FLAG_TOKENS: [&str; 7] = [
+const FLAG_TOKENS: [&str; 6] = [
     "kdtree",
     "blocked",
     "early-stop(batch=32)",
     "word",
     "12",
-    "portable",
     "equal-opp-tpr",
 ];
 
 /// Parses `value` with the `FromStr` of every flag-value type the
 /// `experiments` CLI reads; entry `i` says whether type `i` accepted
 /// it.
-fn parse_flag_values(value: &str) -> [bool; 7] {
+fn parse_flag_values(value: &str) -> [bool; 6] {
     [
         IndexBackend::from_str(value).is_ok(),
         CountingStrategy::from_str(value).is_ok(),
         McStrategy::from_str(value).is_ok(),
         WorldGen::from_str(value).is_ok(),
         Shards::from_str(value).is_ok(),
-        KernelSelect::from_str(value).is_ok(),
         Statistic::from_str(value).is_ok(),
     ]
 }
@@ -215,7 +212,6 @@ fn flag_values_display_and_parse_back() {
     ]);
     displays_and_parses_back(WorldGen::ALL);
     displays_and_parses_back([Shards::Auto, Shards::Fixed(1), Shards::Fixed(64)]);
-    displays_and_parses_back(KernelSelect::ALL);
     displays_and_parses_back(Statistic::ALL);
 }
 

@@ -13,8 +13,8 @@ use spatial_fairness::cluster::{CountRequest, WorkerReply, WorkerRequest, Worker
 use spatial_fairness::geo::ConvexPolygon;
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::{
-    CacheStats, CountingStrategy, IndexBackend, KernelSelect, McStrategy, NullModel, RegionFinding,
-    Shards, WorldGen,
+    CacheStats, CountingStrategy, IndexBackend, McStrategy, NullModel, RegionFinding, Shards,
+    WorldGen,
 };
 use spatial_fairness::serve::{RequestEnvelope, ResponseEnvelope};
 
@@ -192,9 +192,6 @@ fn configs() -> Vec<(String, AuditConfig)> {
     }
     for shards in [Shards::Auto, Shards::Fixed(1), Shards::Fixed(12)] {
         out.push((format!("{shards:?}"), base.with_shards(shards)));
-    }
-    for kernel in KernelSelect::ALL {
-        out.push((format!("{kernel:?}"), base.with_kernel(kernel)));
     }
     for statistic in Statistic::ALL {
         out.push((format!("{statistic:?}"), base.with_statistic(statistic)));
