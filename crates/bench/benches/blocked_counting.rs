@@ -34,10 +34,7 @@ use rand::SeedableRng;
 use sfbench::clustered_points;
 use sfgeo::BoundingBox;
 use sfgeo::{Point, Rect};
-use sfindex::{
-    BitLabels, BlockedMembership, CountingKernel, IndexBackend, KdTree, Membership,
-    MAX_FUSED_WORLDS,
-};
+use sfindex::{BitLabels, BlockedMembership, CountingKernel, KdTree, Membership, MAX_FUSED_WORLDS};
 use sfscan::engine::ScanEngine;
 use sfscan::{CountingStrategy, NullModel, RegionSet, SpatialOutcomes};
 
@@ -52,13 +49,10 @@ fn bench(c: &mut Criterion) {
         .collect();
     let world = BitLabels::from_bools(&bools);
     let kd = KdTree::build(points.clone(), world.clone());
-    let flat = BlockedMembership::compile(&Membership::build(&kd, n, regions.regions()))
-        .expect("membership lists are valid");
+    let flat = Membership::build(&kd, n, regions.regions()).expect("membership lists are valid");
+    let flat = BlockedMembership::compile(&flat).expect("membership rings are valid");
     let outcomes = SpatialOutcomes::new(points, bools).expect("valid outcomes");
-    let engine = |strategy| {
-        ScanEngine::build_with(&outcomes, &regions, IndexBackend::KdTree, strategy)
-            .expect("auditable")
-    };
+    let engine = |strategy| ScanEngine::build(&outcomes, &regions, strategy).expect("auditable");
     let membership_engine = engine(CountingStrategy::Membership);
     let blocked_engine = engine(CountingStrategy::Blocked);
     let membership = membership_engine.membership().expect("membership engine");

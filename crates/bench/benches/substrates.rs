@@ -1,5 +1,6 @@
 //! Substrate performance: k-means, random forest, membership
-//! construction.
+//! construction, and the build cost of the kd-tree against its
+//! brute-force oracle.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -8,7 +9,7 @@ use sfbench::{clustered_points, small_lar};
 use sfcluster::{KMeans, KMeansConfig};
 use sfdata::crime::{CrimeConfig, CrimeData};
 use sfgeo::UniformGrid;
-use sfindex::{IndexBackend, KdTree, Membership, Substrate};
+use sfindex::{BruteForceIndex, KdTree, Membership};
 use sfml::RandomForestConfig;
 use sfscan::RegionSet;
 
@@ -62,25 +63,28 @@ fn bench(c: &mut Criterion) {
                 points.len(),
                 black_box(regions.regions()),
             ))
+            .expect("kd-tree enumerations are valid")
         })
     });
 
-    // Runtime-selected substrate construction: the build-cost side of
-    // the backend choice.
-    for backend in IndexBackend::ALL {
-        g.bench_function(
-            format!("substrate_build_50k_points/{}", backend.name()),
-            |b| {
-                b.iter(|| {
-                    black_box(Substrate::build(
-                        backend,
-                        black_box(points.clone()),
-                        black_box(labels.clone()),
-                    ))
-                })
-            },
-        );
-    }
+    // Index construction: the kd-tree every audit builds, and the
+    // brute-force oracle it is tested against.
+    g.bench_function("substrate_build_50k_points/brute", |b| {
+        b.iter(|| {
+            black_box(BruteForceIndex::build(
+                black_box(points.clone()),
+                black_box(labels.clone()),
+            ))
+        })
+    });
+    g.bench_function("substrate_build_50k_points/kdtree", |b| {
+        b.iter(|| {
+            black_box(KdTree::build(
+                black_box(points.clone()),
+                black_box(labels.clone()),
+            ))
+        })
+    });
     g.finish();
 }
 

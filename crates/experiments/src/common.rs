@@ -5,9 +5,7 @@ use sfdata::lar::{LarConfig, LarDataset};
 use sfgeo::Rect;
 use sfml::RandomForestConfig;
 use sfscan::outcomes::SpatialOutcomes;
-use sfscan::{
-    AuditConfig, CountingStrategy, IndexBackend, McStrategy, Shards, Statistic, WorldGen,
-};
+use sfscan::{AuditConfig, CountingStrategy, McStrategy, Shards, Statistic, WorldGen};
 use std::time::Instant;
 
 /// Global harness options.
@@ -19,8 +17,6 @@ pub struct Options {
     pub seed: u64,
     /// Monte Carlo worlds (`w − 1`).
     pub worlds: usize,
-    /// Spatial index backend serving every audit's range counts.
-    pub backend: IndexBackend,
     /// Per-world counting strategy.
     pub strategy: CountingStrategy,
     /// Monte Carlo budget strategy for every calibration.
@@ -79,7 +75,6 @@ impl Default for Options {
             quick: false,
             seed: 42,
             worlds: 999,
-            backend: IndexBackend::default(),
             strategy: CountingStrategy::default(),
             mc_strategy: McStrategy::FullBudget,
             worldgen: WorldGen::Word,
@@ -106,12 +101,11 @@ impl Options {
     /// The significance level used throughout the paper's evaluation.
     pub const ALPHA: f64 = 0.005;
 
-    /// Applies the harness-level audit knobs (index backend, counting
-    /// strategy, Monte Carlo budget strategy, world generator, shard
-    /// count, test statistic) to a figure's config.
+    /// Applies the harness-level audit knobs (counting strategy, Monte
+    /// Carlo budget strategy, world generator, shard count, test
+    /// statistic) to a figure's config.
     pub fn decorate(&self, config: AuditConfig) -> AuditConfig {
         config
-            .with_backend(self.backend)
             .with_strategy(self.strategy)
             .with_mc_strategy(self.mc_strategy)
             .with_worldgen(self.worldgen)

@@ -90,7 +90,7 @@ pub fn run(opts: &Options) {
     };
     let (t_brute, a) = bench(&brute);
     let (t_kd, b) = bench(&kd);
-    assert_eq!(a, b, "backends disagree");
+    assert_eq!(a, b, "kd-tree and brute force disagree");
     println!(
         "    brute force: build {build_brute:>9.1?}, {} queries {t_brute:>9.1?}",
         queries.len()

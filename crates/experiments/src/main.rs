@@ -23,9 +23,7 @@
 //! ```
 //!
 //! Options: `--quick` (reduced scales for smoke runs), `--seed <u64>`,
-//! `--worlds <n>` (1 to 2^20, the wire's `MAX_WORLDS`), `--backend
-//! <brute|kdtree>` (counting substrate: the kd-tree, or the
-//! brute-force oracle; results are backend-invariant), `--strategy
+//! `--worlds <n>` (1 to 2^20, the wire's `MAX_WORLDS`), `--strategy
 //! <membership|requery|blocked|auto>` (per-world counting), `--mc
 //! <full-budget|early-stop|early-stop(batch=N)>` (budget strategy),
 //! `--early-stop` (shorthand for `--mc early-stop`), `--worldgen
@@ -108,10 +106,6 @@ fn main() {
                         opts.worlds
                     ));
                 }
-            }
-            "--backend" => {
-                i += 1;
-                opts.backend = parse_flag("--backend", args.get(i));
             }
             "--strategy" => {
                 i += 1;
@@ -266,7 +260,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: experiments <fig1..fig12|complexity|serve|all> \
          [--quick] [--seed N] \
-         [--worlds N] [--backend <brute|kdtree>] \
+         [--worlds N] \
          [--strategy <membership|requery|blocked|auto>] \
          [--mc <full-budget|early-stop|early-stop(batch=N)>] [--early-stop] \
          [--worldgen <scalar|word>] [--shards <auto|N>] \

@@ -33,9 +33,9 @@ fn worlds_past_the_wire_cap_is_a_usage_error() {
 }
 
 #[test]
-fn retired_backend_is_a_usage_error_listing_the_valid_values() {
-    let stderr = rejects(&["--backend", "quadtree"], "--backend");
-    assert!(stderr.contains("valid values: brute, kdtree"), "{stderr}");
+fn retired_backend_flag_is_a_usage_error() {
+    let stderr = rejects(&["--backend", "kdtree"], "--backend");
+    assert!(stderr.contains("unknown argument: --backend"), "{stderr}");
 }
 
 #[test]

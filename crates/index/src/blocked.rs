@@ -54,10 +54,12 @@
 //!
 //! # Validation
 //!
-//! [`Membership::members`] is documented sorted/unique, but compilation
-//! does not trust its input silently: unsorted, duplicate, or
-//! out-of-range ids are rejected with a [`BlockedBuildError`] instead
-//! of silently producing wrong masks.
+//! [`Membership::build`] rejects duplicate and out-of-range ids while
+//! it still holds each full list, and its rings are sorted and unique
+//! by construction; compilation still does not trust its input
+//! silently: an unsorted, duplicate, or out-of-range id in a ring or
+//! raw list is rejected with a [`BlockedBuildError`] instead of
+//! silently producing wrong masks.
 
 use crate::{kernel::CountingKernel, labels::BitLabels, membership::Membership};
 use sfgeo::{BoundingBox, Point};
@@ -121,7 +123,9 @@ fn with_tile_scratch(f: impl FnOnce(&mut Vec<TileLine>)) {
     });
 }
 
-/// Error from compiling member-id lists into blocked masks.
+/// Error from an invalid member-id list: raised by
+/// [`Membership::build`] on an enumeration and by the blocked compilers
+/// on the lists they compile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockedBuildError {
     /// A region's id list is not in strictly increasing order.
@@ -210,18 +214,15 @@ impl BlockedMembership {
     /// label bitsets the scalar path reads.
     ///
     /// # Errors
-    /// [`BlockedBuildError`] if any full member list is unsorted,
-    /// contains duplicates, or references an id `>= num_points` — wrong
-    /// masks are never produced silently.
+    /// [`BlockedBuildError`] if any ring is unsorted, contains
+    /// duplicates, or references an id `>= num_points` — wrong masks
+    /// are never produced silently.
     pub fn compile(membership: &Membership) -> Result<Self, BlockedBuildError> {
         let mut b = Self::empty(membership.num_points());
         for r in 0..membership.num_regions() {
-            validate_list(r, membership.members(r), b.num_points)?;
-            b.push_region(
-                membership.ring(r),
-                membership.parent(r).is_some(),
-                membership.n_of(r),
-            );
+            let ring = membership.ring(r);
+            validate_list(r, ring, b.num_points)?;
+            b.push_region(ring, membership.parent(r).is_some(), membership.n_of(r));
         }
         Ok(b)
     }
@@ -919,7 +920,8 @@ mod tests {
         );
     }
 
-    fn membership_fixture() -> Membership {
+    /// An index, its regions, and their membership.
+    fn membership_fixture() -> (BruteForceIndex, Vec<Region>, Membership) {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let n = 700;
         let points: Vec<Point> = (0..n)
@@ -933,21 +935,31 @@ mod tests {
             Circle::new(Point::new(5.0, 5.0), 2.5).into(),
             Rect::from_coords(40.0, 40.0, 50.0, 50.0).into(), // empty
         ];
-        Membership::build(&idx, n, &regions)
+        let m = Membership::build(&idx, n, &regions).unwrap();
+        (idx, regions, m)
+    }
+
+    /// Each region's full member list, from the brute-force oracle.
+    fn full_lists(idx: &BruteForceIndex, regions: &[Region]) -> Vec<Vec<u32>> {
+        regions.iter().map(|region| idx.ids_in(region)).collect()
     }
 
     #[test]
     fn compile_matches_membership_counts_across_worlds() {
-        let m = membership_fixture();
+        let (idx, regions, m) = membership_fixture();
         let b = BlockedMembership::compile(&m).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(78);
         let mut world = BitLabels::zeros(m.num_points());
+        let mut swept = Vec::new();
         for _ in 0..5 {
             let rho = rng.gen_range(0.05..0.95);
             world.refill(|_| rng.gen_bool(rho));
-            for r in 0..m.num_regions() {
-                assert_eq!(b.count(r, &world), m.count(r, &world).p);
-                assert_eq!(b.n_of(r), m.n_of(r));
+            m.count_all_into(&world, &mut swept);
+            for (r, region) in regions.iter().enumerate() {
+                let expected = idx.count_with(region, &world);
+                assert_eq!(b.count(r, &world), expected.p);
+                assert_eq!(swept[r], expected.p);
+                assert_eq!(b.n_of(r), expected.n);
             }
         }
     }
@@ -962,17 +974,17 @@ mod tests {
         layout
     }
 
-    /// Compiles `m`'s lists with every id moved to `to_pos[id]`.
-    fn compile_permuted(m: &Membership, to_pos: &[u32]) -> BlockedMembership {
-        let lists: Vec<Vec<u32>> = (0..m.num_regions())
-            .map(|r| {
-                let mut list: Vec<u32> =
-                    m.members(r).iter().map(|&id| to_pos[id as usize]).collect();
+    /// Compiles `lists` with every id moved to `to_pos[id]`.
+    fn compile_permuted(lists: &[Vec<u32>], to_pos: &[u32]) -> BlockedMembership {
+        let lists: Vec<Vec<u32>> = lists
+            .iter()
+            .map(|list| {
+                let mut list: Vec<u32> = list.iter().map(|&id| to_pos[id as usize]).collect();
                 list.sort_unstable();
                 list
             })
             .collect();
-        BlockedMembership::from_lists(lists.iter().map(Vec::as_slice), m.num_points()).unwrap()
+        BlockedMembership::from_lists(lists.iter().map(Vec::as_slice), to_pos.len()).unwrap()
     }
 
     /// `labels[id]` placed at bit `to_pos[id]`.
@@ -986,21 +998,21 @@ mod tests {
 
     #[test]
     fn layout_compilation_matches_scalar_counts() {
-        let m = membership_fixture();
+        let (idx, regions, m) = membership_fixture();
         let mut rng = ChaCha8Rng::seed_from_u64(79);
         // An arbitrary permutation — correctness must not depend on the
         // layout being spatially meaningful.
         let n = m.num_points();
         let layout = shuffled_layout(n, &mut rng);
-        let b = compile_permuted(&m, &layout);
+        let b = compile_permuted(&full_lists(&idx, &regions), &layout);
         let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
         let world = BitLabels::from_bools(&bools);
         let layout_world = permuted_world(&bools, &layout);
         assert_eq!(world.count_ones(), layout_world.count_ones());
-        for r in 0..m.num_regions() {
+        for (r, region) in regions.iter().enumerate() {
             assert_eq!(
                 b.count(r, &layout_world),
-                m.count(r, &world).p,
+                idx.count_with(region, &world).p,
                 "region {r}"
             );
         }
@@ -1039,10 +1051,10 @@ mod tests {
                 );
             }
         }
-        let m = Membership::build(&idx, n, &regions);
+        let m = Membership::build(&idx, n, &regions).unwrap();
         let flat = BlockedMembership::compile(&m).unwrap();
         let to_pos = morton_layout(&points);
-        let morton = compile_permuted(&m, &to_pos);
+        let morton = compile_permuted(&full_lists(&idx, &regions), &to_pos);
         assert_eq!(flat.total_ids(), morton.total_ids());
         assert!(
             morton.ids_per_word() > 8.0 * flat.ids_per_word(),
@@ -1086,9 +1098,9 @@ mod tests {
 
     #[test]
     fn clipped_views_sum_to_the_unsharded_counts() {
-        let m = membership_fixture();
+        let (idx, regions, m) = membership_fixture();
         let layout = shuffled_layout(m.num_points(), &mut ChaCha8Rng::seed_from_u64(83));
-        let b = compile_permuted(&m, &layout);
+        let b = compile_permuted(&full_lists(&idx, &regions), &layout);
         let words = b.num_label_words();
         let mut rng = ChaCha8Rng::seed_from_u64(84);
         let world = BitLabels::from_fn(b.num_points(), |_| rng.gen_bool(0.4));
@@ -1138,7 +1150,7 @@ mod tests {
     fn clip_to_words_rejects_oversized_windows() {
         // Regression: an oversized window used to silently yield a
         // valid-looking view whose tail words can never hold members.
-        let m = membership_fixture();
+        let (_, _, m) = membership_fixture();
         let b = BlockedMembership::compile(&m).unwrap();
         let words = b.num_label_words();
         let _ = b.clip_to_words(0, words + 1);
@@ -1147,7 +1159,7 @@ mod tests {
     #[test]
     fn fused_counting_equals_per_world_counting() {
         use crate::kernel::CountingKernel;
-        let m = membership_fixture();
+        let (_, _, m) = membership_fixture();
         let b = BlockedMembership::compile(&m).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(91);
         // 1..=MAX_FUSED_WORLDS+2 exercises partial, exact, and
@@ -1183,7 +1195,7 @@ mod tests {
     #[test]
     fn fused_counting_works_on_clipped_views() {
         use crate::kernel::CountingKernel;
-        let m = membership_fixture();
+        let (_, _, m) = membership_fixture();
         let b = BlockedMembership::compile(&m).unwrap();
         let words = b.num_label_words();
         let mut rng = ChaCha8Rng::seed_from_u64(92);
@@ -1230,7 +1242,7 @@ mod tests {
                 regions.push(Rect::from_coords(x, y, x + 2.0, y + 2.0).into());
             }
         }
-        let m = Membership::build(&idx, n, &regions);
+        let m = Membership::build(&idx, n, &regions).unwrap();
         assert!((1..m.num_regions()).any(|r| m.parent(r).is_some()));
         BlockedMembership::compile(&m).unwrap()
     }
@@ -1357,7 +1369,7 @@ mod tests {
     fn membership_output_always_compiles() {
         // The production path: Membership::build output satisfies the
         // sorted/unique/in-range contract by construction.
-        let m = membership_fixture();
+        let (_, _, m) = membership_fixture();
         assert!(BlockedMembership::compile(&m).is_ok());
     }
 

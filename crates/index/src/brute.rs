@@ -5,9 +5,9 @@ use sfgeo::{Point, Region};
 
 /// Linear-scan index: `O(N)` per query, trivially correct.
 ///
-/// Every other backend in this crate is differential-tested against
-/// this one. It is also a legitimate choice for small datasets where
-/// build cost dominates.
+/// The kd-tree is differential-tested against this one; tests plug it
+/// into a scan engine through `ScanEngine::from_index` as the oracle
+/// index.
 #[derive(Debug, Clone)]
 pub struct BruteForceIndex {
     points: Vec<Point>,

@@ -198,8 +198,8 @@ impl BitLabels {
     /// are read by direct block indexing with no per-id bounds assert:
     /// callers must guarantee `id < len` for every id. [`Membership`]
     /// (the only production caller) validates that once at
-    /// construction, which is where genuinely out-of-range input still
-    /// panics. Debug builds keep the per-id check.
+    /// construction, which is where genuinely out-of-range input is
+    /// rejected. Debug builds keep the per-id check.
     ///
     /// [`Membership`]: crate::Membership
     #[inline]

@@ -7,13 +7,16 @@
 //!
 //! * [`KdTree`] — median-split kd-tree with per-node `(n, p)`
 //!   aggregates; prunes whole subtrees when a node's box is fully
-//!   inside/outside the query region. The default backend.
+//!   inside/outside the query region. The index every audit builds.
 //! * [`BruteForceIndex`] — the oracle the kd-tree is tested against;
 //!   `O(N)` per query.
 //!
+//! Both implement [`CountingSubstrate`], the capability a scan engine
+//! needs from an index, so tests and custom indexes plug in.
+//!
 //! Alongside the index:
 //!
-//! * [`Membership`] — precomputed region→member-id lists that make the
+//! * [`Membership`] — precomputed region→member-id rings that make the
 //!   Monte Carlo loop cheap: `n(R)` never changes across worlds, so
 //!   each world only recounts `p(R)` against a fresh label bitset —
 //!   and a nested region only its ring, adding its parent's count.
@@ -25,8 +28,10 @@
 //!
 //! The audit queries the index once per region at prepare time, to
 //! list its members, and counts every simulated world through the
-//! membership rings and masks; only the `Requery` counting strategy
-//! (the test oracle for those paths) queries the index per world.
+//! membership rings and masks; the index and the full lists are
+//! dropped once the rings are taken. Only the `Requery` counting
+//! strategy (the test oracle for those paths) keeps the index and
+//! queries it per world.
 //!
 //! Labels are stored out-of-band in a [`BitLabels`] bitset so the same
 //! spatial structure serves both the real world and the simulated ones.
@@ -52,7 +57,6 @@ pub mod kdtree;
 pub mod kernel;
 pub mod labels;
 pub mod membership;
-pub mod substrate;
 
 pub use blocked::{
     morton_layout, shard_word_bounds, BlockedBuildError, BlockedMembership, MAX_FUSED_WORLDS,
@@ -62,7 +66,6 @@ pub use kdtree::KdTree;
 pub use kernel::CountingKernel;
 pub use labels::BitLabels;
 pub use membership::Membership;
-pub use substrate::{CountingSubstrate, IndexBackend, ParseBackendError, Substrate};
 
 use sfgeo::Region;
 
@@ -151,6 +154,15 @@ pub trait PointVisit {
         CountPair { n, p }
     }
 }
+
+/// Everything a scan engine needs from a spatial index: exact range
+/// counts plus member-id enumeration.
+///
+/// Blanket-implemented for every type providing both capabilities, so
+/// custom indexes participate automatically.
+pub trait CountingSubstrate: RangeCount + PointVisit + Send + Sync {}
+
+impl<T: RangeCount + PointVisit + Send + Sync> CountingSubstrate for T {}
 
 #[cfg(test)]
 mod tests {

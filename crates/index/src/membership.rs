@@ -1,8 +1,8 @@
-//! Precomputed region-membership lists for the Monte Carlo loop.
+//! Precomputed region-membership rings for the Monte Carlo loop.
 //!
 //! The key observation (DESIGN.md §5): across simulated worlds the
 //! *locations* never change — only the labels do. Therefore `n(R)` is
-//! world-invariant and only `p(R)` needs recomputation. Materialising
+//! world-invariant and only `p(R)` needs recomputation. Enumerating
 //! each region's member ids once turns a world evaluation into a dense
 //! sweep `p(R) = Σ labels[id]` over cached, sorted id lists against a
 //! label bitset that fits in cache.
@@ -19,99 +19,103 @@
 //! region is the previous one plus a thin ring. At build time region
 //! `r`'s *parent* is `r − 1` when `r − 1`'s member list is a non-empty
 //! subset of `r`'s; its *ring* is then `members(r) \ members(r − 1)`,
-//! and otherwise its ring is its whole list. A world sweep computes
-//! `p(r) = p(parent) + Σ labels[ring(r)]` in region order, reading each
-//! ring once instead of every full list. The rule reads only the sorted
-//! lists, never geometry; partitions such as grid cells get no parents
-//! and sweep exactly as before. Counts are exact integer sums, so every
-//! `p(R)` is the same number the full lists give.
+//! and otherwise (a *root*) its ring is its whole list. A world sweep
+//! computes `p(r) = p(parent) + Σ labels[ring(r)]` in region order,
+//! reading each ring once instead of every full list. The rule reads
+//! only the sorted lists, never geometry; partitions such as grid cells
+//! get no parents and sweep their full lists. Counts are exact integer
+//! sums, so every `p(R)` is the same number the full lists give.
+//!
+//! Only the rings and `n(R)` are kept: the build holds two full lists
+//! at a time (the previous region's and the current one's) and drops
+//! them once the ring is taken.
 
-use crate::{labels::BitLabels, CountPair, PointVisit};
+use crate::{blocked::BlockedBuildError, labels::BitLabels, PointVisit};
 use sfgeo::Region;
 
-/// Region→member-ids lists with world-invariant `n(R)` counts, plus the
+/// Per-region member rings with world-invariant `n(R)` counts: the
 /// containment-delta plan the per-world sweep counts through (see the
 /// module docs).
 #[derive(Debug, Clone)]
 pub struct Membership {
-    /// CSR layout: `offsets[r]..offsets[r+1]` indexes `ids`.
-    offsets: Vec<u64>,
-    ids: Vec<u32>,
     /// Whether region `r − 1` is region `r`'s parent.
     nested: Vec<bool>,
-    /// Ring CSR for nested regions: `ring_offsets[r]..ring_offsets[r+1]`
-    /// indexes `ring_ids` (an empty range for regions without a parent,
-    /// whose ring is their full member list).
+    /// Ring CSR: `ring_offsets[r]..ring_offsets[r+1]` indexes
+    /// `ring_ids` (a root region's ring is its full member list).
     ring_offsets: Vec<u64>,
     ring_ids: Vec<u32>,
+    /// `n(R)`, the full member count of region `r`.
+    region_n: Vec<u64>,
     num_points: usize,
 }
 
 impl Membership {
-    /// Builds membership lists for `regions` using any id-enumerating
-    /// index, then derives each region's parent and ring with one
-    /// sorted merge against the previous region's list.
+    /// Enumerates each region's members through any id-enumerating
+    /// index, validates the full list, and keeps its ring: one sorted
+    /// merge against the previous region's list decides the parent.
     ///
-    /// # Panics
-    /// Panics if the index enumerates an id `>= num_points`. Validating
-    /// here — once, at construction — is what lets the per-world hot
-    /// loop ([`BitLabels::count_at`]) index label blocks directly with
-    /// no per-id bounds check.
-    pub fn build<I: PointVisit + ?Sized>(index: &I, num_points: usize, regions: &[Region]) -> Self {
-        let mut offsets = Vec::with_capacity(regions.len() + 1);
-        offsets.push(0u64);
-        let mut ids: Vec<u32> = Vec::new();
-        for (r, region) in regions.iter().enumerate() {
-            let before = ids.len();
-            index.for_each_in(region, &mut |id| ids.push(id));
-            // Sorted member lists give sequential bitset access.
-            ids[before..].sort_unstable();
-            // Sorted, so the last id is the maximum for this region.
-            if let Some(&max_id) = ids.last().filter(|_| ids.len() > before) {
-                assert!(
-                    (max_id as usize) < num_points,
-                    "index enumerated member id {max_id} for region {r}, \
-                     but only {num_points} points are indexed"
-                );
-            }
-            offsets.push(ids.len() as u64);
-        }
-        // The containment-delta plan: one merge against the previous
-        // region's list decides the parent and yields the ring.
-        let list = |r: usize| &ids[offsets[r] as usize..offsets[r + 1] as usize];
-        let mut nested = Vec::with_capacity(regions.len());
-        let mut ring_offsets = Vec::with_capacity(regions.len() + 1);
-        ring_offsets.push(0u64);
-        let mut ring_ids = Vec::new();
-        for r in 0..regions.len() {
-            nested.push(r > 0 && ring_into(list(r - 1), list(r), &mut ring_ids));
-            ring_offsets.push(ring_ids.len() as u64);
-        }
-        Membership {
-            offsets,
-            ids,
-            nested,
-            ring_offsets,
-            ring_ids,
+    /// # Errors
+    /// [`BlockedBuildError::DuplicateId`] for the first region whose
+    /// enumeration repeats an id, and
+    /// [`BlockedBuildError::IdOutOfRange`] for one that enumerates an
+    /// id `>= num_points`. Validating here — once, at construction — is
+    /// what lets the per-world hot loop ([`BitLabels::count_at`]) trust
+    /// every ring, which holds no id its full list did not.
+    pub fn build<I: PointVisit + ?Sized>(
+        index: &I,
+        num_points: usize,
+        regions: &[Region],
+    ) -> Result<Self, BlockedBuildError> {
+        let mut m = Membership {
+            nested: Vec::with_capacity(regions.len()),
+            ring_offsets: Vec::with_capacity(regions.len() + 1),
+            ring_ids: Vec::new(),
+            region_n: Vec::with_capacity(regions.len()),
             num_points,
+        };
+        m.ring_offsets.push(0);
+        // The previous region's full list and the current one's: the
+        // only full lists the build ever holds.
+        let (mut prev, mut list) = (Vec::new(), Vec::new());
+        for (r, region) in regions.iter().enumerate() {
+            list.clear();
+            index.for_each_in(region, &mut |id| list.push(id));
+            // Sorted member lists give sequential bitset access.
+            list.sort_unstable();
+            if let Some(pair) = list.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(BlockedBuildError::DuplicateId {
+                    region: r,
+                    id: pair[0],
+                });
+            }
+            // Sorted, so the last id is the maximum for this region.
+            if let Some(&id) = list.last().filter(|&&id| id as usize >= num_points) {
+                return Err(BlockedBuildError::IdOutOfRange {
+                    region: r,
+                    id,
+                    num_points,
+                });
+            }
+            let nested = r > 0 && ring_into(&prev, &list, &mut m.ring_ids);
+            if !nested {
+                m.ring_ids.extend_from_slice(&list);
+            }
+            m.nested.push(nested);
+            m.ring_offsets.push(m.ring_ids.len() as u64);
+            m.region_n.push(list.len() as u64);
+            std::mem::swap(&mut prev, &mut list);
         }
+        Ok(m)
     }
 
     /// Number of regions.
     pub fn num_regions(&self) -> usize {
-        self.offsets.len() - 1
+        self.region_n.len()
     }
 
     /// Number of points the lists refer to.
     pub fn num_points(&self) -> usize {
         self.num_points
-    }
-
-    /// Member ids of region `r` (sorted) — the full list, whatever the
-    /// region's parent.
-    pub fn members(&self, r: usize) -> &[u32] {
-        let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-        &self.ids[s..e]
     }
 
     /// Region `r`'s parent in the containment-delta plan: `Some(r − 1)`
@@ -124,34 +128,16 @@ impl Membership {
     /// `members(r) \ members(parent)` when it has a parent, otherwise
     /// its full member list.
     pub fn ring(&self, r: usize) -> &[u32] {
-        if self.nested[r] {
-            let (s, e) = (
-                self.ring_offsets[r] as usize,
-                self.ring_offsets[r + 1] as usize,
-            );
-            &self.ring_ids[s..e]
-        } else {
-            self.members(r)
-        }
+        let (s, e) = (
+            self.ring_offsets[r] as usize,
+            self.ring_offsets[r + 1] as usize,
+        );
+        &self.ring_ids[s..e]
     }
 
     /// World-invariant observation count `n(R)` of region `r`.
     pub fn n_of(&self, r: usize) -> u64 {
-        self.offsets[r + 1] - self.offsets[r]
-    }
-
-    /// Counts `(n(R), p(R))` of region `r` against a label set, reading
-    /// its full member list.
-    pub fn count(&self, r: usize, labels: &BitLabels) -> CountPair {
-        assert_eq!(
-            labels.len(),
-            self.num_points,
-            "label set length must match the indexed point count"
-        );
-        CountPair {
-            n: self.n_of(r),
-            p: labels.count_at(self.members(r)),
-        }
+        self.region_n[r]
     }
 
     /// Counts `p(R)` for *all* regions against a label set, reusing the
@@ -179,7 +165,7 @@ impl Membership {
     /// Ids one [`Membership::count_all_into`] sweep reads: the sum of
     /// ring lengths. Without nesting this is `Σ n(R)`.
     pub fn total_ids(&self) -> usize {
-        (0..self.num_regions()).map(|r| self.ring(r).len()).sum()
+        self.ring_ids.len()
     }
 }
 
@@ -236,7 +222,7 @@ mod tests {
     #[test]
     fn n_counts_match_direct_queries() {
         let (idx, regions, n) = setup();
-        let mem = Membership::build(&idx, n, &regions);
+        let mem = Membership::build(&idx, n, &regions).unwrap();
         assert_eq!(mem.num_regions(), regions.len());
         for (r_idx, region) in regions.iter().enumerate() {
             let direct = idx.count(region);
@@ -247,43 +233,35 @@ mod tests {
     #[test]
     fn alternate_world_counts_match_requery() {
         let (idx, regions, n) = setup();
-        let mem = Membership::build(&idx, n, &regions);
+        let mem = Membership::build(&idx, n, &regions).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut out = Vec::new();
         for _ in 0..5 {
             let world = BitLabels::from_fn(n, |_| rng.gen_bool(0.62));
+            mem.count_all_into(&world, &mut out);
+            assert_eq!(out.len(), regions.len());
             for (r_idx, region) in regions.iter().enumerate() {
-                let by_mem = mem.count(r_idx, &world);
-                let by_query = idx.count_with(region, &world);
-                assert_eq!(by_mem, by_query, "region {r_idx}");
+                assert_eq!(
+                    out[r_idx],
+                    idx.count_with(region, &world).p,
+                    "region {r_idx}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn count_all_into_matches_individual_counts() {
-        let (idx, regions, n) = setup();
-        let mem = Membership::build(&idx, n, &regions);
-        let world = BitLabels::from_fn(n, |i| i % 2 == 0);
-        let mut out = Vec::new();
-        mem.count_all_into(&world, &mut out);
-        assert_eq!(out.len(), regions.len());
-        for (r_idx, &p) in out.iter().enumerate() {
-            assert_eq!(p, mem.count(r_idx, &world).p);
-        }
-        // Buffer reuse: second call must not grow.
+        // Buffer reuse: a second call must not grow.
         let cap = out.capacity();
-        mem.count_all_into(&world, &mut out);
+        mem.count_all_into(&BitLabels::zeros(n), &mut out);
         assert_eq!(out.capacity(), cap);
     }
 
     #[test]
-    fn members_are_sorted_and_unique() {
+    fn rings_are_sorted_and_unique() {
         let (idx, regions, n) = setup();
-        let mem = Membership::build(&idx, n, &regions);
+        let mem = Membership::build(&idx, n, &regions).unwrap();
         for r in 0..mem.num_regions() {
-            let m = mem.members(r);
+            let ring = mem.ring(r);
             assert!(
-                m.windows(2).all(|w| w[0] < w[1]),
+                ring.windows(2).all(|w| w[0] < w[1]),
                 "region {r} not sorted/unique"
             );
         }
@@ -293,37 +271,45 @@ mod tests {
     #[should_panic(expected = "length must match")]
     fn wrong_label_length_rejected() {
         let (idx, regions, n) = setup();
-        let mem = Membership::build(&idx, n, &regions);
-        let bad = BitLabels::zeros(n + 1);
-        let _ = mem.count(0, &bad);
+        let mem = Membership::build(&idx, n, &regions).unwrap();
+        mem.count_all_into(&BitLabels::zeros(n + 1), &mut Vec::new());
     }
 
-    /// An index that enumerates ids past the declared point count —
-    /// the construction-time input [`Membership::build`] must reject.
-    struct OutOfRangeIndex;
+    /// An index that enumerates a fixed id list for every region.
+    struct FixedIndex(&'static [u32]);
 
-    impl PointVisit for OutOfRangeIndex {
+    impl PointVisit for FixedIndex {
         fn for_each_in(&self, _region: &Region, visit: &mut dyn FnMut(u32)) {
-            visit(3);
-            visit(1000);
+            self.0.iter().for_each(|&id| visit(id));
         }
     }
 
     #[test]
-    #[should_panic(expected = "enumerated member id 1000")]
-    fn out_of_range_member_id_rejected_at_construction() {
-        let regions: Vec<Region> = vec![Rect::from_coords(0.0, 0.0, 1.0, 1.0).into()];
-        let _ = Membership::build(&OutOfRangeIndex, 10, &regions);
+    fn invalid_enumerations_are_rejected_at_construction() {
+        let regions: Vec<Region> = vec![Rect::from_coords(0.0, 0.0, 1.0, 1.0).into(); 2];
+        let err = Membership::build(&FixedIndex(&[3, 1000]), 10, &regions).unwrap_err();
+        let num_points = 10;
+        assert_eq!(
+            err,
+            BlockedBuildError::IdOutOfRange {
+                region: 0,
+                id: 1000,
+                num_points
+            }
+        );
+        let err = Membership::build(&FixedIndex(&[7, 3, 7]), 10, &regions).unwrap_err();
+        assert_eq!(err, BlockedBuildError::DuplicateId { region: 0, id: 7 });
     }
 
     #[test]
     fn empty_regions_have_zero_counts() {
         let (idx, _, n) = setup();
         let far: Vec<Region> = vec![Rect::from_coords(99.0, 99.0, 100.0, 100.0).into()];
-        let mem = Membership::build(&idx, n, &far);
+        let mem = Membership::build(&idx, n, &far).unwrap();
         assert_eq!(mem.n_of(0), 0);
-        let world = BitLabels::from_fn(n, |_| true);
-        assert_eq!(mem.count(0, &world), CountPair::default());
+        let mut out = Vec::new();
+        mem.count_all_into(&BitLabels::from_fn(n, |_| true), &mut out);
+        assert_eq!(out, [0]);
     }
 
     #[test]
@@ -339,20 +325,21 @@ mod tests {
             Rect::square(c, 3.0).into(),
             Rect::from_coords(0.0, 0.0, 1.0, 1.0).into(),
         ];
-        let mem = Membership::build(&idx, n, &regions);
+        let mem = Membership::build(&idx, n, &regions).unwrap();
         let parents: Vec<_> = (0..regions.len()).map(|r| mem.parent(r)).collect();
         assert_eq!(parents, [None, Some(0), Some(1), Some(2), None, None]);
         assert!(
             mem.ring(2).is_empty(),
             "identical lists leave an empty ring"
         );
-        for r in 0..regions.len() {
+        // Full lists from the brute-force enumeration, the oracle.
+        for (r, region) in regions.iter().enumerate() {
             let mut full: Vec<u32> = mem.ring(r).to_vec();
             if let Some(p) = mem.parent(r) {
-                full.extend_from_slice(mem.members(p));
+                full.extend(idx.ids_in(&regions[p]));
                 full.sort_unstable();
             }
-            assert_eq!(full, mem.members(r), "region {r}");
+            assert_eq!(full, idx.ids_in(region), "region {r}");
         }
         let rings: usize = (0..regions.len()).map(|r| mem.ring(r).len()).sum();
         assert_eq!(mem.total_ids(), rings);

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use sfgeo::{Point, Rect, Region};
 use sfindex::{
     morton_layout, BitLabels, BlockedBuildError, BlockedMembership, BruteForceIndex, Membership,
+    PointVisit,
 };
 
 /// A random sorted/unique id list over `0..n`.
@@ -80,15 +81,16 @@ proptest! {
             Rect::from_coords(-1.0, -1.0, 9.0, 9.0).into(), // full span
             Rect::from_coords(50.0, 50.0, 51.0, 51.0).into(), // empty
         ];
-        let membership = Membership::build(&idx, n, &regions);
+        let membership = Membership::build(&idx, n, &regions).unwrap();
         let flat = BlockedMembership::compile(&membership).unwrap();
         // Morton positions: every listed id and every label moves to
         // `to_pos[id]`.
         let to_pos = morton_layout(&points);
-        let lists: Vec<Vec<u32>> = (0..membership.num_regions())
-            .map(|r| {
+        let lists: Vec<Vec<u32>> = regions
+            .iter()
+            .map(|region| {
                 let mut list: Vec<u32> =
-                    membership.members(r).iter().map(|&id| to_pos[id as usize]).collect();
+                    idx.ids_in(region).iter().map(|&id| to_pos[id as usize]).collect();
                 list.sort_unstable();
                 list
             })
@@ -99,8 +101,8 @@ proptest! {
         for (&label, &pos) in bools.iter().zip(&to_pos) {
             layout_world.set(pos as usize, label);
         }
-        for r in 0..membership.num_regions() {
-            let expected = membership.count(r, &world).p;
+        for (r, region) in regions.iter().enumerate() {
+            let expected = idx.count_with(region, &world).p;
             prop_assert_eq!(flat.count(r, &world), expected, "flat, region {}", r);
             prop_assert_eq!(morton.count(r, &layout_world), expected, "morton, region {}", r);
         }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sfgeo::{Circle, ConvexPolygon, Point, Rect, Region};
-use sfindex::{BitLabels, BruteForceIndex, KdTree, Membership, PointVisit, RangeCount};
+use sfindex::{BitLabels, BruteForceIndex, CountPair, KdTree, Membership, PointVisit, RangeCount};
 
 fn arb_dataset() -> impl Strategy<Value = (Vec<Point>, Vec<bool>)> {
     prop::collection::vec(((-50.0..50.0f64), (-50.0..50.0f64), any::<bool>()), 0..300).prop_map(
@@ -73,12 +73,13 @@ proptest! {
         let n = points.len();
         let bits = BitLabels::from_bools(&labels);
         let kd = KdTree::build(points.clone(), bits);
-        let mem = Membership::build(&kd, n, &regions);
+        let mem = Membership::build(&kd, n, &regions).unwrap();
         let world_bits = BitLabels::from_bools(&world[..n]);
+        let mut by_mem = Vec::new();
+        mem.count_all_into(&world_bits, &mut by_mem);
         for (r, region) in regions.iter().enumerate() {
-            let by_mem = mem.count(r, &world_bits);
             let by_query = kd.count_with(region, &world_bits);
-            prop_assert_eq!(by_mem, by_query);
+            prop_assert_eq!(CountPair::new(mem.n_of(r), by_mem[r]), by_query);
         }
     }
 

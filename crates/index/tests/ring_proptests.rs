@@ -2,13 +2,15 @@
 //! [`Membership::count_all_into`], and the ring-compiled masks of
 //! [`BlockedMembership::compile`], must give every region the count its
 //! full member list gives, on region families that nest, repeat, empty
-//! out, shrink, and interleave with partitions.
+//! out, shrink, and interleave with partitions. The full lists come
+//! from the brute-force index, not from the kd-tree the rings are
+//! built over.
 
 use proptest::prelude::*;
 use sfgeo::{Circle, Point, Rect, Region};
 use sfindex::{
-    shard_word_bounds, BitLabels, BlockedMembership, CountingKernel, KdTree, Membership,
-    MAX_FUSED_WORLDS,
+    shard_word_bounds, BitLabels, BlockedMembership, BruteForceIndex, CountingKernel, KdTree,
+    Membership, PointVisit, MAX_FUSED_WORLDS,
 };
 use std::collections::HashSet;
 
@@ -49,6 +51,12 @@ fn arb_piece() -> impl Strategy<Value = Piece> {
         (centre(), 1.0..60.0f64, 0.0..1.0f64).prop_map(|(c, s, f)| Piece::Shrink(c, s, f)),
         (0usize..16, 1usize..6).prop_map(|(k, len)| Piece::Grid(k, len)),
     ]
+}
+
+/// Each region's full member list, from the brute-force oracle.
+fn full_lists(points: &[Point], regions: &[Region]) -> Vec<Vec<u32>> {
+    let brute = BruteForceIndex::build(points.to_vec(), BitLabels::zeros(points.len()));
+    regions.iter().map(|region| brute.ids_in(region)).collect()
 }
 
 fn regions_of(pieces: &[Piece]) -> Vec<Region> {
@@ -97,25 +105,27 @@ proptest! {
         let n = points.len();
         let points: Vec<Point> = points.into_iter().map(|(x, y)| Point::new(x, y)).collect();
         let regions = regions_of(&pieces);
+        let full = full_lists(&points, &regions);
         let kd = KdTree::build(points, BitLabels::zeros(n));
-        let mem = Membership::build(&kd, n, &regions);
+        let mem = Membership::build(&kd, n, &regions).unwrap();
 
         // The plan follows the rule: r − 1 is r's parent exactly when its
         // list is a non-empty subset of r's, and a ring holds the ids the
         // parent lacks.
         let mut sweep_ids = 0u64;
         for r in 0..regions.len() {
-            let own: HashSet<u32> = mem.members(r).iter().copied().collect();
+            let own: HashSet<u32> = full[r].iter().copied().collect();
             let contained = r > 0
-                && mem.n_of(r - 1) > 0
-                && mem.members(r - 1).iter().all(|id| own.contains(id));
+                && !full[r - 1].is_empty()
+                && full[r - 1].iter().all(|id| own.contains(id));
             prop_assert_eq!(mem.parent(r), contained.then(|| r - 1), "region {}", r);
-            let ring_len = match mem.parent(r) {
-                Some(p) => mem.n_of(r) - mem.n_of(p),
-                None => mem.n_of(r),
+            prop_assert_eq!(mem.n_of(r), full[r].len() as u64, "region {}", r);
+            let ring: Vec<u32> = match mem.parent(r) {
+                Some(p) => full[r].iter().copied().filter(|id| !full[p].contains(id)).collect(),
+                None => full[r].clone(),
             };
-            prop_assert_eq!(mem.ring(r).len() as u64, ring_len, "region {}", r);
-            sweep_ids += ring_len;
+            prop_assert_eq!(mem.ring(r), &ring[..], "region {}", r);
+            sweep_ids += ring.len() as u64;
         }
         prop_assert_eq!(mem.total_ids() as u64, sweep_ids);
 
@@ -125,7 +135,7 @@ proptest! {
             mem.count_all_into(&world, &mut out);
             prop_assert_eq!(out.len(), regions.len());
             for (r, &p) in out.iter().enumerate() {
-                prop_assert_eq!(p, mem.count(r, &world).p, "region {}", r);
+                prop_assert_eq!(p, world.count_at(&full[r]), "region {}", r);
             }
         }
     }
@@ -143,11 +153,11 @@ proptest! {
         let n = points.len();
         let points: Vec<Point> = points.into_iter().map(|(x, y)| Point::new(x, y)).collect();
         let regions = regions_of(&pieces);
+        let full = full_lists(&points, &regions);
         let kd = KdTree::build(points, BitLabels::zeros(n));
-        let mem = Membership::build(&kd, n, &regions);
+        let mem = Membership::build(&kd, n, &regions).unwrap();
         let masks = BlockedMembership::compile(&mem).unwrap();
-        let lists = BlockedMembership::from_lists((0..regions.len()).map(|r| mem.members(r)), n)
-            .unwrap();
+        let lists = BlockedMembership::from_lists(full.iter().map(Vec::as_slice), n).unwrap();
 
         // Rings never read more words than full lists; n(R) and its
         // total keep their full-region meaning.
@@ -162,7 +172,7 @@ proptest! {
         // The oracle: each full member list, gathered id by id.
         let expected: Vec<Vec<u64>> = worlds
             .iter()
-            .map(|world| (0..regions.len()).map(|r| world.count_at(mem.members(r))).collect())
+            .map(|world| full.iter().map(|list| world.count_at(list)).collect())
             .collect();
         let kernels: Vec<CountingKernel> =
             CountingKernel::ALL.into_iter().filter(|k| k.is_supported()).collect();

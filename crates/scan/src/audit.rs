@@ -167,13 +167,6 @@ mod tests {
         let a = Auditor::new(config()).audit(&o, &grid()).unwrap();
         let b = Auditor::new(config()).audit(&o, &grid()).unwrap();
         assert_eq!(a, b);
-        let mut seq = Auditor::new(config().sequential())
-            .audit(&o, &grid())
-            .unwrap();
-        // The report embeds its config; align the parallelism flag so
-        // the comparison checks the *results* are bit-identical.
-        seq.config.parallel = true;
-        assert_eq!(a, seq, "parallel and sequential audits must agree exactly");
     }
 
     #[test]
@@ -225,19 +218,39 @@ mod tests {
         }
     }
 
+    /// The audit's engine over the kd-tree and the same engine over the
+    /// brute-force oracle index score the real labels and the audit's
+    /// worlds bit-identically.
     #[test]
-    fn backends_produce_bit_identical_reports() {
-        use sfindex::IndexBackend;
+    fn kd_and_brute_engines_score_the_audit_identically() {
+        use crate::config::{Statistic, WorldGen};
+        use crate::engine::ScanEngine;
+        use sfindex::{BitLabels, BruteForceIndex};
         let o = unfair_outcomes(1500, 21);
-        let reference = Auditor::new(config()).audit(&o, &grid()).unwrap();
-        for backend in IndexBackend::ALL {
-            let mut report = Auditor::new(config().with_backend(backend))
-                .audit(&o, &grid())
-                .unwrap();
-            // The report embeds its config; align the backend knob so
-            // the comparison checks the *results* are bit-identical.
-            report.config.backend = reference.config.backend;
-            assert_eq!(report, reference, "backend {backend} diverged");
+        let c = config();
+        for strategy in CountingStrategy::ALL {
+            let kd = ScanEngine::build(&o, &grid(), strategy).unwrap();
+            let brute = BruteForceIndex::build(o.points().to_vec(), o.bit_labels());
+            let brute = ScanEngine::from_index(brute, &o, &grid(), strategy).unwrap();
+            assert_eq!(kd.region_n(), brute.region_n(), "{strategy:?}");
+            assert_eq!(kd.real_world(), brute.real_world(), "{strategy:?}");
+            for d in Direction::ALL {
+                let (a, b) = (kd.scan_real(d), brute.scan_real(d));
+                assert_eq!(a.counts, b.counts, "{strategy:?} {d}");
+                assert_eq!(a.tau.to_bits(), b.tau.to_bits(), "{strategy:?} {d}");
+            }
+            let worlds: Vec<BitLabels> = (0..16)
+                .map(|w| {
+                    let mut rng = sfstats::rng::world_rng(c.seed, w);
+                    kd.generate_world_with(c.null_model, WorldGen::Word, &mut rng)
+                })
+                .collect();
+            let refs: Vec<&BitLabels> = worlds.iter().collect();
+            let mut taus = [vec![0.0; 16 * 3], vec![0.0; 16 * 3]];
+            for (e, out) in [&kd, &brute].into_iter().zip(&mut taus) {
+                e.eval(Statistic::BernoulliLlr, &refs, &Direction::ALL, out, false);
+            }
+            assert_eq!(taus[0], taus[1], "{strategy:?}");
         }
     }
 

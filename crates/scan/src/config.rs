@@ -3,7 +3,6 @@
 use crate::direction::Direction;
 use serde::{Deserialize, Serialize};
 pub use sfindex::CountingKernel;
-pub use sfindex::IndexBackend;
 pub use sfstats::bulk::WorldGen;
 pub use sfstats::kernel::{ParseStatisticError, Statistic, TauKernel};
 pub use sfstats::montecarlo::McStrategy;
@@ -252,9 +251,6 @@ pub struct AuditConfig {
     pub null_model: NullModel,
     /// Per-world counting strategy.
     pub strategy: CountingStrategy,
-    /// Spatial index backend answering the range-count queries (the
-    /// `Q` in the paper's `O(M · N · Q)` cost model).
-    pub backend: IndexBackend,
     /// Monte Carlo budget strategy: spend the full budget, or stop at
     /// the first batch where the verdict at `alpha` is decided.
     pub mc_strategy: McStrategy,
@@ -279,8 +275,6 @@ pub struct AuditConfig {
     /// decode as [`Statistic::BernoulliLlr`] — the paper's statistic,
     /// reproduced bit for bit.
     pub statistic: Statistic,
-    /// Evaluate worlds in parallel (results are identical either way).
-    pub parallel: bool,
 }
 
 // Manual wire impls instead of the derive: `worldgen`, `shards` and
@@ -292,8 +286,9 @@ pub struct AuditConfig {
 // would hard-error on the missing fields. `statistic` is additionally
 // *omitted when default*, so every response embedding a Bernoulli-LLR
 // config serializes byte-identically to the pre-statistic wire format.
-// The decoder reads only the keys below, so the `"kernel"` field that
-// configs carried while the counting kernel was a knob is ignored.
+// The decoder reads only the keys below, so the `"kernel"`, `"backend"`
+// and `"parallel"` fields that configs carried while those were knobs
+// are ignored.
 impl Serialize for AuditConfig {
     fn serialize(&self, w: &mut serde::Writer) {
         w.begin_object();
@@ -303,14 +298,12 @@ impl Serialize for AuditConfig {
         w.field("direction", &self.direction);
         w.field("null_model", &self.null_model);
         w.field("strategy", &self.strategy);
-        w.field("backend", &self.backend);
         w.field("mc_strategy", &self.mc_strategy);
         w.field("worldgen", &self.worldgen);
         w.field("shards", &self.shards);
         if self.statistic != Statistic::BernoulliLlr {
             w.field("statistic", &self.statistic);
         }
-        w.field("parallel", &self.parallel);
         w.end_object();
     }
 }
@@ -324,7 +317,6 @@ impl Deserialize for AuditConfig {
             direction: serde::get_field(value, "direction")?,
             null_model: serde::get_field(value, "null_model")?,
             strategy: serde::get_field(value, "strategy")?,
-            backend: serde::get_field(value, "backend")?,
             mc_strategy: serde::get_field(value, "mc_strategy")?,
             worldgen: match value.get("worldgen") {
                 Some(v) => WorldGen::from_value(v)
@@ -344,7 +336,6 @@ impl Deserialize for AuditConfig {
                 // Absent on pre-statistic payloads: the paper's LLR.
                 None => Statistic::BernoulliLlr,
             },
-            parallel: serde::get_field(value, "parallel")?,
         })
     }
 }
@@ -352,8 +343,8 @@ impl Deserialize for AuditConfig {
 impl AuditConfig {
     /// Creates a config at significance level `alpha` with the paper's
     /// defaults: 999 worlds, two-sided, Bernoulli null, membership
-    /// counting, kd-tree backend, full Monte Carlo budget, word
-    /// world generation, auto sharding, parallel.
+    /// counting, full Monte Carlo budget, word world generation, auto
+    /// sharding.
     ///
     /// # Panics
     /// Panics if `alpha` is outside `(0, 1)`.
@@ -369,12 +360,10 @@ impl AuditConfig {
             direction: Direction::TwoSided,
             null_model: NullModel::Bernoulli,
             strategy: CountingStrategy::Membership,
-            backend: IndexBackend::KdTree,
             mc_strategy: McStrategy::FullBudget,
             worldgen: WorldGen::Word,
             shards: Shards::Auto,
             statistic: Statistic::BernoulliLlr,
-            parallel: true,
         }
     }
 
@@ -414,12 +403,6 @@ impl AuditConfig {
         self
     }
 
-    /// Sets the spatial index backend.
-    pub fn with_backend(mut self, backend: IndexBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Sets the Monte Carlo budget strategy.
     pub fn with_mc_strategy(mut self, mc_strategy: McStrategy) -> Self {
         if let McStrategy::EarlyStop { batch_size } = mc_strategy {
@@ -455,12 +438,6 @@ impl AuditConfig {
         self
     }
 
-    /// Disables parallel Monte Carlo (results unchanged).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
     /// Returns `true` when the Monte Carlo budget can reach
     /// significance at this `alpha` (i.e. `⌊α·w⌋ ≥ 1`).
     pub fn budget_sufficient(&self) -> bool {
@@ -485,7 +462,6 @@ mod tests {
         assert_eq!(c.worlds, 999);
         assert_eq!(c.direction, Direction::TwoSided);
         assert_eq!(c.null_model, NullModel::Bernoulli);
-        assert_eq!(c.backend, IndexBackend::KdTree);
         assert_eq!(c.mc_strategy, McStrategy::FullBudget);
         assert_eq!(
             c.worldgen,
@@ -514,19 +490,15 @@ mod tests {
             .with_direction(Direction::Low)
             .with_null_model(NullModel::Permutation)
             .with_strategy(CountingStrategy::Requery)
-            .with_backend(IndexBackend::Brute)
             .with_mc_strategy(McStrategy::EarlyStop { batch_size: 16 })
-            .with_shards(Shards::Fixed(3))
-            .sequential();
+            .with_shards(Shards::Fixed(3));
         assert_eq!(c.worlds, 99);
         assert_eq!(c.seed, 7);
         assert_eq!(c.direction, Direction::Low);
         assert_eq!(c.null_model, NullModel::Permutation);
         assert_eq!(c.strategy, CountingStrategy::Requery);
-        assert_eq!(c.backend, IndexBackend::Brute);
         assert_eq!(c.mc_strategy, McStrategy::EarlyStop { batch_size: 16 });
         assert_eq!(c.shards, Shards::Fixed(3));
-        assert!(!c.parallel);
         assert!(c.budget_sufficient());
     }
 
@@ -562,8 +534,7 @@ mod tests {
             .with_worlds(199)
             .with_seed(5)
             .with_strategy(CountingStrategy::Blocked)
-            .with_worldgen(WorldGen::Word)
-            .sequential();
+            .with_worldgen(WorldGen::Word);
         let json = serde_json::to_string(&config).unwrap();
         assert!(json.contains("\"worldgen\":\"Word\""), "{json}");
         let back: AuditConfig = serde_json::from_str(&json).unwrap();
@@ -585,21 +556,37 @@ mod tests {
         );
     }
 
+    /// Configs and reports serialized while the index backend and the
+    /// world parallelism were knobs carry `"backend"` and `"parallel"`
+    /// fields; whatever they hold, they decode to what the same payload
+    /// without them decodes to.
     #[test]
-    fn retired_backends_fail_to_decode_from_an_echoed_config() {
-        let paper = serde_json::to_string(&AuditConfig::paper()).unwrap();
-        for retired in ["QuadTree", "RTree", "Grid"] {
-            let json = paper.replace("\"KdTree\"", &format!("{retired:?}"));
-            let msg = serde_json::from_str::<AuditConfig>(&json)
-                .unwrap_err()
-                .to_string();
-            assert_eq!(
-                msg,
-                format!(
-                    "serde error: field `backend`: unknown IndexBackend variant \
-                     `{retired}`; valid values: Brute, KdTree"
-                )
-            );
+    fn legacy_backend_and_parallel_fields_are_ignored() {
+        let legacy_fields = [
+            "\"backend\":\"KdTree\",",
+            "\"backend\":\"Brute\",",
+            "\"backend\":\"QuadTree\",",
+            "\"parallel\":true,",
+            "\"parallel\":false,",
+            "\"backend\":\"Brute\",\"parallel\":false,",
+        ];
+        for config in [
+            AuditConfig::paper(),
+            AuditConfig::new(0.05)
+                .with_strategy(CountingStrategy::Requery)
+                .with_statistic(Statistic::MeanResidual),
+        ] {
+            let json = serde_json::to_string(&config).unwrap();
+            assert!(!json.contains("backend"), "{json}");
+            assert!(!json.contains("parallel"), "{json}");
+            for field in legacy_fields {
+                let legacy =
+                    json.replacen("\"mc_strategy\"", &format!("{field}\"mc_strategy\""), 1);
+                assert_ne!(legacy, json, "no `mc_strategy` key to insert before");
+                let back: AuditConfig =
+                    serde_json::from_str(&legacy).unwrap_or_else(|e| panic!("{legacy}: {e}"));
+                assert_eq!(back, config, "{legacy}");
+            }
         }
     }
 

@@ -1,24 +1,26 @@
 //! Region counting and Monte Carlo world evaluation.
 //!
 //! The scan engine precomputes everything that is *world-invariant*:
-//! the spatial index, each region's member-id list, and therefore every
-//! `n(R)`. A Monte Carlo world then only needs to (a) draw labels from
-//! the null model and (b) recount `p(R)` per region — a cache-friendly
-//! sweep over the membership lists against a label bitset.
+//! each region's membership ring, the masks compiled from the rings,
+//! and therefore every `n(R)`. A Monte Carlo world then only needs to
+//! (a) draw labels from the null model and (b) recount `p(R)` per
+//! region — a cache-friendly sweep over the masks against a label
+//! bitset.
 //!
 //! # Pluggable substrates
 //!
-//! The engine is generic over its [`CountingSubstrate`]: any index
-//! providing exact range counts and member-id enumeration can serve
-//! the scan. Production callers pick a backend at runtime through
-//! [`ScanEngine::build_with`] (driven by
-//! [`AuditConfig::backend`](crate::config::AuditConfig)): the kd-tree,
-//! or the brute-force oracle it is tested against. Library users and
-//! tests with a custom index use [`ScanEngine::from_index`]. The
-//! substrate is queried once per region at build time, to list its
-//! members; only requery engines query it again per world. Backends
-//! are exact, so every choice produces **bit-identical** audits — the
-//! cross-backend agreement tests pin that property.
+//! [`ScanEngine::build`] builds a kd-tree over the outcomes; library
+//! users and tests with another [`CountingSubstrate`] (any index
+//! providing exact range counts and member-id enumeration, such as the
+//! brute-force oracle the kd-tree is tested against) use
+//! [`ScanEngine::from_index`]. The index is queried once per region at
+//! build time, to list its members. An engine built from those lists
+//! then keeps only the rings and masks: the index, the full lists and
+//! the region geometry are dropped once the rings are taken. Only a
+//! requery engine keeps the index and the regions, and queries them
+//! again per world. Indexes are exact, so every choice produces
+//! **bit-identical** audits — the kd-vs-brute engine tests pin that
+//! property.
 //!
 //! # World layout
 //!
@@ -27,8 +29,8 @@
 //! ([`morton_layout`]), so a spatially compact region owns dense runs
 //! of bit positions. [`ScanEngine::from_index`] enumerates each
 //! region's members once, through a view of the substrate that reports
-//! every member as its position: membership lists and rings hold
-//! positions, the masks compiled from the rings are word-aligned
+//! every member as its position: membership rings hold positions, the
+//! masks compiled from the rings are word-aligned
 //! `(block, mask)` popcnt runs over them
 //! ([`sfindex::BlockedMembership`]), and requery engines recount worlds
 //! through the same view. The real labels are laid out once, at build
@@ -44,7 +46,7 @@
 //! per-bit writes. Word permutation worlds write the dense majority
 //! side as whole words and Fisher–Yates-select only the minority. The versions are
 //! statistically equivalent but consume the RNG stream differently;
-//! within a version, every strategy and backend draws the same bitset,
+//! within a version, every strategy and index draws the same bitset,
 //! so every `τ` is bit-identical.
 //!
 //! # Containment-delta counting
@@ -61,10 +63,12 @@
 //! representation*): on the paper's 100 centres × 20 sides over the
 //! small SynthLAR the rings hold 22,901 ids in 2,497 mask words, against
 //! 306,981 ids in the full lists. Grid cells and other partitions get no
-//! parents and count their full lists as before. The
-//! adds are exact integers, so every `τ` is bit-identical;
-//! [`ScanEngine::scan_real`] keeps counting the full lists, which makes
-//! it an independent check on the sweep.
+//! parents and count their full lists as before. The adds are exact
+//! integers, so every `τ` is bit-identical. [`ScanEngine::scan_real`]
+//! counts the real world through the same rings
+//! ([`Membership::count_all_into`]); the independent check on both
+//! sweeps is a requery engine, which recounts every region through the
+//! index.
 //!
 //! # Exact τ fold
 //!
@@ -136,8 +140,10 @@
 //! construction cross-validates them once per region — in every build
 //! profile — and returns [`ScanError::CountIntegrity`] instead of an
 //! engine rather than serve corrupt counts. Under every strategy, an
-//! enumerated id past the point count, or one enumerated twice for a
-//! region, is [`ScanError::MembershipIntegrity`].
+//! enumerated id past the point count is
+//! [`ScanError::MembershipIntegrity`]; so is an id enumerated twice for
+//! a region, which [`Membership::build`] catches while it still holds
+//! the full list.
 
 use crate::config::{CountingStrategy, NullModel, Shards, WorldGen};
 use crate::direction::Direction;
@@ -148,8 +154,8 @@ use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use sfindex::{
-    morton_layout, shard_word_bounds, BitLabels, BlockedMembership, CountPair, CountingKernel,
-    CountingSubstrate, IndexBackend, Membership, PointVisit, Substrate, MAX_FUSED_WORLDS,
+    morton_layout, shard_word_bounds, BitLabels, BlockedBuildError, BlockedMembership, CountPair,
+    CountingKernel, CountingSubstrate, KdTree, Membership, PointVisit, MAX_FUSED_WORLDS,
 };
 use sfstats::bulk::{BulkBernoulli, GEN_CHUNK_WORDS};
 use sfstats::kernel::{fold_matrix, Statistic, TauKernel, FOLD_LANES};
@@ -200,24 +206,25 @@ pub struct RealScan {
 /// The per-world counting structure actually in effect after strategy
 /// resolution.
 enum Counting {
-    /// Membership lists and rings, plus the masks compiled from the
-    /// rings that every world is counted through (see *Counting
-    /// representation* in the module docs). The full lists serve
-    /// [`ScanEngine::scan_real`].
+    /// Membership rings, plus the masks compiled from them that every
+    /// world is counted through (see *Counting representation* in the
+    /// module docs).
     Lists {
         membership: Membership,
         masks: Box<BlockedMembership>,
     },
-    /// Range query per region per world.
-    Requery,
+    /// Range query per region per world, through the index the engine
+    /// was built over.
+    Requery {
+        index: Box<dyn CountingSubstrate>,
+        regions: Vec<sfgeo::Region>,
+    },
 }
 
 /// Precomputed scan state shared by the real-world pass and every
-/// Monte Carlo world, generic over the counting substrate.
-pub struct ScanEngine<I: CountingSubstrate = Substrate> {
-    index: I,
+/// Monte Carlo world.
+pub struct ScanEngine {
     counting: Counting,
-    regions: Vec<sfgeo::Region>,
     region_n: Vec<u64>,
     n_total: u64,
     p_total: u64,
@@ -245,42 +252,25 @@ pub struct ScanEngine<I: CountingSubstrate = Substrate> {
     statistic: Statistic,
 }
 
-impl ScanEngine<Substrate> {
-    /// Builds the engine over the default backend
-    /// ([`IndexBackend::KdTree`]): spatial index, membership lists,
-    /// rings and masks (unless the strategy is requery),
-    /// world-invariant `n(R)`.
+impl ScanEngine {
+    /// Builds the engine over a kd-tree: membership rings and masks
+    /// (unless the strategy is requery), world-invariant `n(R)`.
     ///
     /// # Errors
-    /// [`ScanError::CountIntegrity`] — the substrate's aggregate
-    /// counts disagree with its id enumeration (see the module docs).
+    /// See [`ScanEngine::from_index`].
     pub fn build(
         outcomes: &SpatialOutcomes,
         regions: &RegionSet,
         strategy: CountingStrategy,
     ) -> Result<Self, ScanError> {
-        Self::build_with(outcomes, regions, IndexBackend::default(), strategy)
-    }
-
-    /// Builds the engine over the backend named by `backend`.
-    ///
-    /// # Errors
-    /// [`ScanError::CountIntegrity`] — see [`ScanEngine::build`].
-    pub fn build_with(
-        outcomes: &SpatialOutcomes,
-        regions: &RegionSet,
-        backend: IndexBackend,
-        strategy: CountingStrategy,
-    ) -> Result<Self, ScanError> {
-        let labels = outcomes.bit_labels();
-        let index = Substrate::build(backend, outcomes.points().to_vec(), labels);
+        let index = KdTree::build(outcomes.points().to_vec(), outcomes.bit_labels());
         Self::from_index(index, outcomes, regions, strategy)
     }
-}
 
-impl<I: CountingSubstrate> ScanEngine<I> {
     /// Builds the engine over a caller-provided substrate (custom
-    /// indexes plug in here).
+    /// indexes and the brute-force oracle plug in here). Engines built
+    /// from membership lists drop the substrate once their rings are
+    /// taken; requery engines keep it.
     ///
     /// # Errors
     /// * [`ScanError::CountIntegrity`] — the substrate's aggregate
@@ -295,7 +285,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// # Panics
     /// Panics if the substrate indexes a different number of points
     /// than `outcomes` holds (programmer error, not data-dependent).
-    pub fn from_index(
+    pub fn from_index<I: CountingSubstrate + 'static>(
         index: I,
         outcomes: &SpatialOutcomes,
         regions: &RegionSet,
@@ -306,10 +296,10 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             outcomes.len(),
             "substrate must index exactly the audited points"
         );
-        let region_vec = regions.regions().to_vec();
+        let regions = regions.regions();
         // Every strategy enumerates members through `positions`, so
-        // lists, rings, masks and requery recounts all address the
-        // Morton layout the generators write.
+        // rings, masks and requery recounts all address the Morton
+        // layout the generators write.
         let to_pos = morton_layout(outcomes.points());
         let positions = Positions::new(&index, &to_pos);
         // World-invariant n(R). The list-building paths read it from
@@ -317,73 +307,57 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         // with one range-count query per region (for Auto that
         // measurement IS the membership density the resolution rule
         // decides on).
-        let count_region_n =
-            |index: &I| -> Vec<u64> { region_vec.iter().map(|r| index.count(r).n).collect() };
-        let membership_region_n =
-            |m: &Membership| -> Vec<u64> { (0..m.num_regions()).map(|r| m.n_of(r)).collect() };
-        let build_membership = || -> Result<Membership, ScanError> {
-            let m = Membership::build(&positions, outcomes.len(), &region_vec);
-            positions.check()?;
-            validate_membership_unique(&m, &to_pos)?;
-            Ok(m)
-        };
-        let lists = |membership: Membership| -> Result<Counting, ScanError> {
-            let masks = BlockedMembership::compile(&membership).map_err(|e| {
-                ScanError::MembershipIntegrity {
-                    reason: e.to_string(),
-                }
-            })?;
-            Ok(Counting::Lists {
-                membership,
-                masks: Box::new(masks),
-            })
-        };
-        let (counting, region_n) = match strategy {
-            CountingStrategy::Membership | CountingStrategy::Blocked => {
-                let m = build_membership()?;
-                let region_n = membership_region_n(&m);
-                (lists(m)?, region_n)
-            }
-            CountingStrategy::Requery => {
-                let region_n = count_region_n(&index);
-                validate_count_integrity(&positions, &region_vec, &region_n)?;
-                (Counting::Requery, region_n)
-            }
-            CountingStrategy::Auto => {
-                let region_n = count_region_n(&index);
+        let (build_lists, measured_n) = match strategy {
+            CountingStrategy::Membership | CountingStrategy::Blocked => (true, None),
+            CountingStrategy::Requery | CountingStrategy::Auto => {
+                let region_n: Vec<u64> = regions.iter().map(|r| index.count(r).n).collect();
                 let total_ids: u64 = region_n.iter().sum();
-                match resolve_strategy(
+                let resolved = resolve_strategy(
                     strategy,
                     total_ids,
-                    region_vec.len() as u64,
+                    regions.len() as u64,
                     outcomes.len() as u64,
-                ) {
-                    CountingStrategy::Membership => {
-                        let m = build_membership()?;
-                        // The aggregate counts that drove the density
-                        // decision must agree with the enumeration the
-                        // worlds will actually be counted with —
-                        // otherwise scan_real and the Monte Carlo fold
-                        // would silently use different n(R). Both
-                        // vectors are already in hand; compare them.
-                        let enumerated_n = membership_region_n(&m);
-                        if let Some(r) =
-                            (0..region_n.len()).find(|&r| region_n[r] != enumerated_n[r])
-                        {
-                            return Err(ScanError::CountIntegrity {
-                                region: r,
-                                aggregate_n: region_n[r],
-                                enumerated_n: enumerated_n[r],
-                            });
-                        }
-                        (lists(m)?, region_n)
-                    }
-                    _ => {
-                        validate_count_integrity(&positions, &region_vec, &region_n)?;
-                        (Counting::Requery, region_n)
-                    }
+                );
+                (resolved == CountingStrategy::Membership, Some(region_n))
+            }
+        };
+        let (counting, region_n) = if build_lists {
+            let membership = Membership::build(&positions, outcomes.len(), regions);
+            positions.check()?;
+            let membership = membership.map_err(|e| membership_integrity(e, &to_pos))?;
+            let masks = BlockedMembership::compile(&membership)
+                .map_err(|e| membership_integrity(e, &to_pos))?;
+            let region_n: Vec<u64> = (0..membership.num_regions())
+                .map(|r| membership.n_of(r))
+                .collect();
+            // Auto's aggregate counts, which drove the density decision,
+            // must agree with the enumeration the worlds will actually
+            // be counted with — otherwise scan_real and the Monte Carlo
+            // fold would silently use different n(R).
+            if let Some(aggregate) = measured_n {
+                if let Some(r) = (0..region_n.len()).find(|&r| aggregate[r] != region_n[r]) {
+                    return Err(ScanError::CountIntegrity {
+                        region: r,
+                        aggregate_n: aggregate[r],
+                        enumerated_n: region_n[r],
+                    });
                 }
             }
+            let masks = Box::new(masks);
+            (Counting::Lists { membership, masks }, region_n)
+        } else {
+            let region_n = measured_n.expect("requery engines measure n(R)");
+            validate_count_integrity(&positions, regions, &region_n)?;
+            // Requery alone keeps the index and the regions; every
+            // other engine drops them at the end of this build.
+            let index = Box::new(index);
+            (
+                Counting::Requery {
+                    index,
+                    regions: regions.to_vec(),
+                },
+                region_n,
+            )
         };
         let mut real_world = BitLabels::zeros(outcomes.len());
         for (&label, &pos) in outcomes.labels().iter().zip(&to_pos) {
@@ -392,9 +366,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             }
         }
         Ok(ScanEngine {
-            index,
             counting,
-            regions: region_vec,
             region_n,
             n_total: outcomes.len() as u64,
             p_total: outcomes.positives(),
@@ -471,7 +443,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
 
     /// Number of regions.
     pub fn num_regions(&self) -> usize {
-        self.regions.len()
+        self.region_n.len()
     }
 
     /// Global totals `(N, P)`.
@@ -500,7 +472,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     pub fn resolved_strategy(&self) -> CountingStrategy {
         match &self.counting {
             Counting::Lists { .. } => CountingStrategy::Blocked,
-            Counting::Requery => CountingStrategy::Requery,
+            Counting::Requery { .. } => CountingStrategy::Requery,
         }
     }
 
@@ -510,13 +482,13 @@ impl<I: CountingSubstrate> ScanEngine<I> {
         self.blocked().map(BlockedMembership::ids_per_word)
     }
 
-    /// The membership lists and rings of every engine built from
-    /// membership lists (every strategy but requery). They hold
-    /// world-layout positions, not point ids.
+    /// The membership rings of every engine built from membership
+    /// lists (every strategy but requery). They hold world-layout
+    /// positions, not point ids.
     pub fn membership(&self) -> Option<&Membership> {
         match &self.counting {
             Counting::Lists { membership, .. } => Some(membership),
-            Counting::Requery => None,
+            Counting::Requery { .. } => None,
         }
     }
 
@@ -525,13 +497,8 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     pub fn blocked(&self) -> Option<&BlockedMembership> {
         match &self.counting {
             Counting::Lists { masks, .. } => Some(masks),
-            Counting::Requery => None,
+            Counting::Requery { .. } => None,
         }
-    }
-
-    /// The substrate serving this engine's range counts.
-    pub fn index(&self) -> &I {
-        &self.index
     }
 
     /// The real labels as a world in this engine's layout: what
@@ -550,13 +517,18 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// Scans the real world with an explicit statistic: per-region
     /// counts, scores, and `τ = max score`.
     pub fn scan_real_with(&self, statistic: Statistic, direction: Direction) -> RealScan {
-        // Full member lists, never rings or masks: this pass is the
-        // independent check on the per-world sweep.
+        // The rings' scalar sweep, not the masks; a requery engine
+        // counts through its index, the independent check on both.
         let counts: Vec<CountPair> = match &self.counting {
-            Counting::Lists { membership, .. } => (0..self.regions.len())
-                .map(|r| membership.count(r, &self.real_world))
-                .collect(),
-            Counting::Requery => self.regions.iter().map(|r| self.index.count(r)).collect(),
+            Counting::Lists { membership, .. } => {
+                let mut p = Vec::new();
+                membership.count_all_into(&self.real_world, &mut p);
+                let n = self.region_n.iter();
+                n.zip(p).map(|(&n, p)| CountPair { n, p }).collect()
+            }
+            Counting::Requery { index, regions } => {
+                regions.iter().map(|r| index.count(r)).collect()
+            }
         };
         let kernel = TauKernel::new(statistic, self.n_total, self.p_total);
         let mut llrs = Vec::with_capacity(counts.len());
@@ -609,7 +581,7 @@ impl<I: CountingSubstrate> ScanEngine<I> {
     /// whole-word writes and setting only the minority (`min(P, N−P)`
     /// bits). The two versions consume the RNG stream differently, so
     /// they are distinct world classes — but *within* each version,
-    /// every strategy and backend draws the same bitset, which is what
+    /// every strategy and index draws the same bitset, which is what
     /// keeps every strategy's `τ` bit-identical.
     pub fn generate_world_with(
         &self,
@@ -892,15 +864,15 @@ impl<I: CountingSubstrate> ScanEngine<I> {
             Counting::Lists { masks, .. } => {
                 masks.count_all_many_into(worlds, self.kernel, &mut counts)
             }
-            Counting::Requery => {
+            Counting::Requery { index, regions } => {
                 counts.resize(len, 0);
+                let positions = Positions::new(index.as_ref(), &self.to_pos);
                 for (w, labels) in worlds.iter().enumerate() {
-                    for (r, (region, &n_r)) in self.regions.iter().zip(&self.region_n).enumerate() {
+                    for (r, (region, &n_r)) in regions.iter().zip(&self.region_n).enumerate() {
                         if n_r == 0 {
                             continue;
                         }
-                        let c =
-                            Positions::new(&self.index, &self.to_pos).count_with(region, labels);
+                        let c = positions.count_with(region, labels);
                         // Unreachable after the build-time integrity
                         // check (count_with's n is label-independent);
                         // kept as a debug-build tripwire only.
@@ -990,13 +962,13 @@ fn with_fisher_yates_scratch(n: usize, f: impl FnOnce(&mut Vec<u32>)) {
 /// requery recounts all address the bits the generators write. An id
 /// `>= N` is not passed on; the first one is kept for
 /// [`Positions::check`].
-struct Positions<'a, I> {
+struct Positions<'a, I: ?Sized> {
     index: &'a I,
     to_pos: &'a [u32],
     out_of_range: Cell<Option<u32>>,
 }
 
-impl<'a, I: PointVisit> Positions<'a, I> {
+impl<'a, I: PointVisit + ?Sized> Positions<'a, I> {
     fn new(index: &'a I, to_pos: &'a [u32]) -> Self {
         Positions {
             index,
@@ -1020,7 +992,7 @@ impl<'a, I: PointVisit> Positions<'a, I> {
     }
 }
 
-impl<I: PointVisit> PointVisit for Positions<'_, I> {
+impl<I: PointVisit + ?Sized> PointVisit for Positions<'_, I> {
     fn for_each_in(&self, region: &sfgeo::Region, visit: &mut dyn FnMut(u32)) {
         self.index
             .for_each_in(region, &mut |id| match self.to_pos.get(id as usize) {
@@ -1030,24 +1002,23 @@ impl<I: PointVisit> PointVisit for Positions<'_, I> {
     }
 }
 
-/// Rejects member lists in which the substrate enumerated the same id
-/// twice for one region: the scalar replay would silently double-count
-/// `p(R)` (and inflate `n(R)`) in every world. Lists hold sorted
-/// positions, so one adjacent-equality sweep finds a repeat; the error
-/// names the point id.
-fn validate_membership_unique(m: &Membership, to_pos: &[u32]) -> Result<(), ScanError> {
-    for r in 0..m.num_regions() {
-        if let Some(pair) = m.members(r).windows(2).find(|pair| pair[0] == pair[1]) {
+/// [`ScanError::MembershipIntegrity`] for lists the membership build
+/// or the mask compiler rejected. A region whose enumeration repeats
+/// an id would double-count `p(R)` (and inflate `n(R)`) in every
+/// world; the lists hold positions, so the error names the point id
+/// stored at the repeated one.
+fn membership_integrity(err: BlockedBuildError, to_pos: &[u32]) -> ScanError {
+    let reason = match err {
+        BlockedBuildError::DuplicateId { region, id: pos } => {
             let id = to_pos
                 .iter()
-                .position(|&pos| pos == pair[0])
+                .position(|&p| p == pos)
                 .expect("every listed position is some id's");
-            return Err(ScanError::MembershipIntegrity {
-                reason: format!("region {r}: duplicate member id {id}"),
-            });
+            format!("region {region}: duplicate member id {id}")
         }
-    }
-    Ok(())
+        err => err.to_string(),
+    };
+    ScanError::MembershipIntegrity { reason }
 }
 
 /// Cross-validates the substrate's aggregate region counts against its
@@ -1056,7 +1027,7 @@ fn validate_membership_unique(m: &Membership, to_pos: &[u32]) -> Result<(), Scan
 /// (this is the promotion of the old hot-loop `debug_assert`, moved
 /// where it costs one enumeration instead of one branch per region per
 /// world).
-fn validate_count_integrity<I: PointVisit>(
+fn validate_count_integrity<I: PointVisit + ?Sized>(
     positions: &Positions<'_, I>,
     regions: &[sfgeo::Region],
     region_n: &[u64],
@@ -1134,20 +1105,32 @@ mod tests {
 
     /// One world's `τ` per direction through [`ScanEngine::eval`], with
     /// the engine's default statistic.
-    fn eval_one<I: CountingSubstrate>(
-        e: &ScanEngine<I>,
-        labels: &BitLabels,
-        dirs: &[Direction],
-        fine: bool,
-    ) -> Vec<f64> {
+    fn eval_one(e: &ScanEngine, labels: &BitLabels, dirs: &[Direction], fine: bool) -> Vec<f64> {
         let mut out = vec![0.0; dirs.len()];
         e.eval(e.statistic(), &[labels], dirs, &mut out, fine);
         out
     }
 
     /// One world's `τ` for a single direction.
-    fn tau<I: CountingSubstrate>(e: &ScanEngine<I>, labels: &BitLabels, d: Direction) -> f64 {
+    fn tau(e: &ScanEngine, labels: &BitLabels, d: Direction) -> f64 {
         eval_one(e, labels, &[d], false)[0]
+    }
+
+    /// `strategy` engines over the kd-tree (what [`ScanEngine::build`]
+    /// builds) and over the brute-force oracle index.
+    fn kd_and_brute(
+        o: &SpatialOutcomes,
+        regions: &RegionSet,
+        strategy: CountingStrategy,
+    ) -> [(&'static str, ScanEngine); 2] {
+        let brute = sfindex::BruteForceIndex::build(o.points().to_vec(), o.bit_labels());
+        [
+            ("kdtree", ScanEngine::build(o, regions, strategy).unwrap()),
+            (
+                "brute",
+                ScanEngine::from_index(brute, o, regions, strategy).unwrap(),
+            ),
+        ]
     }
 
     #[test]
@@ -1185,13 +1168,25 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_produce_identical_scans_and_worlds() {
+    fn kd_and_brute_engines_produce_identical_scans_and_worlds() {
         let o = outcomes();
         let reference = ScanEngine::build(&o, &region_set(), CountingStrategy::Membership).unwrap();
         let ref_real = reference.scan_real(Direction::TwoSided);
-        for backend in IndexBackend::ALL {
-            for strategy in CountingStrategy::ALL {
-                let e = ScanEngine::build_with(&o, &region_set(), backend, strategy).unwrap();
+        for strategy in CountingStrategy::ALL {
+            for (backend, e) in kd_and_brute(&o, &region_set(), strategy) {
+                assert_eq!(e.region_n(), reference.region_n(), "{backend} {strategy:?}");
+                assert_eq!(
+                    e.real_world(),
+                    reference.real_world(),
+                    "{backend} {strategy:?}"
+                );
+                if let Some(m) = e.membership() {
+                    let want = reference.membership().unwrap();
+                    for r in 0..m.num_regions() {
+                        assert_eq!(m.parent(r), want.parent(r), "{backend} {strategy:?}");
+                        assert_eq!(m.ring(r), want.ring(r), "{backend} {strategy:?}");
+                    }
+                }
                 let real = e.scan_real(Direction::TwoSided);
                 assert_eq!(real.counts, ref_real.counts, "{backend} {strategy:?}");
                 assert_eq!(real.llrs, ref_real.llrs, "{backend} {strategy:?}");
@@ -1513,16 +1508,15 @@ mod tests {
     }
 
     #[test]
-    fn word_generator_is_bit_identical_across_strategies_and_backends() {
+    fn word_generator_is_bit_identical_across_strategies_and_indexes() {
         // The Word tentpole invariant: same (seed, null model) => same
         // per-point labels and same τ, whatever the storage layout,
-        // counting strategy, or index backend.
+        // counting strategy, or index.
         for o in [outcomes(), dense_outcomes()] {
             let reference =
                 ScanEngine::build(&o, &region_set(), CountingStrategy::Membership).unwrap();
-            for backend in IndexBackend::ALL {
-                for strategy in CountingStrategy::ALL {
-                    let e = ScanEngine::build_with(&o, &region_set(), backend, strategy).unwrap();
+            for strategy in CountingStrategy::ALL {
+                for (backend, e) in kd_and_brute(&o, &region_set(), strategy) {
                     for null_model in [NullModel::Bernoulli, NullModel::Permutation] {
                         for w in 0..5 {
                             let mut rng = sfstats::rng::world_rng(13, w);
@@ -1793,8 +1787,9 @@ mod tests {
         // Every evaluation path scores through `fold_counts`, while
         // `scan_real_with` keeps its own score loop — so evaluating the
         // real labels as a world is the independent check on the fold.
-        // The membership arm counts nested squares and circles through
-        // their rings; scan_real_with counts their full lists.
+        // Engines built from lists count nested squares and circles
+        // through their rings in both passes, so the oracle is a
+        // requery engine's real scan, which recounts through the index.
         let grid = RegionSet::regular_grid(Rect::from_coords(0.0, 0.0, 10.0, 10.0), 4, 4);
         let centres = vec![
             Point::new(2.0, 3.0),
@@ -1821,6 +1816,7 @@ mod tests {
                 CountingStrategy::Requery,
                 CountingStrategy::Blocked,
             ] {
+                let oracle = ScanEngine::build(&o, &regions, CountingStrategy::Requery).unwrap();
                 for shards in [1, 3] {
                     let e = ScanEngine::build(&o, &regions, strategy)
                         .unwrap()
@@ -1831,11 +1827,11 @@ mod tests {
                             let mut out = [0.0; Direction::ALL.len()];
                             e.eval(statistic, &[real], &Direction::ALL, &mut out, fine);
                             for (tau, &d) in out.iter().zip(&Direction::ALL) {
-                                assert_eq!(
-                                    tau.to_bits(),
-                                    e.scan_real_with(statistic, d).tau.to_bits(),
-                                    "{strategy:?} shards {shards} fine {fine} {statistic} {d}"
-                                );
+                                let want = oracle.scan_real_with(statistic, d).tau.to_bits();
+                                let label = format!("{strategy:?} shards {shards} fine {fine}");
+                                assert_eq!(tau.to_bits(), want, "{label} {statistic} {d}");
+                                let real = e.scan_real_with(statistic, d).tau.to_bits();
+                                assert_eq!(real, want, "{label} {statistic} {d}");
                             }
                         }
                     }

@@ -31,13 +31,11 @@
 //! * [`regions`] — candidate region enumeration: grid partitions,
 //!   random rectangular partitionings, §4.3 square scans around
 //!   k-means centers, circles.
-//! * [`engine`] — region counting over a pluggable
-//!   [`sfindex::CountingSubstrate`] (the kd-tree, or its brute-force
-//!   oracle — selected at runtime via [`config::AuditConfig::backend`],
-//!   bit-identical) and the fast
-//!   membership-based Monte Carlo world evaluation: membership lists,
-//!   the rings of nested regions, and masked popcounts over the
-//!   Morton-blocked ring masks, which every engine built from
+//! * [`engine`] — region counting over the kd-tree (or any
+//!   [`sfindex::CountingSubstrate`], such as the brute-force oracle
+//!   tests plug in) and the fast membership-based Monte Carlo world
+//!   evaluation: the rings of nested regions, and masked popcounts over
+//!   the Morton-blocked ring masks, which every engine built from
 //!   membership lists sweeps. [`config::CountingStrategy::Auto`]
 //!   resolves Membership vs
 //!   Requery counting from the measured membership density `Σ n(R)` vs
@@ -79,9 +77,8 @@ pub mod worldcache;
 
 pub use audit::Auditor;
 pub use config::{
-    AuditConfig, CountingKernel, CountingStrategy, IndexBackend, McStrategy, NullModel,
-    ParseShardsError, ParseStatisticError, ParseStrategyError, Shards, Statistic, TauKernel,
-    WorldGen,
+    AuditConfig, CountingKernel, CountingStrategy, McStrategy, NullModel, ParseShardsError,
+    ParseStatisticError, ParseStrategyError, Shards, Statistic, TauKernel, WorldGen,
 };
 pub use direction::Direction;
 pub use error::ScanError;

@@ -9,9 +9,9 @@
 //! so those artifacts are built once and served many times:
 //!
 //! 1. **prepare** — [`PreparedAudit::prepare`] builds the immutable
-//!    engine (index + membership + totals) from the dataset, regions,
-//!    and the expensive [`AuditConfig`] knobs (backend, counting
-//!    strategy).
+//!    engine (membership rings and masks + totals) from the dataset,
+//!    regions, and the expensive [`AuditConfig`] knobs (counting
+//!    strategy, shards).
 //! 2. **plan** — [`ExecutionPlan::new`] groups a batch of
 //!    [`AuditRequest`]s into *world classes* `(null model, seed,
 //!    worldgen, statistic)`: requests in one class draw and score
@@ -49,7 +49,7 @@ use crate::report::{AuditReport, RegionFinding};
 use crate::worldcache::{ResumePoint, TauRows, WorldCache};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use sfindex::{BitLabels, Substrate, MAX_FUSED_WORLDS};
+use sfindex::{BitLabels, MAX_FUSED_WORLDS};
 use sfstats::montecarlo::{BudgetScheduler, McStrategy, MonteCarloResult, WorldLane};
 use sfstats::rng::world_rng;
 use std::sync::OnceLock;
@@ -60,8 +60,8 @@ use std::sync::OnceLock;
 pub const MAX_WORLDS: usize = 1 << 20;
 
 /// One audit request: the cheap per-query knobs of an audit. The
-/// expensive knobs (dataset, regions, index backend, counting strategy)
-/// live in the [`PreparedAudit`] the request runs against.
+/// expensive knobs (dataset, regions, counting strategy, shards) live
+/// in the [`PreparedAudit`] the request runs against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditRequest {
     /// Significance level `α`.
@@ -486,7 +486,7 @@ impl BatchStats {
 /// construction, and batched requests share simulated worlds whenever
 /// their world class matches.
 pub struct PreparedAudit {
-    engine: ScanEngine<Substrate>,
+    engine: ScanEngine,
     regions: RegionSet,
     base: AuditConfig,
     n_total: u64,
@@ -506,7 +506,6 @@ impl std::fmt::Debug for PreparedAudit {
             .field("n_total", &self.n_total)
             .field("p_total", &self.p_total)
             .field("num_regions", &self.regions.len())
-            .field("backend", &self.base.backend)
             .field("resolved_strategy", &self.engine.resolved_strategy())
             .finish_non_exhaustive()
     }
@@ -524,7 +523,7 @@ const _: () = {
 
 impl PreparedAudit {
     /// Phase 1: validates the inputs and builds the scan engine from
-    /// the expensive `config` knobs (index backend, counting strategy).
+    /// the expensive `config` knobs (counting strategy, shards).
     /// The remaining config fields become the base every request's
     /// report config is derived from.
     ///
@@ -532,7 +531,7 @@ impl PreparedAudit {
     /// * [`ScanError::EmptyRegionSet`] — no regions to scan.
     /// * [`ScanError::DegenerateOutcomes`] — all labels equal; the scan
     ///   statistic is vacuous.
-    /// * [`ScanError::CountIntegrity`] — the index backend's aggregate
+    /// * [`ScanError::CountIntegrity`] — the index's aggregate
     ///   counts disagree with its id enumeration (engine build
     ///   cross-validates them once rather than letting every simulated
     ///   `τ` silently corrupt).
@@ -545,7 +544,7 @@ impl PreparedAudit {
         if regions.is_empty() {
             return Err(ScanError::EmptyRegionSet);
         }
-        let engine = ScanEngine::build_with(outcomes, regions, config.backend, config.strategy)?
+        let engine = ScanEngine::build(outcomes, regions, config.strategy)?
             .with_shards(config.shards)
             .with_statistic(config.statistic);
         Ok(PreparedAudit {
@@ -562,8 +561,7 @@ impl PreparedAudit {
     /// The real labels' scan under `statistic` in `direction`. The real
     /// labels never change, so it is computed on the first request
     /// that needs it, not in [`PreparedAudit::prepare`], and every later
-    /// request reads the same scan. It still counts the full member
-    /// lists, so it stays the independent check on the world sweep.
+    /// request reads the same scan.
     fn real_scan(&self, statistic: Statistic, direction: Direction) -> &RealScan {
         let slot = statistic as usize * Direction::ALL.len() + direction.ordinal();
         self.reals[slot].get_or_init(|| self.engine.scan_real_with(statistic, direction))
@@ -575,7 +573,7 @@ impl PreparedAudit {
     }
 
     /// The shared scan engine.
-    pub fn engine(&self) -> &ScanEngine<Substrate> {
+    pub fn engine(&self) -> &ScanEngine {
         &self.engine
     }
 
@@ -668,19 +666,15 @@ impl PreparedAudit {
     /// One loop for both phase-3 paths: a cold run is a resume with no
     /// cache to consult and nothing retained for one.
     ///
-    /// When parallel execution is on and the plan holds several world
-    /// classes, execution is staged: every group's cache resume
-    /// happens first (the only step needing `&mut` cache access), the
-    /// groups themselves — each with its own seeded,
-    /// scheduling-independent world stream — fan out over the rayon
-    /// pool, and the commits land back in plan order (transient
+    /// When the plan holds several world classes, execution is staged:
+    /// every group's cache resume happens first (the only step needing
+    /// `&mut` cache access), the groups themselves — each with its own
+    /// seeded, scheduling-independent world stream — fan out over the
+    /// rayon pool, and the commits land back in plan order (transient
     /// memory: every in-flight group's fresh rows, the price of the
-    /// fan-out). A sequential run instead streams resume → execute →
-    /// commit one group at a time, so a byte-capped cache bounds peak
-    /// memory to roughly the cap plus one group's rows, exactly as
-    /// the pre-parallel executor did. Results are bit-identical on
-    /// both paths, because nothing a group computes depends on any
-    /// other group.
+    /// fan-out). A single group streams resume → execute → commit.
+    /// Results are bit-identical on both paths, because nothing a group
+    /// computes depends on any other group.
     fn execute_inner(
         &self,
         plan: &ExecutionPlan,
@@ -739,7 +733,7 @@ impl PreparedAudit {
                 reports[ri] = Some(report);
             }
         };
-        if self.base.parallel && plan.groups().len() > 1 {
+        if plan.groups().len() > 1 {
             // Fan the classes out. This nests with the per-span
             // parallelism inside run_world_group on purpose: batches
             // usually hold far fewer classes than the machine has
@@ -770,8 +764,6 @@ impl PreparedAudit {
                 finish(&mut cache, group, resume, output);
             }
         } else {
-            // Stream the classes: each group's rows are committed (and
-            // the cache cap enforced) before the next group simulates.
             for group in plan.groups() {
                 let resume = resume_group(&mut cache, group);
                 let output = self.execute_group(plan, group, &resume, collect_fresh, evaluator);
@@ -873,7 +865,6 @@ impl PreparedAudit {
             &group.members,
             &lane_dirs,
             &observed,
-            self.base.parallel,
             &resume.prefix,
             collect_fresh,
             eval_batch,
@@ -1002,9 +993,9 @@ pub(crate) struct GroupRun {
 /// [`BudgetScheduler`] spans. Worlds whose index falls inside `cached`
 /// are *replayed* — their flat per-direction rows are fed to the lanes
 /// as-is ([`WorldLane::feed_strided`]), no simulation — and only
-/// indices past the cached prefix call `eval_worlds` (in parallel when
-/// `parallel` is set; per-world independent RNG streams inside
-/// `eval_worlds` keep that deterministic). Because the lanes cannot
+/// indices past the cached prefix call `eval_worlds` (in parallel;
+/// per-world independent RNG streams inside `eval_worlds` keep that
+/// deterministic). Because the lanes cannot
 /// tell a replayed value from a simulated one, a resumed run is
 /// bit-identical to a cold run by construction.
 ///
@@ -1038,13 +1029,11 @@ pub(crate) struct GroupRun {
 /// Both the Bernoulli executor above and the Poisson rate batch
 /// ([`crate::rates::audit_rates_batch`]) run on this loop, so the
 /// stopping/scheduling semantics cannot drift between them.
-#[allow(clippy::too_many_arguments)] // one call site per executor; a config struct would only rename the positions
 pub(crate) fn run_world_group<F>(
     requests: &[AuditRequest],
     members: &[usize],
     lane_dirs: &[usize],
     observed: &[f64],
-    parallel: bool,
     cached: &TauRows,
     collect_fresh: bool,
     eval_worlds: F,
@@ -1082,24 +1071,20 @@ where
         if simulated == 0 {
             // A span served wholly from cached rows simulates nothing,
             // so it needs no split.
-        } else if parallel && simulated >= MAX_FUSED_WORLDS * rayon::current_num_threads() {
+        } else if simulated >= MAX_FUSED_WORLDS * rayon::current_num_threads() {
             // Coarse axis: enough world batches to fill the machine
             // (the core count is probed once per process, not per span).
             span_buf
                 .par_chunks_mut(batch)
                 .enumerate()
                 .for_each(|(c, out)| eval_worlds(cut + c * MAX_FUSED_WORLDS, out, false));
-        } else if parallel {
+        } else {
             // Fine axis: a short span (early-stop tail, tiny budget)
             // cannot feed every core one batch — walk batches in order
             // and let each one fan generation chunks/shard partials
             // out instead.
             for (c, out) in span_buf.chunks_mut(batch).enumerate() {
                 eval_worlds(cut + c * MAX_FUSED_WORLDS, out, true);
-            }
-        } else {
-            for (c, out) in span_buf.chunks_mut(batch).enumerate() {
-                eval_worlds(cut + c * MAX_FUSED_WORLDS, out, false);
             }
         }
         replayed += cut - span.start;
@@ -1319,26 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_base_config_matches_parallel() {
-        let o = outcomes(800, 5, true);
-        let rs = grid();
-        let requests = [
-            AuditRequest::from_config(&base()),
-            AuditRequest::from_config(&base()).with_direction(Direction::High),
-        ];
-        let par = PreparedAudit::prepare(&o, &rs, base())
-            .unwrap()
-            .run_batch(&requests);
-        let seq = PreparedAudit::prepare(&o, &rs, base().sequential())
-            .unwrap()
-            .run_batch(&requests);
-        for (a, mut b) in par.into_iter().zip(seq) {
-            b.config.parallel = true;
-            assert_eq!(a, b, "parallel and sequential batches must agree");
-        }
-    }
-
-    #[test]
     fn prepare_validates_inputs() {
         let o = outcomes(100, 6, false);
         let empty = RegionSet::from_regions(vec![]);
@@ -1523,10 +1488,15 @@ mod tests {
         assert_eq!(s_scalar.unique_worlds, 99);
     }
 
+    /// Each request run alone: one world class, so no class fan-out.
+    fn standalone(prepared: &PreparedAudit, requests: &[AuditRequest]) -> Vec<AuditReport> {
+        requests.iter().map(|r| prepared.run(r)).collect()
+    }
+
     #[test]
-    fn parallel_class_execution_matches_sequential_class_walk() {
+    fn class_fan_out_matches_standalone_runs() {
         // Many distinct world classes in one batch: the rayon fan-out
-        // over classes must be bit-identical to the sequential walk.
+        // over classes must be bit-identical to running each alone.
         let o = outcomes(800, 14, true);
         let rs = grid();
         let requests: Vec<AuditRequest> = (0..6)
@@ -1541,16 +1511,11 @@ mod tests {
                 r
             })
             .collect();
-        let par = PreparedAudit::prepare(&o, &rs, base())
-            .unwrap()
-            .run_batch(&requests);
-        let seq = PreparedAudit::prepare(&o, &rs, base().sequential())
-            .unwrap()
-            .run_batch(&requests);
-        for (a, mut b) in par.into_iter().zip(seq) {
-            b.config.parallel = true;
-            assert_eq!(a, b);
-        }
+        let prepared = PreparedAudit::prepare(&o, &rs, base()).unwrap();
+        assert_eq!(
+            prepared.run_batch(&requests),
+            standalone(&prepared, &requests)
+        );
     }
 
     #[test]
@@ -1588,9 +1553,9 @@ mod tests {
 
     /// Classes fanned out in parallel while each short span fans its
     /// shard partials out (the fine axis), with more classes than
-    /// threads: every report matches the sequential executor's.
+    /// threads: every report matches its request run alone.
     #[test]
-    fn parallel_classes_over_fine_sharded_spans_match_sequential() {
+    fn fanned_classes_over_fine_sharded_spans_match_standalone_runs() {
         use crate::config::{CountingStrategy, Shards};
         let o = outcomes(900, 21, true);
         let rs = grid();
@@ -1612,16 +1577,11 @@ mod tests {
                 ]
             })
             .collect();
-        let sequential = PreparedAudit::prepare(&o, &rs, config.sequential())
-            .unwrap()
-            .run_batch(&requests);
-        let parallel = PreparedAudit::prepare(&o, &rs, config)
-            .unwrap()
-            .run_batch(&requests);
-        for (a, mut b) in sequential.into_iter().zip(parallel) {
-            b.config.parallel = a.config.parallel;
-            assert_eq!(a, b);
-        }
+        let prepared = PreparedAudit::prepare(&o, &rs, config).unwrap();
+        assert_eq!(
+            prepared.run_batch(&requests),
+            standalone(&prepared, &requests)
+        );
     }
 
     #[test]

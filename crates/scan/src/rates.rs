@@ -119,14 +119,14 @@ impl RateReport {
 /// Audits an area-level rate surface for spatial homogeneity.
 ///
 /// Uses `config.alpha`, `config.worlds`, `config.seed`,
-/// `config.direction`, `config.mc_strategy` and `config.parallel`; the
-/// Bernoulli-specific fields (null model, counting strategy, index
-/// backend) do not apply here.
+/// `config.direction` and `config.mc_strategy`; the Bernoulli-specific
+/// fields (null model, counting strategy, shards, statistic) do not
+/// apply here.
 ///
 /// A thin client of the batched path: equivalent to
 /// [`audit_rates_batch`] with the one request the config denotes.
 pub fn audit_rates(config: &AuditConfig, data: &CellCounts) -> Result<RateReport, ScanError> {
-    let mut reports = audit_rates_batch(config, data, &[AuditRequest::from_config(config)])?;
+    let mut reports = audit_rates_batch(data, &[AuditRequest::from_config(config)])?;
     Ok(reports.pop().expect("one request yields one report"))
 }
 
@@ -146,14 +146,12 @@ pub fn audit_rates(config: &AuditConfig, data: &CellCounts) -> Result<RateReport
 /// Bernoulli serving layer uses, so every report is bit-identical to
 /// running its request alone.
 ///
-/// `config.parallel` controls span parallelism; reports come back in
-/// request order.
+/// Reports come back in request order.
 ///
 /// # Errors
 /// [`ScanError::DegenerateOutcomes`] when the surface has no events,
 /// [`ScanError::InvalidRequest`] when a request carries invalid knobs.
 pub fn audit_rates_batch(
-    config: &AuditConfig,
     data: &CellCounts,
     requests: &[AuditRequest],
 ) -> Result<Vec<RateReport>, ScanError> {
@@ -217,7 +215,6 @@ pub fn audit_rates_batch(
             &members,
             &lane_dirs,
             &observed_taus,
-            config.parallel,
             &TauRows::new(directions.len()),
             false,
             eval_batch,
@@ -389,9 +386,6 @@ mod tests {
         let a = audit_rates(&config(), &data).unwrap();
         let b = audit_rates(&config(), &data).unwrap();
         assert_eq!(a, b);
-        let seq = audit_rates(&config().sequential(), &data).unwrap();
-        assert_eq!(a.tau, seq.tau);
-        assert_eq!(a.p_value, seq.p_value);
     }
 
     #[test]
@@ -407,7 +401,7 @@ mod tests {
             AuditRequest::from_config(&base)
                 .with_mc_strategy(McStrategy::EarlyStop { batch_size: 16 }),
         ];
-        let batch = audit_rates_batch(&base, &data, &requests).unwrap();
+        let batch = audit_rates_batch(&data, &requests).unwrap();
         assert_eq!(batch.len(), requests.len());
         for (request, report) in requests.iter().zip(&batch) {
             let mut cfg = base;

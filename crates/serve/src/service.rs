@@ -350,8 +350,8 @@ impl AuditService {
     }
 
     /// Registers a dataset session: prepares the serving engine from
-    /// the dataset, candidate regions, and base config (whose
-    /// backend/strategy are the expensive knobs; the rest become
+    /// the dataset, candidate regions, and base config (whose strategy
+    /// and shards are the expensive knobs; the rest become
     /// per-request defaults) and returns its routing handle.
     ///
     /// # Errors

@@ -91,7 +91,7 @@ use serde::{Deserialize, Serialize};
 /// splice two different streams.
 ///
 /// Within one version, worlds are bit-identical across every index
-/// backend and counting strategy (the same cross-engine harness that
+/// and counting strategy (the same cross-engine harness that
 /// pins [`McStrategy`](crate::montecarlo::McStrategy)-independent
 /// world values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]

@@ -1,59 +1,42 @@
-//! Runtime counting substrates and adaptive Monte Carlo budgets.
+//! Adaptive Monte Carlo budgets.
 //!
 //! ```sh
 //! cargo run --release --example backends_and_budget
 //! ```
 //!
-//! Demonstrates the two audit-throughput knobs:
+//! Demonstrates the audit-throughput knobs that keep every verdict:
 //!
-//! 1. **Index backend** (`AuditConfig::with_backend`): the `Q` in the
-//!    paper's `O(M·N·Q)` cost — the kd-tree, or the brute-force oracle
-//!    it is tested against. Both are exact, so reports are
-//!    bit-identical — the choice is purely about speed.
+//! 1. **Counting strategy** (`AuditConfig::with_strategy`): `Auto`
+//!    measures the membership density and picks how worlds are
+//!    counted; every strategy gives the same report.
 //! 2. **Monte Carlo budget** (`AuditConfig::with_early_stop`): batched
 //!    Besag–Clifford-style sequential stopping ends the calibration at
 //!    the first batch where the verdict at `α` is decided. Verdicts
 //!    always match the full-budget run; `worlds_evaluated` records the
 //!    saving.
+//!
+//! Every audit counts through a kd-tree; there is no index to choose.
 
 use spatial_fairness::prelude::*;
-use spatial_fairness::scan::{CountingStrategy, IndexBackend};
+use spatial_fairness::scan::CountingStrategy;
 
 fn main() {
     // Unfair-by-design data (paper Fig. 1b) over a modest grid.
     let outcomes = sfdata::synth::SynthConfig::paper().generate(42);
     let regions = RegionSet::regular_grid(outcomes.expanded_bounding_box(), 16, 8);
     let base = AuditConfig::new(0.005).with_worlds(999).with_seed(7);
-
-    // --- 1. Same audit, every backend: identical reports. -------------
-    println!("backend sweep (identical answers, different cost):");
     let reference = Auditor::new(base).audit(&outcomes, &regions).unwrap();
-    for backend in IndexBackend::ALL {
-        let t = std::time::Instant::now();
-        let report = Auditor::new(base.with_backend(backend))
-            .audit(&outcomes, &regions)
-            .unwrap();
-        assert_eq!(report.tau, reference.tau);
-        assert_eq!(report.p_value, reference.p_value);
-        assert_eq!(report.findings, reference.findings);
-        println!(
-            "  {backend:<9} verdict {} p={:.4}  ({:.1?})",
-            report.verdict(),
-            report.p_value,
-            t.elapsed()
-        );
-    }
 
-    // --- 2. Auto counting strategy. ------------------------------------
+    // --- 1. Auto counting strategy. ------------------------------------
     // Auto measures the membership density Σ n(R) against its M·N worst
     // case at build time and picks Membership or Requery accordingly.
     let auto = Auditor::new(base.with_strategy(CountingStrategy::Auto))
         .audit(&outcomes, &regions)
         .unwrap();
     assert_eq!(auto.p_value, reference.p_value);
-    println!("\nCountingStrategy::Auto: same report, self-tuned counting path");
+    println!("CountingStrategy::Auto: same report, self-tuned counting path");
 
-    // --- 3. Early-stopping Monte Carlo. --------------------------------
+    // --- 2. Early-stopping Monte Carlo. --------------------------------
     // The saving depends on the regime. On *unfair* data the stop is a
     // certainty stop, which can save at most ⌊α·w⌋ worlds; on *fair*
     // data the stop is a futility stop, which usually fires within a

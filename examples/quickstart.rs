@@ -27,8 +27,8 @@ fn main() {
         let regions = RegionSet::regular_grid(outcomes.expanded_bounding_box(), 16, 8);
 
         // --- 3. Audit: Monte Carlo-calibrated likelihood-ratio test. --
-        // (See examples/backends_and_budget.rs for the runtime index
-        // backend and early-stopping Monte Carlo knobs.)
+        // (See examples/backends_and_budget.rs for the counting-strategy
+        // and early-stopping Monte Carlo knobs.)
         let config = AuditConfig::new(0.005) // the paper's significance level
             .with_worlds(999) //                999 simulated fair worlds
             .with_seed(7);

@@ -1,13 +1,18 @@
-//! Cross-backend agreement: the index backend and counting strategy
-//! are pure performance knobs — every combination must produce
-//! **bit-identical** audits. These tests pin that contract end to end
-//! through the public API, over mixed region shapes (rectangles and
-//! circles) that exercise every backend's pruning paths.
+//! Index and strategy agreement: the counting strategy is a pure
+//! performance knob — every strategy must produce **bit-identical**
+//! audits — and the kd-tree every audit builds must count exactly what
+//! the brute-force oracle index counts. Strategies are compared end to
+//! end through the public API; the two indexes at the engine level,
+//! through `ScanEngine::from_index`. Both run over mixed region shapes
+//! (rectangles and circles) that exercise the kd-tree's pruning paths.
 
+mod common;
+
+use common::{assert_engines_agree, draw_worlds, kd_and_brute};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use spatial_fairness::prelude::*;
-use spatial_fairness::scan::{run_suite, CountingStrategy, IndexBackend, McStrategy};
+use spatial_fairness::scan::{run_suite, CountingStrategy, McStrategy, NullModel, WorldGen};
 
 /// Clustered, mildly unfair data: three blobs, one with a depressed
 /// positive rate.
@@ -38,10 +43,6 @@ fn mixed_regions(outcomes: &SpatialOutcomes) -> RegionSet {
     RegionSet::from_regions(regions)
 }
 
-fn strategies() -> [CountingStrategy; 4] {
-    CountingStrategy::ALL
-}
-
 #[test]
 fn every_backend_and_strategy_yields_bit_identical_reports() {
     let o = outcomes(3000, 1);
@@ -50,47 +51,31 @@ fn every_backend_and_strategy_yields_bit_identical_reports() {
     let reference = Auditor::new(base).audit(&o, &regions).unwrap();
     assert!(reference.is_unfair(), "p={}", reference.p_value);
 
-    for backend in IndexBackend::ALL {
-        for strategy in strategies() {
-            let cfg = base.with_backend(backend).with_strategy(strategy);
-            let report = Auditor::new(cfg).audit(&o, &regions).unwrap();
-            assert_eq!(report.tau, reference.tau, "{backend}/{strategy:?}");
-            assert_eq!(report.p_value, reference.p_value, "{backend}/{strategy:?}");
-            assert_eq!(
-                report.critical_value, reference.critical_value,
-                "{backend}/{strategy:?}"
-            );
-            assert_eq!(
-                report.findings, reference.findings,
-                "{backend}/{strategy:?}"
-            );
-            assert_eq!(
-                report.simulated, reference.simulated,
-                "{backend}/{strategy:?}"
-            );
-        }
+    for strategy in CountingStrategy::ALL {
+        let mut report = Auditor::new(base.with_strategy(strategy))
+            .audit(&o, &regions)
+            .unwrap();
+        // The report embeds its config; align the strategy knob so the
+        // comparison checks the *results* are bit-identical.
+        report.config.strategy = reference.config.strategy;
+        assert_eq!(report, reference, "{strategy:?}");
+
+        let (kd, brute) = kd_and_brute(&o, &regions, strategy);
+        let worlds = draw_worlds(&kd, NullModel::Bernoulli, WorldGen::Word, 3, 12);
+        assert_engines_agree(&kd, &brute, Statistic::BernoulliLlr, &worlds);
     }
 }
 
 #[test]
 fn backend_agreement_holds_under_permutation_null_and_directions() {
-    use spatial_fairness::scan::{Direction, NullModel};
     let o = outcomes(1500, 2);
     let regions = mixed_regions(&o);
-    for direction in [Direction::TwoSided, Direction::Low, Direction::High] {
-        let base = AuditConfig::new(0.05)
-            .with_worlds(49)
-            .with_seed(11)
-            .with_direction(direction)
-            .with_null_model(NullModel::Permutation);
-        let reference = Auditor::new(base).audit(&o, &regions).unwrap();
-        for backend in IndexBackend::ALL {
-            let report = Auditor::new(base.with_backend(backend))
-                .audit(&o, &regions)
-                .unwrap();
-            assert_eq!(report.tau, reference.tau, "{backend} {direction}");
-            assert_eq!(report.p_value, reference.p_value, "{backend} {direction}");
-            assert_eq!(report.findings, reference.findings, "{backend} {direction}");
+    for strategy in CountingStrategy::ALL {
+        let (kd, brute) = kd_and_brute(&o, &regions, strategy);
+        for worldgen in WorldGen::ALL {
+            // Every direction's τ of every world is compared.
+            let worlds = draw_worlds(&kd, NullModel::Permutation, worldgen, 11, 12);
+            assert_engines_agree(&kd, &brute, Statistic::BernoulliLlr, &worlds);
         }
     }
 }
@@ -101,18 +86,25 @@ fn suite_reports_are_backend_invariant() {
     let regions = mixed_regions(&o);
     let base = AuditConfig::new(0.05).with_worlds(49).with_seed(5);
     let reference = run_suite(base, &o, &regions).unwrap();
-    for backend in IndexBackend::ALL {
-        let suite = run_suite(base.with_backend(backend), &o, &regions).unwrap();
+    for strategy in CountingStrategy::ALL {
+        let suite = run_suite(base.with_strategy(strategy), &o, &regions).unwrap();
         for (dir, ref_dir) in [
             (&suite.two_sided, &reference.two_sided),
             (&suite.low, &reference.low),
             (&suite.high, &reference.high),
         ] {
-            assert_eq!(dir.report.tau, ref_dir.report.tau, "{backend}");
-            assert_eq!(dir.report.p_value, ref_dir.report.p_value, "{backend}");
-            assert_eq!(dir.report.findings, ref_dir.report.findings, "{backend}");
-            assert_eq!(dir.evidence, ref_dir.evidence, "{backend}");
+            assert_eq!(dir.report.tau, ref_dir.report.tau, "{strategy:?}");
+            assert_eq!(dir.report.p_value, ref_dir.report.p_value, "{strategy:?}");
+            assert_eq!(dir.report.findings, ref_dir.report.findings, "{strategy:?}");
+            assert_eq!(dir.evidence, ref_dir.evidence, "{strategy:?}");
         }
+    }
+    // The suite's three directions under every statistic, kd-tree
+    // against brute force.
+    let (kd, brute) = kd_and_brute(&o, &regions, CountingStrategy::Membership);
+    let worlds = draw_worlds(&kd, NullModel::Bernoulli, WorldGen::Word, 5, 12);
+    for statistic in Statistic::ALL {
+        assert_engines_agree(&kd, &brute, statistic, &worlds);
     }
 }
 
@@ -123,26 +115,29 @@ fn early_stop_is_backend_invariant_and_verdict_preserving() {
     let base = AuditConfig::new(0.05).with_worlds(199).with_seed(8);
     let full = Auditor::new(base).audit(&o, &regions).unwrap();
     let mut stopped_reports = Vec::new();
-    for backend in IndexBackend::ALL {
+    for strategy in CountingStrategy::ALL {
         let cfg = base
-            .with_backend(backend)
+            .with_strategy(strategy)
             .with_mc_strategy(McStrategy::EarlyStop { batch_size: 16 });
         let report = Auditor::new(cfg).audit(&o, &regions).unwrap();
-        assert_eq!(report.verdict(), full.verdict(), "{backend}");
+        assert_eq!(report.verdict(), full.verdict(), "{strategy:?}");
         // Evaluated worlds are a prefix of the full run's.
         assert_eq!(
             full.simulated[..report.worlds_evaluated],
             report.simulated[..],
-            "{backend}"
+            "{strategy:?}"
         );
-        stopped_reports.push((backend, report));
+        stopped_reports.push((strategy, report));
     }
-    // All backends stop at the same batch with the same truncated
+    // Every strategy stops at the same batch with the same truncated
     // distribution.
     let (_, first) = &stopped_reports[0];
-    for (backend, report) in &stopped_reports[1..] {
-        assert_eq!(report.worlds_evaluated, first.worlds_evaluated, "{backend}");
-        assert_eq!(report.p_value, first.p_value, "{backend}");
+    for (strategy, report) in &stopped_reports[1..] {
+        assert_eq!(
+            report.worlds_evaluated, first.worlds_evaluated,
+            "{strategy:?}"
+        );
+        assert_eq!(report.p_value, first.p_value, "{strategy:?}");
     }
 }
 

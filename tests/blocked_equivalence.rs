@@ -1,5 +1,6 @@
 //! Bit-identity of blocked world counting across the whole engine
-//! stack: for every index backend, `blocked == membership == requery`
+//! stack: over the kd-tree and over the brute-force oracle index (built
+//! through `ScanEngine::from_index`), `blocked == membership == requery`
 //! — for the real-world scan and for `ScanEngine::eval`, both with one
 //! direction per call and with the multi-direction batches batched
 //! serving runs on, and for the shard-partial (`fine`) fold.
@@ -7,13 +8,13 @@
 //! Each engine generates its own worlds, so the property under test is
 //! exactly the serving layer's invariant: per-world labels and `τ`
 //! values are a function of `(seed, null model, direction)` only, never
-//! of the counting strategy or backend.
+//! of the counting strategy or index.
 
 use proptest::prelude::*;
-use spatial_fairness::index::BitLabels;
+use spatial_fairness::index::{BitLabels, BruteForceIndex};
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::engine::ScanEngine;
-use spatial_fairness::scan::{CountingStrategy, IndexBackend, NullModel, Shards};
+use spatial_fairness::scan::{CountingStrategy, NullModel, Shards};
 
 /// Arbitrary outcome sets with both classes present.
 fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
@@ -51,29 +52,25 @@ proptest! {
             ScanEngine::build(&outcomes, &regions, CountingStrategy::Membership).unwrap();
         let ref_real = reference.scan_real(Direction::TwoSided);
         let dirs = [Direction::TwoSided, Direction::High, Direction::Low];
-        for backend in IndexBackend::ALL {
-            let blocked = ScanEngine::build_with(
-                &outcomes,
-                &regions,
-                backend,
-                CountingStrategy::Blocked,
-            )
-            .unwrap();
-            let requery = ScanEngine::build_with(
-                &outcomes,
-                &regions,
-                backend,
-                CountingStrategy::Requery,
-            )
-            .unwrap();
-            let sharded = ScanEngine::build_with(
-                &outcomes,
-                &regions,
-                backend,
-                CountingStrategy::Blocked,
-            )
-            .unwrap()
-            .with_shards(Shards::Fixed(3));
+        for backend in ["kdtree", "brute"] {
+            let build = |strategy| match backend {
+                "kdtree" => ScanEngine::build(&outcomes, &regions, strategy).unwrap(),
+                _ => {
+                    let index =
+                        BruteForceIndex::build(outcomes.points().to_vec(), outcomes.bit_labels());
+                    ScanEngine::from_index(index, &outcomes, &regions, strategy).unwrap()
+                }
+            };
+            let blocked = build(CountingStrategy::Blocked);
+            let requery = build(CountingStrategy::Requery);
+            let sharded = build(CountingStrategy::Blocked).with_shards(Shards::Fixed(3));
+            prop_assert_eq!(blocked.region_n(), reference.region_n());
+            prop_assert_eq!(requery.region_n(), reference.region_n());
+            let (rings, want) = (blocked.membership().unwrap(), reference.membership().unwrap());
+            for r in 0..rings.num_regions() {
+                prop_assert_eq!(rings.parent(r), want.parent(r));
+                prop_assert_eq!(rings.ring(r), want.ring(r));
+            }
             prop_assert_eq!(blocked.real_world(), reference.real_world());
             prop_assert_eq!(requery.real_world(), reference.real_world());
             let real = blocked.scan_real(Direction::TwoSided);

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spatial_fairness::cluster::{CountRequest, FaultPlan, WorkerReply, WorkerRequest};
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::{
-    CountingStrategy, IndexBackend, McStrategy, NullModel, Shards, Statistic, WorldGen,
+    CountingStrategy, McStrategy, NullModel, Shards, Statistic, WorldGen,
 };
 use spatial_fairness::serve::{DatasetHandle, RequestEnvelope};
 use std::fmt::{Debug, Display};
@@ -17,8 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 
 /// One valid value of each flag type, in [`parse_flag_values`] order.
-const FLAG_TOKENS: [&str; 6] = [
-    "kdtree",
+const FLAG_TOKENS: [&str; 5] = [
     "blocked",
     "early-stop(batch=32)",
     "word",
@@ -29,9 +28,8 @@ const FLAG_TOKENS: [&str; 6] = [
 /// Parses `value` with the `FromStr` of every flag-value type the
 /// `experiments` CLI reads; entry `i` says whether type `i` accepted
 /// it.
-fn parse_flag_values(value: &str) -> [bool; 6] {
+fn parse_flag_values(value: &str) -> [bool; 5] {
     [
-        IndexBackend::from_str(value).is_ok(),
         CountingStrategy::from_str(value).is_ok(),
         McStrategy::from_str(value).is_ok(),
         WorldGen::from_str(value).is_ok(),
@@ -203,7 +201,6 @@ where
 
 #[test]
 fn flag_values_display_and_parse_back() {
-    displays_and_parses_back(IndexBackend::ALL);
     displays_and_parses_back(CountingStrategy::ALL);
     displays_and_parses_back([
         McStrategy::FullBudget,

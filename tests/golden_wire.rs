@@ -13,8 +13,7 @@ use spatial_fairness::cluster::{CountRequest, WorkerReply, WorkerRequest, Worker
 use spatial_fairness::geo::ConvexPolygon;
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::{
-    CacheStats, CountingStrategy, IndexBackend, McStrategy, NullModel, RegionFinding, Shards,
-    WorldGen,
+    CacheStats, CountingStrategy, McStrategy, NullModel, RegionFinding, Shards, WorldGen,
 };
 use spatial_fairness::serve::{RequestEnvelope, ResponseEnvelope};
 
@@ -178,9 +177,6 @@ fn configs() -> Vec<(String, AuditConfig)> {
     ] {
         out.push((format!("{strategy:?}"), base.with_strategy(strategy)));
     }
-    for backend in [IndexBackend::Brute, IndexBackend::KdTree] {
-        out.push((format!("{backend:?}"), base.with_backend(backend)));
-    }
     for mc in [
         McStrategy::FullBudget,
         McStrategy::EarlyStop { batch_size: 64 },
@@ -196,7 +192,6 @@ fn configs() -> Vec<(String, AuditConfig)> {
     for statistic in Statistic::ALL {
         out.push((format!("{statistic:?}"), base.with_statistic(statistic)));
     }
-    out.push((String::from("sequential"), base.sequential()));
     out.push((
         String::from("odd-alpha-seed"),
         AuditConfig::new(0.123_456_789)

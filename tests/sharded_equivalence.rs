@@ -1,15 +1,14 @@
 //! Sharded-engine equivalence: the full audit pipeline under any
 //! shard count must be **bit-identical** to the unsharded engine —
 //! every τ, p-value, critical value, finding, and simulated-world
-//! prefix — across every index backend, every explicit counting
-//! strategy, and both world-generation versions, sequential and
-//! parallel alike. Sharding (like the backend and the parallel knob)
-//! is a pure execution-layout choice; only the `shards` field of the
-//! embedded config may differ.
+//! prefix — across every explicit counting strategy and both
+//! world-generation versions, in batches and in standalone runs alike.
+//! Sharding is a pure execution-layout choice; only the `shards` field
+//! of the embedded config may differ.
 
 use proptest::prelude::*;
 use spatial_fairness::prelude::*;
-use spatial_fairness::scan::{CountingStrategy, IndexBackend, NullModel, Shards, WorldGen};
+use spatial_fairness::scan::{CountingStrategy, NullModel, Shards, WorldGen};
 
 /// Arbitrary outcome sets with both classes present.
 fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
@@ -43,55 +42,46 @@ fn audit_with_shards(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full matrix: 2 backends x 3 explicit strategies x 2
-    /// worldgens, each audited unsharded and with several shard
-    /// counts (including more shards than label words, which clamps).
+    /// The full matrix: 3 explicit strategies x 2 worldgens, each
+    /// audited unsharded and with several shard counts (including more
+    /// shards than label words, which clamps).
     #[test]
     fn sharded_audits_are_bit_identical_across_the_matrix(
         outcomes in arb_outcomes(),
         seed in 0u64..200,
     ) {
         let regions = RegionSet::regular_grid(outcomes.expanded_bounding_box(), 3, 3);
-        for backend in IndexBackend::ALL {
-            for strategy in [
-                CountingStrategy::Membership,
-                CountingStrategy::Requery,
-                CountingStrategy::Blocked,
-            ] {
-                for worldgen in [WorldGen::Scalar, WorldGen::Word] {
-                    let config = AuditConfig::new(0.05)
-                        .with_worlds(19)
-                        .with_seed(seed)
-                        .with_backend(backend)
-                        .with_strategy(strategy)
-                        .with_worldgen(worldgen);
-                    let unsharded =
-                        audit_with_shards(&outcomes, &regions, config, Shards::Fixed(1));
-                    for k in [2usize, 3, 64] {
-                        let sharded = audit_with_shards(
-                            &outcomes,
-                            &regions,
-                            config,
-                            Shards::Fixed(k),
-                        );
-                        prop_assert_eq!(
-                            &unsharded,
-                            &sharded,
-                            "{} {:?} {:?} diverged at {} shards",
-                            backend,
-                            strategy,
-                            worldgen,
-                            k
-                        );
-                    }
+        for strategy in [
+            CountingStrategy::Membership,
+            CountingStrategy::Requery,
+            CountingStrategy::Blocked,
+        ] {
+            for worldgen in [WorldGen::Scalar, WorldGen::Word] {
+                let config = AuditConfig::new(0.05)
+                    .with_worlds(19)
+                    .with_seed(seed)
+                    .with_strategy(strategy)
+                    .with_worldgen(worldgen);
+                let unsharded = audit_with_shards(&outcomes, &regions, config, Shards::Fixed(1));
+                for k in [2usize, 3, 64] {
+                    let sharded = audit_with_shards(&outcomes, &regions, config, Shards::Fixed(k));
+                    prop_assert_eq!(
+                        &unsharded,
+                        &sharded,
+                        "{:?} {:?} diverged at {} shards",
+                        strategy,
+                        worldgen,
+                        k
+                    );
                 }
             }
         }
     }
 
-    /// Sequential vs parallel execution under sharding: all four
-    /// combinations of (parallel, sharded) produce the same bytes,
-    /// for both null models.
+    /// Batched vs standalone execution under sharding: a batch whose
+    /// world classes fan out in parallel, and each of its requests run
+    /// alone (one class, walked on its own), produce the same bytes
+    /// sharded and unsharded, for both null models.
     #[test]
     fn parallel_and_sequential_sharded_runs_agree(
         outcomes in arb_outcomes(),
@@ -109,18 +99,30 @@ proptest! {
             .with_seed(seed)
             .with_strategy(CountingStrategy::Blocked)
             .with_null_model(null_model);
-        let mut reports = vec![
-            audit_with_shards(&outcomes, &regions, config, Shards::Fixed(1)),
-            audit_with_shards(&outcomes, &regions, config, Shards::Fixed(4)),
-            audit_with_shards(&outcomes, &regions, config.sequential(), Shards::Fixed(1)),
-            audit_with_shards(&outcomes, &regions, config.sequential(), Shards::Fixed(4)),
+        let request = AuditRequest::from_config(&config);
+        let requests = [
+            request,
+            request.with_seed(seed + 1).with_direction(Direction::High),
+            request.with_worldgen(WorldGen::Scalar),
         ];
-        for report in &mut reports {
-            report.config.parallel = true;
+        let mut runs = Vec::new();
+        for k in [1usize, 4] {
+            let prepared =
+                PreparedAudit::prepare(&outcomes, &regions, config.with_shards(Shards::Fixed(k)))
+                    .unwrap();
+            let standalone: Vec<AuditReport> = requests.iter().map(|r| prepared.run(r)).collect();
+            runs.push(prepared.run_batch(&requests));
+            runs.push(standalone);
         }
-        prop_assert_eq!(&reports[0], &reports[1]);
-        prop_assert_eq!(&reports[0], &reports[2]);
-        prop_assert_eq!(&reports[0], &reports[3]);
+        for run in &mut runs {
+            for report in run.iter_mut() {
+                report.config.shards = Shards::Auto;
+            }
+        }
+        prop_assert_eq!(&runs[0], &runs[1]);
+        prop_assert_eq!(&runs[0], &runs[2]);
+        prop_assert_eq!(&runs[0], &runs[3]);
+        prop_assert_eq!(&runs[0][0], &audit_with_shards(&outcomes, &regions, config, Shards::Fixed(1)));
     }
 }
 

@@ -5,8 +5,9 @@
 //! reduce, world cache, wire. Four contracts keep it honest:
 //!
 //! 1. **BernoulliLlr is the pre-refactor audit, bit for bit**, on
-//!    every backend × counting strategy × world generator × shard
-//!    count — the kernel indirection must cost nothing semantically.
+//!    every counting strategy × world generator × shard count, and the
+//!    kd-tree engine scores every statistic exactly as the brute-force
+//!    oracle's — the kernel indirection must cost nothing semantically.
 //! 2. **Statistics are distinct world-cache classes**: same null
 //!    model, seed, and generator under a different statistic must
 //!    never replay a cached τ-stream (a cached row stores the
@@ -17,9 +18,12 @@
 //! 4. **The new statistics run end to end** through submit → drain
 //!    with early stopping, warm world-cache replays, and sharding.
 
+mod common;
+
+use common::{assert_engines_agree, draw_worlds, kd_and_brute};
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::prepared::ExecutionPlan;
-use spatial_fairness::scan::{CountingStrategy, IndexBackend, McStrategy, Shards, WorldGen};
+use spatial_fairness::scan::{CountingStrategy, McStrategy, NullModel, Shards, WorldGen};
 
 fn outcomes(n: usize, seed: u64) -> SpatialOutcomes {
     // Deterministic unfair layout: left half is positive-rich, with a
@@ -51,7 +55,7 @@ fn bernoulli_llr_is_bit_identical_on_every_execution_path() {
         CountingStrategy::Blocked,
     ];
     for worldgen in [WorldGen::Scalar, WorldGen::Word] {
-        // The reference: default backend/strategy, unsharded, with the
+        // The reference: default strategy, unsharded, with the
         // statistic left at its default (the pre-refactor fold).
         let base = AuditConfig::new(0.05)
             .with_worlds(49)
@@ -60,21 +64,27 @@ fn bernoulli_llr_is_bit_identical_on_every_execution_path() {
         let reference = Auditor::new(base.with_shards(Shards::Fixed(1)))
             .audit(&o, &regions)
             .unwrap();
-        for backend in IndexBackend::ALL {
-            for strategy in strategies {
-                for shards in [1usize, 4] {
-                    let config = base
-                        .with_backend(backend)
-                        .with_strategy(strategy)
-                        .with_shards(Shards::Fixed(shards))
-                        .with_statistic(Statistic::BernoulliLlr);
-                    let report = Auditor::new(config).audit(&o, &regions).unwrap();
-                    let label = format!("{backend}/{strategy:?}/{worldgen:?}/shards={shards}");
-                    assert_eq!(report.tau, reference.tau, "{label}");
-                    assert_eq!(report.p_value, reference.p_value, "{label}");
-                    assert_eq!(report.simulated, reference.simulated, "{label}");
-                    assert_eq!(report.findings, reference.findings, "{label}");
-                }
+        for strategy in strategies {
+            for shards in [1usize, 4] {
+                let config = base
+                    .with_strategy(strategy)
+                    .with_shards(Shards::Fixed(shards))
+                    .with_statistic(Statistic::BernoulliLlr);
+                let report = Auditor::new(config).audit(&o, &regions).unwrap();
+                let label = format!("{strategy:?}/{worldgen:?}/shards={shards}");
+                assert_eq!(report.tau, reference.tau, "{label}");
+                assert_eq!(report.p_value, reference.p_value, "{label}");
+                assert_eq!(report.simulated, reference.simulated, "{label}");
+                assert_eq!(report.findings, reference.findings, "{label}");
+            }
+        }
+    }
+    for strategy in strategies {
+        let (kd, brute) = kd_and_brute(&o, &regions, strategy);
+        for worldgen in WorldGen::ALL {
+            let worlds = draw_worlds(&kd, NullModel::Bernoulli, worldgen, 11, 12);
+            for statistic in Statistic::ALL {
+                assert_engines_agree(&kd, &brute, statistic, &worlds);
             }
         }
     }
@@ -225,7 +235,7 @@ fn new_statistics_run_end_to_end_with_early_stop_cache_and_shards() {
         assert_eq!(after.unique_worlds, before.unique_worlds);
         assert!(after.cache_hits > before.cache_hits);
         // Sharded equals unsharded under the new statistic too.
-        let unsharded = Auditor::new(base.with_shards(Shards::Fixed(1)).sequential())
+        let unsharded = Auditor::new(base.with_shards(Shards::Fixed(1)))
             .audit(&o, &regions)
             .unwrap();
         assert_eq!(cold_report.tau, unsharded.tau, "{statistic}");

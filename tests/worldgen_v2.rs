@@ -1,17 +1,19 @@
 //! WorldGen v2 contract tests: the word-parallel generator's exactness
 //! (`Permutation` worlds carry exactly `P` positives), its statistical
 //! equivalence to the scalar generator (Bernoulli totals follow the
-//! same binomial law), its bit-identity across every index backend,
-//! counting strategy and generation path, and the world-class
+//! same binomial law), its bit-identity across the kd-tree and the
+//! brute-force oracle index, every counting strategy and generation
+//! path, and the world-class
 //! separation that keeps `Scalar` and `Word` τ-prefixes from ever being
 //! spliced in the world cache.
 
+mod common;
+
+use common::{assert_engines_agree, draw_worlds, kd_and_brute};
 use proptest::prelude::*;
 use spatial_fairness::prelude::*;
 use spatial_fairness::scan::engine::ScanEngine;
-use spatial_fairness::scan::{
-    CountingStrategy, IndexBackend, McStrategy, NullModel, WorldCache, WorldGen,
-};
+use spatial_fairness::scan::{CountingStrategy, McStrategy, NullModel, WorldCache, WorldGen};
 use spatial_fairness::stats::rng::world_rng;
 
 /// Arbitrary outcome sets with both classes present; `dense` flips the
@@ -38,10 +40,10 @@ fn arb_outcomes() -> impl Strategy<Value = SpatialOutcomes> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (c) `Word` worlds are bit-identical across both backends and
-    /// all explicit counting strategies: the same bitset (every engine
-    /// stores worlds in one layout) and the same multi-direction τ
-    /// fold.
+    /// (c) `Word` worlds are bit-identical across the kd-tree and
+    /// brute-force engines and all explicit counting strategies: the
+    /// same bitset (every engine stores worlds in one layout) and the
+    /// same multi-direction τ fold.
     #[test]
     fn word_worlds_are_bit_identical_across_backends_and_strategies(
         outcomes in arb_outcomes(),
@@ -53,14 +55,15 @@ proptest! {
         let reference =
             ScanEngine::build(&outcomes, &regions, CountingStrategy::Membership).unwrap();
         let dirs = [Direction::TwoSided, Direction::High, Direction::Low];
-        for backend in IndexBackend::ALL {
-            for strategy in [
-                CountingStrategy::Membership,
-                CountingStrategy::Requery,
-                CountingStrategy::Blocked,
-            ] {
-                let engine =
-                    ScanEngine::build_with(&outcomes, &regions, backend, strategy).unwrap();
+        for strategy in [
+            CountingStrategy::Membership,
+            CountingStrategy::Requery,
+            CountingStrategy::Blocked,
+        ] {
+            let (kd, brute) = kd_and_brute(&outcomes, &regions, strategy);
+            let worlds = draw_worlds(&kd, NullModel::Permutation, WorldGen::Word, seed, 9);
+            assert_engines_agree(&kd, &brute, Statistic::BernoulliLlr, &worlds);
+            for (backend, engine) in [("kdtree", kd), ("brute", brute)] {
                 for (w, null_model) in [NullModel::Bernoulli, NullModel::Permutation]
                     .into_iter()
                     .enumerate()
